@@ -33,7 +33,6 @@ from .counting import (
     DensityResult,
     OracleError,
     count_solutions,
-    count_solutions_partitioned,
     density_oracle,
     density_value,
     normalization_exponent,

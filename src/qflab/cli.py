@@ -70,9 +70,16 @@ from .clifford import (
 
 
 def parse_matrix(text: str) -> SymMat:
-    """Accept 'd:1,1,1,3' diagonals, inline JSON, or a path to a JSON file."""
+    """Accept 'd:1,1,1,3' diagonals, inline JSON (a list of rows or the
+    {"n", "entries"} object), or a path to a JSON file."""
     if text.startswith("d:"):
         return SymMat.diag(*(parse_frac(v) for v in text[2:].split(",")))
+    if text.lstrip().startswith("["):
+        rows = json.loads(text, parse_float=parse_frac)
+        if not all(isinstance(row, list) and all(isinstance(x, (int, str, Fraction)) for x in row)
+                   for row in rows):
+            raise ValueError("an inline matrix must be a JSON list of rows of numbers")
+        return SymMat(rows)
     if text.lstrip().startswith("{"):
         return SymMat.from_json(json.loads(text))
     with open(text) as fh:

@@ -1,17 +1,21 @@
 """Brute-force oracle for local representation densities.
 
-Counts matrices x over Z/p^t with x^T diag(s) x = T mod p^t, either by full
-enumeration or by meet-in-the-middle over the rows of x, and normalizes the
-counts into density values with stabilization detection. This module is the
-independent auditor for every closed form in the package; it must never call
-into the closed-form code.
+Counts matrices x over Z/p^t with x^T diag(s) x = T mod p^t and normalizes
+the counts into density values with stabilization detection. There are two
+counting paths: full enumeration ("naive", the reference the tests compare
+against) and one array meet-in-the-middle engine ("mitm") over the rows of
+x, for any number of rows and any odd modulus. Row i of x adds
+s_i * x_i x_i^T to the left side, so each half of the rows is a set of keys
+in Sym_n(Z/q), written as k = n(n+1)/2 radix-q digits. The state budget
+bounds the larger half's q^(n*ceil(m/2)) states and the q^k table cells.
+This module is the independent auditor for every closed form in the
+package; it must never call into the closed-form code.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,10 +26,8 @@ from .quadform import SymMat, frac_str, jordan_diagonalize
 
 DEFAULT_STATE_BUDGET = 2**29
 
-# dict-based MITM switches to the dense array backend above this many states
-_DENSE_SWITCH = 2**24
-_DENSE_MAX_Q = 85  # digit sums must fit in uint8 with headroom
-_CHUNK_TARGET = 2**22
+# keys per streamed or tabled block; larger blocks raise peak memory, not speed
+_CHUNK = 2**16
 
 
 def state_budget() -> int:
@@ -161,104 +163,66 @@ def _naive_count(job: CountJob) -> int:
     return count
 
 
-def _half_sizes(job: CountJob) -> tuple[int, int, int]:
-    # rows in the streamed half, rows in the table half, states in the larger
-    h = (job.m + 1) // 2
-    q_n = job.modulus**job.n
-    return h, job.m - h, max(q_n**h, q_n ** (job.m - h))
-
-
-def _table_counter(rows: list[list[tuple[int, ...]]], q: int, k: int) -> Counter:
-    if not rows:
-        return Counter({(0,) * k: 1})
-    acc = Counter(rows[0])
-    for keys in rows[1:]:
-        nxt = Counter()
-        for cur, c in acc.items():
-            for key in keys:
-                nxt[_add_keys(cur, key, q)] += c
-        acc = nxt
-    return acc
-
-
-def _dict_mitm(job: CountJob, part: tuple[int, int] | None = None) -> int:
-    q = job.modulus
-    tgt = _target_digits(job.T, q)
-    rows = _keys_per_row(job)
-    h = (job.m + 1) // 2
-    stream_rows, table_rows = rows[:h], rows[h:]
-    table = _table_counter(table_rows, q, len(tgt))
-    first = stream_rows[0]
-    if part is not None:
-        k, nparts = part
-        lo = len(first) * k // nparts
-        hi = len(first) * (k + 1) // nparts
-        first = first[lo:hi]
-    total = 0
-    for combo in itertools.product(first, *stream_rows[1:]):
-        acc = combo[0]
-        for key in combo[1:]:
-            acc = _add_keys(acc, key, q)
-        need = tuple((a - b) % q for a, b in zip(tgt, acc))
-        total += table.get(need, 0)
-    return total
-
-
-def _dense_feasible(job: CountJob) -> bool:
-    q = job.modulus
-    k = job.n * (job.n + 1) // 2
-    return job.m == 4 and q <= _DENSE_MAX_Q and q**k <= state_budget()
-
-
-def _row_digit_array(s_res: int, q: int, n: int):
+def _row_digits(s_res: int, q: int, n: int, dtype) -> np.ndarray:
+    # digit columns of s * v_i * v_j mod q over pairs i <= j, one column per v
     vecs = np.indices((q,) * n).reshape(n, -1).astype(np.int64)
-    cols = [s_res * vecs[i] * vecs[j] % q for (i, j) in _pairs(n)]
-    return np.stack(cols, axis=1).astype(np.uint8)
+    rows = [s_res * vecs[i] % q * vecs[j] % q for (i, j) in _pairs(n)]
+    return np.stack(rows).astype(dtype)
 
 
-def _dense_mitm(job: CountJob, part: tuple[int, int] | None = None) -> int:
-    """Array MITM for 4-row jobs: digit keys in radix q, uint32 count table.
+def _sums(start: np.ndarray, rows: list[np.ndarray], q: int):
+    """Yield start + (one column of each row) mod q over all combinations,
+    in blocks of digit columns of about _CHUNK columns (or one row's worth)."""
+    if not rows:
+        yield start
+        return
+    last = rows[-1]
+    step = max(1, _CHUNK // last.shape[1])
+    for prefix in _sums(start, rows[:-1], q):
+        for lo in range(0, prefix.shape[1], step):
+            block = (prefix[:, lo:lo + step, None] + last[:, None, :]) % q
+            yield block.reshape(len(last), -1)
 
-    Both halves are two rows. The table half is accumulated blockwise with
-    sort/reduceat so no q^K-sized int64 scratch is ever allocated; the
-    streamed half gathers matches chunk by chunk.
+
+def _radix(block: np.ndarray, q: int) -> np.ndarray:
+    idx = block[-1].astype(np.int64)
+    for c in range(len(block) - 2, -1, -1):
+        idx *= q
+        idx += block[c]
+    return idx
+
+
+def _stream_rows(job: CountJob) -> int:
+    return (job.m + 1) // 2
+
+
+def _mitm_count(job: CountJob) -> int:
+    """Array meet-in-the-middle: digit keys in radix q, one count per key.
+
+    The first h = ceil(m/2) rows are streamed and the other m - h rows fill a
+    q^k count table (k = n(n+1)/2); an empty table half is one count at key 0.
+    The table is filled blockwise with sort-and-count so no q^k-sized scratch
+    is allocated. Streamed rows carry the negated source entries and start at
+    the target's digits, so each streamed block is the key it needs.
     """
-    q = job.modulus
-    n = job.n
+    q, n, h = job.modulus, job.n, _stream_rows(job)
     k = n * (n + 1) // 2
-    tgt = np.array(_target_digits(job.T, q), dtype=np.uint8)
+    dtype = np.min_scalar_type(2 * q)  # a sum of two digits must fit
     res = [_residue(s, q) for s in job.s_diag]
-    digits = {r: _row_digit_array(r, q, n) for r in set(res)}
-    d0, d1, d2, d3 = (digits[r] for r in res)
-    weights = q ** np.arange(k, dtype=np.int64)
+    stream_res, table_res = [-r % q for r in res[:h]], res[h:]
+    digits = {r: _row_digits(r, q, n, dtype) for r in set(stream_res + table_res)}
+    zero = np.zeros((k, 1), dtype=dtype)
+    tgt = np.array(_target_digits(job.T, q), dtype=dtype).reshape(k, 1)
 
-    def radix(block):
-        idx = np.zeros(block.shape[:-1], dtype=np.int64)
-        for c in range(k):
-            idx += block[..., c].astype(np.int64) * weights[c]
-        return idx.ravel()
+    table_states = q ** (n * len(table_res))  # no cell counts more than this
+    table = np.zeros(q**k, dtype=np.uint32 if table_states < 2**32 else np.uint64)
+    for block in _sums(zero, [digits[r] for r in table_res], q):
+        keys, counts = np.unique(_radix(block, q), return_counts=True)
+        table[keys] += counts.astype(table.dtype)
 
-    chunk = max(1, _CHUNK_TARGET // q**n)
-    table = np.zeros(q**k, dtype=np.uint32)
-    for lo in range(0, q**n, chunk):
-        block = (d2[lo:lo + chunk, None, :].astype(np.uint16) + d3[None, :, :]) % q
-        idx = radix(block)
-        idx.sort()
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(idx)) + 1))
-        counts = np.diff(np.append(starts, len(idx)))
-        table[idx[starts]] += counts.astype(np.uint32)
-
-    lo_all, hi_all = 0, q**n
-    if part is not None:
-        pk, nparts = part
-        lo_all = q**n * pk // nparts
-        hi_all = q**n * (pk + 1) // nparts
     total = 0
-    base = (np.uint16(2 * q) + tgt.astype(np.uint16)) - d0.astype(np.uint16)  # stays nonnegative
-    for lo in range(lo_all, hi_all, chunk):
-        block = (base[lo:lo + chunk, None, :] - d1[None, :, :]) % q
-        idx = radix(block)
-        total += int(table[idx].sum(dtype=np.int64))
+    for block in _sums(tgt, [digits[r] for r in stream_res], q):
+        total += int(table[_radix(block, q)].sum(dtype=np.uint64))
     return total
 
 
@@ -273,30 +237,14 @@ def count_solutions(job: CountJob) -> int:
                 f"state budget exceeded: naive enumeration needs {est} states, budget {budget}"
             )
         return _naive_count(job)
-    _, _, est = _half_sizes(job)
-    if est > budget:
+    states = q ** (job.n * _stream_rows(job))
+    cells = q ** (job.n * (job.n + 1) // 2)
+    if max(states, cells) > budget:
         raise RuntimeError(
-            f"state budget exceeded: meet-in-the-middle needs {est} states, budget {budget}"
+            f"state budget exceeded: meet-in-the-middle needs {states} states per half "
+            f"and {cells} table cells, budget {budget}"
         )
-    if est > _DENSE_SWITCH:
-        if not _dense_feasible(job):
-            raise RuntimeError(
-                f"state budget exceeded: {est} states too large for the dict backend "
-                "and the job shape does not fit the dense backend"
-            )
-        return _dense_mitm(job)
-    return _dict_mitm(job)
-
-
-def count_solutions_partitioned(job: CountJob, parts: int) -> list[int]:
-    """Per-range counts for the streamed half; summing them is bit-identical
-    to the unpartitioned count (commutative exact addition)."""
-    if job.strategy != "mitm":
-        raise ValueError("partitioned counting applies to the mitm strategy")
-    _, _, est = _half_sizes(job)
-    dense = est > _DENSE_SWITCH and _dense_feasible(job)
-    runner = _dense_mitm if dense else _dict_mitm
-    return [runner(job, part=(i, parts)) for i in range(parts)]
+    return _mitm_count(job)
 
 
 def normalization_exponent(m: int, n: int, t: int) -> int:

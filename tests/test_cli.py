@@ -91,6 +91,13 @@ def test_ratio_report(capsys):
     assert data["diff"] == [3]
 
 
+def test_inline_json_rows(capsys):
+    rows = run(capsys, "ratio", "--p", "3", "--T",
+               "[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,3]]")
+    assert rows == run(capsys, "ratio", "--p", "3", "--T", "d:1,1,1,3")
+    assert rows[0] == 0
+
+
 def test_diff_split(capsys):
     code, out, _ = run(capsys, "diff", "--T", "d:1,1,1,1", "--disc", "1")
     data = json.loads(out)
@@ -218,6 +225,26 @@ def test_ratio_on_represented_target_exits_2(capsys):
     code, _, err = run(capsys, "ratio", "--p", "3", "--T", "d:1,1,1,1")
     assert code == 2
     assert "Diff" in err
+
+
+def test_inline_json_not_rows_exits_2(capsys):
+    for text in ("[1,2]", "[[null]]"):
+        code, _, err = run(capsys, "diff", "--T", text)
+        assert code == 2
+        assert "list of rows" in err
+
+
+def test_failed_check_exits_1(capsys, monkeypatch):
+    import dataclasses
+
+    import qflab.cli
+
+    real = qflab.cli.verify_ratio_identity
+    monkeypatch.setattr(qflab.cli, "verify_ratio_identity",
+                        lambda T, p: dataclasses.replace(real(T, p), equal=False))
+    code, out, _ = run(capsys, "ratio", "--p", "3", "--T", "d:1,1,1,3")
+    assert code == 1
+    assert json.loads(out)["equal"] is False
 
 
 def test_classify_inconsistent_exits_2(capsys):

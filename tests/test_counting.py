@@ -11,7 +11,6 @@ from qflab import (
     SymMat,
     base_diagonal,
     count_solutions,
-    count_solutions_partitioned,
     density_oracle,
     density_value,
     least_nonsquare,
@@ -48,6 +47,21 @@ def test_count_naive_equals_mitm_exhaustive_small():
         done += 1
 
 
+@pytest.mark.parametrize(
+    "s, T, p, t",
+    [
+        ((2,), SymMat.diag(2), 3, 2),  # m = 1: the table half is empty
+        ((1, -1, 3), SymMat.diag(1), 3, 2),  # unequal halves, 2 + 1 rows
+        ((1, 2, -1, 3, 1), SymMat.diag(2), 3, 2),  # unequal halves, 3 + 2 rows
+        ((1, 3), SymMat.diag(5), 89, 1),  # q above 85, the old cap of the array path
+        ((1, -1, 2), SymMat.diag(7), 89, 1),
+        ((1, 2), SymMat.diag(-1), 131, 1),  # digit sums need uint16
+    ],
+)
+def test_count_naive_equals_mitm_shapes(s, T, p, t):
+    assert count_solutions(CountJob(s, T, p, t, "naive")) == count_solutions(CountJob(s, T, p, t))
+
+
 def test_count_invariant_under_coordinate_permutation():
     T = SymMat([[1, 1], [1, 2]])
     P = SymMat([[2, 1], [1, 1]])
@@ -56,25 +70,15 @@ def test_count_invariant_under_coordinate_permutation():
         assert count_solutions(CountJob(s, T, 3, t)) == count_solutions(CountJob(s, P, 3, t))
 
 
-def test_partitioned_count_sums_to_whole():
-    job = CountJob(split_diagonal(4), SymMat.diag(1, 1, 3), 3, 2)
-    whole = count_solutions(job)
-    for parts in (2, 3, 5):
-        pieces = count_solutions_partitioned(job, parts)
-        assert len(pieces) == parts
-        assert sum(pieces) == whole
-
-
-def test_partitioned_rejects_naive():
-    job = CountJob((1,), SymMat.diag(1), 3, 1, "naive")
-    with pytest.raises(ValueError, match="mitm"):
-        count_solutions_partitioned(job, 2)
-
-
 def test_state_budget_guard(monkeypatch):
     monkeypatch.setenv("QFLAB_STATE_BUDGET", "10")
     assert state_budget() == 10
     job = CountJob(split_diagonal(4), SymMat.diag(1, 1, 1), 3, 2)
+    with pytest.raises(RuntimeError, match="state budget exceeded"):
+        count_solutions(job)
+    # 9^2 states per half fit, but the 9^3-cell table does not
+    monkeypatch.setenv("QFLAB_STATE_BUDGET", "500")
+    job = CountJob((1, -1), SymMat.diag(1, 1), 3, 2)
     with pytest.raises(RuntimeError, match="state budget exceeded"):
         count_solutions(job)
 
