@@ -682,7 +682,7 @@ def _inject_config(argv: list, registry: dict) -> list:
                 raise ValueError(f"config line is not key=value: {line!r}")
             flag = "--" + key.strip().replace("_", "-")
             if flag not in actions:
-                continue
+                raise ValueError(f"config key {key.strip()!r} is not a flag of {argv[0]}")
             value = value.strip()
             if isinstance(actions[flag], argparse._StoreTrueAction):
                 if value.lower() in ("1", "true", "yes"):

@@ -116,7 +116,7 @@ def quat_trace(x: Quaternion) -> Fraction:
 
 def ramified_places(B: QuaternionAlgebra) -> frozenset:
     """Places where the algebra is division, computed from Hilbert symbols."""
-    candidates = [Place(q) for q in _candidate_primes(2 * B.a * B.b)]
+    candidates = [Place(q) for q in _candidate_primes(B.a, B.b)]
     candidates.append(INFINITE_PLACE)
     ram = frozenset(v for v in candidates if hilbert(B.a, B.b, v) == -1)
     if len(ram) % 2:
@@ -268,7 +268,7 @@ def witt_index_rank5(space: QuadSpace) -> int:
     model = QuadSpace.from_diagonal((1, -1, 1, -1, delta))
     if space.signature != model.signature:
         return 1
-    for q in _candidate_primes(2 * delta):
+    for q in _candidate_primes(*space.diagonal):
         if space.hasse(Place(q)) != model.hasse(Place(q)):
             return 1
     return 2

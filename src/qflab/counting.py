@@ -5,9 +5,10 @@ the counts into density values with stabilization detection. There are two
 counting paths: full enumeration ("naive", the reference the tests compare
 against) and one array meet-in-the-middle engine ("mitm") over the rows of
 x, for any number of rows and any odd modulus. Row i of x adds
-s_i * x_i x_i^T to the left side, so each half of the rows is a set of keys
-in Sym_n(Z/q), written as k = n(n+1)/2 radix-q digits. The state budget
-bounds the larger half's q^(n*ceil(m/2)) states and the q^k table cells.
+s_i * x_i x_i^T to the left side, so each half of the rows is a weighted
+set of keys in Sym_n(Z/q), written as k = n(n+1)/2 radix-q digits. The state
+budget bounds the larger half's q^(n*ceil(m/2)) states and the q^k table
+cells.
 This module is the independent auditor for every closed form in the
 package; it must never call into the closed-form code.
 """
@@ -163,25 +164,32 @@ def _naive_count(job: CountJob) -> int:
     return count
 
 
-def _row_digits(s_res: int, q: int, n: int, dtype) -> np.ndarray:
-    # digit columns of s * v_i * v_j mod q over pairs i <= j, one column per v
+def _row_digits(s_res: int, q: int, n: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys of s * v v^T mod q over v in (Z/q)^n, as digit columns,
+    with the number of vectors v giving each key (v and -v always agree)."""
     vecs = np.indices((q,) * n).reshape(n, -1).astype(np.int64)
-    rows = [s_res * vecs[i] % q * vecs[j] % q for (i, j) in _pairs(n)]
-    return np.stack(rows).astype(dtype)
+    rows = np.stack([s_res * vecs[i] % q * vecs[j] % q for (i, j) in _pairs(n)])
+    keys, counts = np.unique(_radix(rows, q), return_counts=True)
+    digits = np.empty((len(rows), len(keys)), dtype=dtype)
+    for c in range(len(rows)):
+        keys, digits[c] = np.divmod(keys, q)
+    return digits, counts.astype(np.uint64)
 
 
-def _sums(start: np.ndarray, rows: list[np.ndarray], q: int):
-    """Yield start + (one column of each row) mod q over all combinations,
-    in blocks of digit columns of about _CHUNK columns (or one row's worth)."""
+def _sums(start: np.ndarray, rows: list[tuple[np.ndarray, np.ndarray]], q: int):
+    """Yield (block, weights) over all choices of one key per row: block holds
+    start + the chosen keys mod q as digit columns, in blocks of about _CHUNK
+    columns (or one row's worth), and weights the product of their counts."""
     if not rows:
-        yield start
+        yield start, np.ones(start.shape[1], dtype=np.uint64)
         return
-    last = rows[-1]
+    last, last_w = rows[-1]
     step = max(1, _CHUNK // last.shape[1])
-    for prefix in _sums(start, rows[:-1], q):
+    for prefix, prefix_w in _sums(start, rows[:-1], q):
         for lo in range(0, prefix.shape[1], step):
             block = (prefix[:, lo:lo + step, None] + last[:, None, :]) % q
-            yield block.reshape(len(last), -1)
+            weights = prefix_w[lo:lo + step, None] * last_w
+            yield block.reshape(len(last), -1), weights.reshape(-1)
 
 
 def _radix(block: np.ndarray, q: int) -> np.ndarray:
@@ -197,32 +205,36 @@ def _stream_rows(job: CountJob) -> int:
 
 
 def _mitm_count(job: CountJob) -> int:
-    """Array meet-in-the-middle: digit keys in radix q, one count per key.
+    """Array meet-in-the-middle over each row's distinct keys, in radix q.
 
-    The first h = ceil(m/2) rows are streamed and the other m - h rows fill a
-    q^k count table (k = n(n+1)/2); an empty table half is one count at key 0.
-    The table is filled blockwise with sort-and-count so no q^k-sized scratch
-    is allocated. Streamed rows carry the negated source entries and start at
-    the target's digits, so each streamed block is the key it needs.
+    Each row contributes its distinct keys with their multiplicities, so
+    every combination of keys is weighted by the product of its rows'
+    counts. The first h = ceil(m/2) rows are streamed and the other m - h
+    rows fill a q^k count table (k = n(n+1)/2) with np.add.at, so no
+    q^k-sized scratch is allocated; an empty table half is one count at
+    key 0. Streamed rows carry the negated source entries and start at the
+    target's digits, so each streamed block is the key it needs. A block's
+    sum of table[key] * weight is at most the job's count q^(mn) <=
+    budget^2, which fits uint64 for budgets up to 2^32 (2^58 at the
+    default).
     """
     q, n, h = job.modulus, job.n, _stream_rows(job)
     k = n * (n + 1) // 2
     dtype = np.min_scalar_type(2 * q)  # a sum of two digits must fit
     res = [_residue(s, q) for s in job.s_diag]
     stream_res, table_res = [-r % q for r in res[:h]], res[h:]
-    digits = {r: _row_digits(r, q, n, dtype) for r in set(stream_res + table_res)}
+    keys = {r: _row_digits(r, q, n, dtype) for r in set(stream_res + table_res)}
     zero = np.zeros((k, 1), dtype=dtype)
     tgt = np.array(_target_digits(job.T, q), dtype=dtype).reshape(k, 1)
 
     table_states = q ** (n * len(table_res))  # no cell counts more than this
     table = np.zeros(q**k, dtype=np.uint32 if table_states < 2**32 else np.uint64)
-    for block in _sums(zero, [digits[r] for r in table_res], q):
-        keys, counts = np.unique(_radix(block, q), return_counts=True)
-        table[keys] += counts.astype(table.dtype)
+    for block, weights in _sums(zero, [keys[r] for r in table_res], q):
+        np.add.at(table, _radix(block, q), weights.astype(table.dtype))
 
     total = 0
-    for block in _sums(tgt, [digits[r] for r in stream_res], q):
-        total += int(table[_radix(block, q)].sum(dtype=np.uint64))
+    for block, weights in _sums(tgt, [keys[r] for r in stream_res], q):
+        total += int((table[_radix(block, q)] * weights).sum(dtype=np.uint64))
     return total
 
 

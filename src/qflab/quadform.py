@@ -359,12 +359,14 @@ def represents_local(S: QuadSpace, T: SymMat, v: Place) -> bool:
         tp, tn = signature(T)
         sp, sn = S.signature
         return tp <= sp and tn <= sn
-    n = T.n
-    if n <= 2:
-        return True
-    diag_t = rational_diagonalization(T)
+    return T.n <= 2 or _represents_finite(S, T, rational_diagonalization(T), v)
+
+
+def _represents_finite(S: QuadSpace, T: SymMat, diag_t, v: Place) -> bool:
+    # represents_local at a finite place for a target of rank 3 or 4, given
+    # a rational diagonalization of T
     det_t = T.det
-    if n == 4:
+    if T.n == 4:
         forced = det_t * S.det
         return hasse_of_diagonal(diag_t + (forced,), v) == S.hasse(v)
     det_r = S.det * det_t
@@ -404,7 +406,7 @@ class IncoherentCollection:
         self.b = b
         self.space = QuadSpace.from_diagonal((1, 1, -a, -b, a * b))
         self.finite_ramified = tuple(
-            q for q in _candidate_primes(2 * a * b) if hilbert(a, b, Place(q)) == -1
+            q for q in _candidate_primes(a, b) if hilbert(a, b, Place(q)) == -1
         )
         self.finite_discriminant = 1
         for q in self.finite_ramified:
@@ -420,28 +422,36 @@ class IncoherentCollection:
         return cls(holder)
 
 
-def _candidate_primes(x: Fraction) -> list[int]:
-    x = Fraction(x)
-    primes = set(factorint(x.numerator)) | set(factorint(x.denominator))
-    primes.discard(-1)
-    primes.add(2)
+def _candidate_primes(*values: Rational) -> list[int]:
+    """2 and every prime dividing a numerator or denominator of the values.
+
+    Each value is factored on its own: a prime can cancel out of a product,
+    like 3 out of (1/3) * 3, and still change a local invariant. Each
+    distinct integer is factored once.
+    """
+    parts = {abs(n) for x in map(Fraction, values) for n in (x.numerator, x.denominator)}
+    primes = {2}
+    for n in parts:
+        primes.update(factorint(n))
     return sorted(primes)
 
 
 def diff_set(T: SymMat, C: IncoherentCollection) -> set[Place]:
     """Places where the collection fails to represent T.
 
-    The finite search runs over primes dividing 2 D(B) det(2T); everywhere
-    else both sides are unimodular of rank 5 at odd primes and the
-    comparison passes. The real place joins exactly for signatures (3,1)
-    and (1,3); other indefinite signatures never contribute it.
+    The finite search runs over 2 and the primes dividing D(B), det T or a
+    denominator of an entry of T; everywhere else both sides are unimodular
+    of rank 5 at odd primes and the comparison passes. The real place joins
+    exactly for signatures (3,1) and (1,3); other indefinite signatures
+    never contribute it.
     """
     if T.n != 4 or not T.is_nonsingular:
         raise ValueError("Diff requires a nonsingular rank-4 form")
-    bound = 2 * C.finite_discriminant * 16 * T.det
+    denominators = {x.denominator for row in T.entries for x in row}
+    diag_t = rational_diagonalization(T)
     out = set()
-    for q in _candidate_primes(bound):
-        if not represents_local(C.space, T, Place(q)):
+    for q in _candidate_primes(C.finite_discriminant, T.det, *denominators):
+        if not _represents_finite(C.space, T, diag_t, Place(q)):
             out.add(Place(q))
     if signature(T) in ((3, 1), (1, 3)):
         out.add(INFINITE_PLACE)

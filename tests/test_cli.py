@@ -196,6 +196,14 @@ def test_config_explicit_flags_win(tmp_path, capsys):
     assert (code, out) == (0, "2\n")
 
 
+def test_config_unknown_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "ratio.cfg"
+    cfg.write_text("p=3\nTT=d:1,1,1,3\n")
+    code, _, err = run(capsys, "ratio", "--config", str(cfg), "--T", "d:1,1,1,1")
+    assert code == 2
+    assert "'TT'" in err
+
+
 # ---------------------------------------------------------------- failure paths
 
 

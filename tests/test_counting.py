@@ -56,10 +56,23 @@ def test_count_naive_equals_mitm_exhaustive_small():
         ((1, 3), SymMat.diag(5), 89, 1),  # q above 85, the old cap of the array path
         ((1, -1, 2), SymMat.diag(7), 89, 1),
         ((1, 2), SymMat.diag(-1), 131, 1),  # digit sums need uint16
+        ((1, 9, -1), SymMat.diag(1, 2), 3, 2),  # 9 = 0 mod 9: one key of weight 81
+        ((3, 1, 9, -1, 6), SymMat.diag(3), 3, 2),  # p-divisible entries, odd m
+        ((3, 1, 9, -1, 6), SymMat.diag(9), 3, 2),  # target 0 mod q
+        ((5, 1, -5), SymMat.diag(5, 10), 5, 1),  # p-divisible source and target
     ],
 )
 def test_count_naive_equals_mitm_shapes(s, T, p, t):
     assert count_solutions(CountJob(s, T, p, t, "naive")) == count_solutions(CountJob(s, T, p, t))
+
+
+def test_count_stabilizes_past_jordan_exponent_at_t4():
+    # diag(3, 9) has Jordan exponents 1, 2: the normalized count changes
+    # from t = 2 to t = 3 and is constant from there
+    s, T = split_diagonal(4), SymMat.diag(3, 9)
+    values = [density_value(CountJob(s, T, 3, t), count_solutions(CountJob(s, T, 3, t)))
+              for t in (2, 3, 4)]
+    assert values == [Fraction(160, 81), Fraction(448, 243), Fraction(448, 243)]
 
 
 def test_count_invariant_under_coordinate_permutation():
