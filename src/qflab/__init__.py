@@ -4,7 +4,7 @@ intersection multiplicities, and the supporting quaternion/Clifford checks.
 Everything is exact rational arithmetic; no floats anywhere.
 """
 
-from .padic import INFINITE_PLACE, Place, chi, finite_place, hilbert, unit_part, valuation
+from .padic import INFINITE_PLACE, Place, chi, hilbert, unit_part, valuation
 from .quadform import (
     IncoherentCollection,
     JordanDiagonal,
@@ -14,11 +14,9 @@ from .quadform import (
     base_space,
     diff_set,
     frac_str,
-    hasse,
     is_local_square,
     jordan_diagonalize,
     least_nonsquare,
-    parse_frac,
     rational_diagonalization,
     represents_local,
     represents_one_over_Zp,
@@ -47,8 +45,6 @@ from .densities import (
     kitaoka_bracket,
     kitaoka_ternary_poly,
     twisted_density,
-    twisted_ternary_factor,
-    twisted_unary_factor,
     unary_density_factor,
 )
 from .gkmult import (
@@ -88,10 +84,6 @@ from .clifford import (
     discriminant,
     involution_tensor_type,
     positive_involution_criterion,
-    quat_conj,
-    quat_mul,
-    quat_norm,
-    quat_trace,
     quaternion_with_discriminant,
     ramified_places,
     spin_generators,

@@ -11,19 +11,20 @@ import argparse
 import itertools
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
 from .padic import INFINITE_PLACE, Place
 from .quadform import (
     IncoherentCollection,
+    JordanDiagonal,
     SymMat,
     base_diagonal,
     base_space,
     diff_set,
     frac_str,
     least_nonsquare,
-    parse_frac,
     represents_local,
     signature,
     split_diagonal,
@@ -47,7 +48,7 @@ from .densities import (
     twisted_density,
 )
 from .gkmult import e_p, gk_table_csv, transversal
-from .whittaker import verify_ratio_identity, whittaker_value
+from .whittaker import _sorted_places, verify_ratio_identity, whittaker_value
 from .cycles import (
     classify_component,
     incidence_counts,
@@ -73,9 +74,9 @@ def parse_matrix(text: str) -> SymMat:
     """Accept 'd:1,1,1,3' diagonals, inline JSON (a list of rows or the
     {"n", "entries"} object), or a path to a JSON file."""
     if text.startswith("d:"):
-        return SymMat.diag(*(parse_frac(v) for v in text[2:].split(",")))
+        return SymMat.diag(*(Fraction(v) for v in text[2:].split(",")))
     if text.lstrip().startswith("["):
-        rows = json.loads(text, parse_float=parse_frac)
+        rows = json.loads(text, parse_float=Fraction)
         if not all(isinstance(row, list) and all(isinstance(x, (int, str, Fraction)) for x in row)
                    for row in rows):
             raise ValueError("an inline matrix must be a JSON list of rows of numbers")
@@ -91,14 +92,6 @@ def _parse_triple(text: str) -> tuple[int, int, int]:
     if len(parts) != 3:
         raise ValueError("expected three comma-separated integers")
     return tuple(parts)
-
-
-def _place_key(v: Place):
-    return (not v.is_finite, v.prime or 0)
-
-
-def _places_json(places) -> list:
-    return [v.prime if v.is_finite else "oo" for v in sorted(places, key=_place_key)]
 
 
 # ---------------------------------------------------------------- subcommands
@@ -135,7 +128,7 @@ def _cmd_oracle(args) -> int:
     if not (args.s and args.T and args.p and args.t):
         raise ValueError("oracle needs either --job or all of --s/--T/--p/--t")
     job = CountJob(
-        tuple(parse_frac(v) for v in args.s.split(",")),
+        tuple(Fraction(v) for v in args.s.split(",")),
         parse_matrix(args.T), args.p, args.t, args.strategy,
     )
     print(frac_str(density_value(job, count_solutions(job))))
@@ -147,7 +140,7 @@ def _cmd_kitaoka(args) -> int:
     eps = _parse_triple(args.eps)
     poly = kitaoka_ternary_poly(GKTriple(*a, *eps, args.p))
     if args.at is not None:
-        print(frac_str(poly.evaluate(parse_frac(args.at))))
+        print(frac_str(poly.evaluate(Fraction(args.at))))
     else:
         print(json.dumps(poly.to_json()))
     return 0
@@ -176,12 +169,12 @@ def _cmd_diff(args) -> int:
         coll = IncoherentCollection.split()
     else:
         B = quaternion_with_discriminant(args.disc)
-        coll = IncoherentCollection.from_pair(B.a, B.b)
+        coll = IncoherentCollection(B)
     places = diff_set(T, coll)
     payload = {
         "T": T.to_json(),
         "disc": args.disc,
-        "diff": _places_json(places),
+        "diff": [v.prime if v.is_finite else "oo" for v in _sorted_places(places)],
         "odd": len(places) % 2 == 1,
     }
     sig = signature(T)
@@ -218,63 +211,6 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_clifford_check(args) -> int:
-    rng = random.Random(args.seed)
-    ok = True
-
-    def report(name: str, good: bool, detail: str):
-        nonlocal ok
-        ok = ok and good
-        print(f"{'PASS' if good else 'FAIL'} {name}: {detail}")
-
-    words = [(g,) for g in GENERATOR_ORDER]
-    words += list(itertools.product(GENERATOR_ORDER, repeat=2))
-    words += [
-        tuple(rng.choice(GENERATOR_ORDER) for _ in range(rng.randint(3, 6)))
-        for _ in range(args.words)
-    ]
-    try:
-        check_spin_compatibility(words)
-        report("spin", True,
-               f"all pair relations and involution compatibility on {len(words)} words")
-    except RuntimeError as exc:
-        report("spin", False, str(exc))
-
-    report("signatures",
-           vb_space(QuaternionAlgebra(1, 1)).signature == (3, 2)
-           and vb_space(QuaternionAlgebra(-1, -1)).signature == (5, 0)
-           and vb_space(QuaternionAlgebra(-1, 3)).signature == (3, 2),
-           "split (3,2); definite (5,0); discriminant-6 (3,2)")
-
-    report("ramification",
-           ramified_places(QuaternionAlgebra(-1, -1))
-           == frozenset({Place(2), INFINITE_PLACE})
-           and discriminant(QuaternionAlgebra(-1, 3)) == 6
-           and discriminant(QuaternionAlgebra(1, 1)) == 1,
-           "example algebras ramify at the expected places")
-
-    report("involution-types",
-           involution_tensor_type("main", "neben") == "main"
-           and involution_tensor_type("neben", "main") == "main"
-           and involution_tensor_type("main", "main") == "neben"
-           and involution_tensor_type("neben", "neben") == "neben",
-           "tensor table: mixed pairs main, matched pairs neben")
-
-    report("positivity",
-           positive_involution_criterion("split", -1, -1)
-           and not positive_involution_criterion("split", -1, 1)
-           and positive_involution_criterion("division", 1)
-           and not positive_involution_criterion("division", -1),
-           "split needs reversed conjugation with negative square; "
-           "division needs fixed conjugation")
-
-    report("witt-index",
-           witt_index_rank5(vb_space(QuaternionAlgebra(1, 1))) == 2
-           and witt_index_rank5(vb_space(QuaternionAlgebra(-1, 3))) == 1,
-           "2 for the split algebra, 1 for discriminant 6")
-    return 0 if ok else 1
-
-
 # -------------------------------------------------------------------- sweeps
 
 
@@ -305,18 +241,11 @@ def _triples(p: int, a_max: int):
             yield GKTriple(*a, *eps, p)
 
 
-def _ternary_matrix(t: GKTriple) -> SymMat:
-    u = least_nonsquare(t.p)
-    return SymMat.diag(*[
-        (1 if e == 1 else u) * t.p**a for a, e in zip(t.exponents, t.signs)
-    ])
-
-
-def _triple_matrix(t: GKTriple) -> SymMat:
-    u = least_nonsquare(t.p)
-    return SymMat.diag(1, *[
-        (1 if e == 1 else u) * t.p**a for a, e in zip(t.exponents, t.signs)
-    ])
+def _gk_matrix(t: GKTriple, *lead: tuple[int, int]) -> SymMat:
+    """Diagonal form with the Jordan terms (exponent, unit class) `lead`
+    followed by those of t; a lead of (0, 1) puts <1> first."""
+    terms = lead + tuple(zip(t.exponents, t.signs))
+    return SymMat.diag(*JordanDiagonal(terms, t.p).diagonal_rep())
 
 
 def _sweep_unary(fast: bool):
@@ -338,14 +267,14 @@ def _sweep_kitaoka(fast: bool):
     for a in itertools.combinations_with_replacement(range(2), 3):
         for eps in eps_sets:
             t = GKTriple(*a, *eps, 3)
-            job = CountJob(s4, _ternary_matrix(t), 3, 2)
+            job = CountJob(s4, _gk_matrix(t), 3, 2)
             checked += 1
             if density_value(job, count_solutions(job)) != kitaoka_ternary_poly(t).value_at_1:
                 bad.append((a, eps))
     detail = f"{checked} exponent/unit-class grid cases at modulus exponent 2"
     if not fast:
         t = GKTriple(0, 1, 2, 1, 1, -1, 3)
-        job = CountJob(s4, _ternary_matrix(t), 3, 3)
+        job = CountJob(s4, _gk_matrix(t), 3, 3)
         got = density_value(job, count_solutions(job))
         if got != kitaoka_ternary_poly(t).value_at_1 or got != Fraction(128, 81):
             bad.append("depth-3 spot")
@@ -363,7 +292,7 @@ def _sweep_central(fast: bool):
         for t in _triples(p, a_max):
             if chi_tilde(t) != -1:
                 continue
-            report = verify_ratio_identity(_triple_matrix(t), p)
+            report = verify_ratio_identity(_gk_matrix(t, (0, 1)), p)
             checked += 1
             if not report.equal:
                 bad.append((p, t.exponents, t.signs))
@@ -451,7 +380,7 @@ def _sweep_gk(fast: bool):
                 return False, f"multiplicity-1 criterion failed at {a}, p={p}"
     for a in itertools.combinations_with_replacement(range(3), 3):
         t = GKTriple(*a, 1, 1, 1, 3)
-        if transversal(_triple_matrix(t), 3) != (sum(a) == 1):
+        if transversal(_gk_matrix(t, (0, 1)), 3) != (sum(a) == 1):
             return False, f"transversality mismatch at {a}"
     return True, ("anchors, the multiplicity-1 criterion over the table, "
                   "and form-level transversality all agree")
@@ -466,7 +395,7 @@ def _sweep_bridge(fast: bool):
         for t in _triples(p, a_max):
             if chi_tilde(t) != -1:
                 continue
-            T = _triple_matrix(t)
+            T = _gk_matrix(t, (0, 1))
             lhs = derivative_at_1(assemble_A(T, p))
             if lhs != -scale * e_p(*t.exponents, p):
                 return False, f"bridge failed for a={t.exponents}, eps={t.signs}, p={p}"
@@ -485,20 +414,32 @@ def _sweep_appendix(fast: bool):
         for _ in range(nwords)
     ]
     check_spin_compatibility(words)
-    checks = (
-        vb_space(QuaternionAlgebra(1, 1)).signature == (3, 2)
-        and vb_space(QuaternionAlgebra(-1, -1)).signature == (5, 0)
-        and vb_space(QuaternionAlgebra(-1, 3)).signature == (3, 2)
+    split = QuaternionAlgebra(1, 1)
+    definite = QuaternionAlgebra(-1, -1)
+    disc6 = QuaternionAlgebra(-1, 3)
+    checks = {
+        "signatures": vb_space(split).signature == (3, 2)
+        and vb_space(definite).signature == (5, 0)
+        and vb_space(disc6).signature == (3, 2),
+        "ramification": ramified_places(definite) == frozenset({Place(2), INFINITE_PLACE})
+        and discriminant(disc6) == 6
+        and discriminant(split) == 1,
+        "involution types": involution_tensor_type("main", "neben") == "main"
+        and involution_tensor_type("neben", "main") == "main"
         and involution_tensor_type("main", "main") == "neben"
-        and involution_tensor_type("main", "neben") == "main"
-        and positive_involution_criterion("split", -1, -1)
+        and involution_tensor_type("neben", "neben") == "neben",
+        "positivity": positive_involution_criterion("split", -1, -1)
         and not positive_involution_criterion("split", -1, 1)
         and positive_involution_criterion("division", 1)
-        and witt_index_rank5(vb_space(QuaternionAlgebra(1, 1))) == 2
-        and witt_index_rank5(vb_space(QuaternionAlgebra(-1, 3))) == 1
-    )
-    return checks, (f"relations, {len(words)} involution words, signatures, "
-                    "and the involution calculus")
+        and not positive_involution_criterion("division", -1),
+        "witt index": witt_index_rank5(vb_space(split)) == 2
+        and witt_index_rank5(vb_space(disc6)) == 1,
+    }
+    failed = [name for name, good in checks.items() if not good]
+    if failed:
+        return False, "failed: " + ", ".join(failed)
+    return True, (f"relations, {len(words)} involution words, signatures, "
+                  "ramification, and the involution calculus")
 
 
 def _sweep_components(fast: bool):
@@ -650,10 +591,6 @@ def _build_parser():
     sp.add_argument("--represents-one", action="store_true")
     sp.add_argument("--radical-line", action="store_true")
 
-    sp = sub("clifford-check", _cmd_clifford_check, help="appendix identity checks")
-    sp.add_argument("--words", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=4104)
-
     sp = sub("sweep", _cmd_sweep, help="named verification suites")
     sp.add_argument("--suite", required=True, choices=sorted(SUITES) + ["all"])
     sp.add_argument("--fast", action="store_true", help="reduced sizes, no deep moduli")
@@ -692,11 +629,27 @@ def _inject_config(argv: list, registry: dict) -> list:
     return [argv[0]] + injected + rest
 
 
+def _join_negative_values(argv: list) -> list:
+    """Write "--eps -1,1,1" as "--eps=-1,1,1".
+
+    argparse reads a separate value that starts with "-" as a flag unless it
+    is a plain number; no flag name starts with a digit, so "-" and a digit
+    always begins a value of the flag before it.
+    """
+    out = []
+    for tok in argv:
+        if out and re.fullmatch(r"--[\w-]+", out[-1]) and re.match(r"-\d", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, registry = _build_parser()
     try:
-        argv = _inject_config(argv, registry)
+        argv = _join_negative_values(_inject_config(argv, registry))
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:

@@ -7,7 +7,6 @@ inside the 4x4 matrix image or at the level of quadratic-space invariants.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -96,22 +95,6 @@ class Quaternion:
 
     def trace(self) -> Fraction:
         return 2 * self.coeffs[0]
-
-
-def quat_mul(x: Quaternion, y: Quaternion) -> Quaternion:
-    return x * y
-
-
-def quat_conj(x: Quaternion) -> Quaternion:
-    return x.conj()
-
-
-def quat_norm(x: Quaternion) -> Fraction:
-    return x.norm()
-
-
-def quat_trace(x: Quaternion) -> Fraction:
-    return x.trace()
 
 
 def ramified_places(B: QuaternionAlgebra) -> frozenset:

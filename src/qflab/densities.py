@@ -16,7 +16,6 @@ from .quadform import (
     SymMat,
     frac_str,
     jordan_diagonalize,
-    parse_frac,
     represents_local,
     represents_one_over_Zp,
     twisted_space,
@@ -54,10 +53,6 @@ def _peval(coeffs, x: Fraction) -> Fraction:
     return acc
 
 
-def _pderiv(coeffs):
-    return _strip([i * c for i, c in enumerate(coeffs)][1:] or [Fraction(0)])
-
-
 def _monomial(exp: int, coeff: Rational = 1):
     out = [Fraction(0)] * (exp + 1)
     out[exp] = Fraction(coeff)
@@ -65,72 +60,38 @@ def _monomial(exp: int, coeff: Rational = 1):
 
 
 class DensityPolynomial:
-    """Rational function of X with exact coefficients, stored as num/den pair.
+    """Polynomial in X with exact rational coefficients, constant term first."""
 
-    The denominator is normalized to leading coefficient 1. Most assembled
-    densities are plain polynomials (denominator 1); the quotient form exists
-    so presentation-level factors can be carried without cancellation.
-    """
-
-    def __init__(self, numerator, denominator=(1,)):
-        num = _strip([Fraction(c) for c in numerator] or [Fraction(0)])
-        den = _strip([Fraction(c) for c in denominator] or [Fraction(0)])
-        if den == (Fraction(0),):
-            raise ValueError("zero denominator")
-        lead = den[-1]
-        self.numerator = tuple(c / lead for c in num)
-        self.denominator = tuple(c / lead for c in den)
+    def __init__(self, coeffs):
+        self.coeffs = _strip([Fraction(c) for c in coeffs] or [Fraction(0)])
 
     def evaluate(self, x: Rational) -> Fraction:
-        x = Fraction(x)
-        d = _peval(self.denominator, x)
-        if d == 0:
-            raise ZeroDivisionError(f"evaluation at a pole: X = {x}")
-        return _peval(self.numerator, x) / d
+        return _peval(self.coeffs, Fraction(x))
 
     @property
     def value_at_1(self) -> Fraction:
         return self.evaluate(1)
 
     def __mul__(self, other: "DensityPolynomial") -> "DensityPolynomial":
-        return DensityPolynomial(
-            _pmul(self.numerator, other.numerator),
-            _pmul(self.denominator, other.denominator),
-        )
+        return DensityPolynomial(_pmul(self.coeffs, other.coeffs))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, DensityPolynomial)
-            and _pmul(self.numerator, other.denominator)
-            == _pmul(other.numerator, self.denominator)
-        )
+        return isinstance(other, DensityPolynomial) and self.coeffs == other.coeffs
 
     def __repr__(self):
-        return f"DensityPolynomial({list(self.numerator)}, {list(self.denominator)})"
+        return f"DensityPolynomial({list(self.coeffs)})"
 
     def to_json(self) -> dict:
-        return {
-            "numerator": [frac_str(c) for c in self.numerator],
-            "denominator": [frac_str(c) for c in self.denominator],
-        }
+        return {"coeffs": [frac_str(c) for c in self.coeffs]}
 
     @classmethod
     def from_json(cls, data: dict) -> "DensityPolynomial":
-        return cls(
-            [parse_frac(c) for c in data["numerator"]],
-            [parse_frac(c) for c in data["denominator"]],
-        )
+        return cls(data["coeffs"])
 
 
 def derivative_at_1(A: DensityPolynomial) -> Fraction:
-    """d/dX of the rational function at X = 1, exactly."""
-    d1 = _peval(A.denominator, Fraction(1))
-    if d1 == 0:
-        raise ZeroDivisionError("denominator vanishes at X = 1")
-    n1 = _peval(A.numerator, Fraction(1))
-    nd1 = _peval(_pderiv(A.numerator), Fraction(1))
-    dd1 = _peval(_pderiv(A.denominator), Fraction(1))
-    return (nd1 * d1 - n1 * dd1) / (d1 * d1)
+    """d/dX of the polynomial at X = 1, exactly."""
+    return sum((i * c for i, c in enumerate(A.coeffs)), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -235,21 +196,6 @@ def assemble_A(T: SymMat, p: int) -> DensityPolynomial:
         raise ValueError("Kitaoka closed form requires represented 1")
     nf = gross_keating_exponents(T, p)
     return unary_density_factor(1, p) * kitaoka_ternary_poly(nf.triple)
-
-
-def twisted_unary_factor(p: int) -> Fraction:
-    """Unary piece of the twisted density in the convention of the source text."""
-    return 1 - Fraction(chi(-1, p), p)
-
-
-def twisted_ternary_factor(p: int) -> Fraction:
-    """Ternary piece of the twisted density in the convention of the source text.
-
-    The product with the unary piece is always 2(1 - p^-2)(p+1); the split of
-    the chi(-1) factor between the two pieces is convention, the product is
-    what the oracle adjudicates.
-    """
-    return 2 * (1 + Fraction(chi(-1, p), p)) * (p + 1)
 
 
 def twisted_density(T: SymMat, p: int) -> Fraction:

@@ -37,10 +37,6 @@ class Place:
 INFINITE_PLACE = Place()
 
 
-def finite_place(p: int) -> Place:
-    return Place(p)
-
-
 def check_odd_prime(p: int) -> int:
     if not isprime(p) or p == 2:
         raise ValueError(f"expected an odd prime, got {p}")

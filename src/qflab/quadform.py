@@ -30,10 +30,6 @@ def frac_str(x: Rational) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
-
-
 class SymMat:
     """Symmetric matrix with exact rational entries."""
 
@@ -97,7 +93,7 @@ class SymMat:
 
     @classmethod
     def from_json(cls, data: dict) -> "SymMat":
-        m = cls([[parse_frac(x) for x in row] for row in data["entries"]])
+        m = cls(data["entries"])
         if m.n != data["n"]:
             raise ValueError("matrix size does not match declared n")
         return m
@@ -288,10 +284,6 @@ def hasse_of_diagonal(diag, v: Place) -> int:
     return s
 
 
-def hasse(Q: QuadSpace, v: Place) -> int:
-    return Q.hasse(v)
-
-
 def is_local_square(x: Rational, v: Place) -> bool:
     x = Fraction(x)
     if x == 0:
@@ -453,6 +445,6 @@ def diff_set(T: SymMat, C: IncoherentCollection) -> set[Place]:
     for q in _candidate_primes(C.finite_discriminant, T.det, *denominators):
         if not _represents_finite(C.space, T, diag_t, Place(q)):
             out.add(Place(q))
-    if signature(T) in ((3, 1), (1, 3)):
+    if sum(1 for x in diag_t if x > 0) in (1, 3):  # signature (3, 1) or (1, 3)
         out.add(INFINITE_PLACE)
     return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import INFINITE_PLACE, Place, Rational, check_odd_prime
+from .padic import Place, Rational, check_odd_prime
 from .quadform import (
     IncoherentCollection,
     SymMat,

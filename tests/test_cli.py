@@ -58,8 +58,21 @@ def test_kitaoka_polynomial_json(capsys):
     code, out, _ = run(capsys, "kitaoka", "--p", "3", "--a", "0,0,0", "--eps", "1,1,1")
     data = json.loads(out)
     assert code == 0
-    assert data["numerator"] == ["1/1", "-1/9", "-1/9", "1/81"]
-    assert data["denominator"] == ["1/1"]
+    assert data == {"coeffs": ["1/1", "-1/9", "-1/9", "1/81"]}
+
+
+def test_negative_flag_values(tmp_path, capsys):
+    code, out, err = run(capsys, "kitaoka", "--p", "3", "--a", "0,1,2",
+                         "--eps", "-1,1,1", "--at", "1")
+    assert (code, out, err) == (0, "128/81\n", "")
+    code, out, _ = run(capsys, "kitaoka", "--p", "3", "--a", "0,0,0", "--at", "-1/3")
+    assert (code, out) == (0, "2240/2187\n")
+    assert run(capsys, "kitaoka", "--p", "3", "--a", "0,0,0", "--at=-1/3")[1] == out
+    cfg = tmp_path / "kitaoka.cfg"
+    cfg.write_text("eps=-1,1,1\n")
+    code, out, _ = run(capsys, "kitaoka", "--config", str(cfg), "--p", "3", "--a", "0,1,2",
+                       "--at", "1")
+    assert (code, out) == (0, "128/81\n")
 
 
 def test_gk_value(capsys):
@@ -137,14 +150,6 @@ def test_classify(capsys):
     assert code == 0
     assert data["label"] == "p_plus_one_lines"
     assert "case" in data
-
-
-def test_clifford_check(capsys):
-    code, out, _ = run(capsys, "clifford-check", "--words", "25", "--seed", "4104")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 6
-    assert all(line.startswith("PASS") for line in lines)
 
 
 def test_matrix_inline_json(capsys):
@@ -253,6 +258,16 @@ def test_failed_check_exits_1(capsys, monkeypatch):
     code, out, _ = run(capsys, "ratio", "--p", "3", "--T", "d:1,1,1,3")
     assert code == 1
     assert json.loads(out)["equal"] is False
+
+
+def test_appendix_sweep_checks_discriminant(capsys, monkeypatch):
+    import qflab.cli
+
+    monkeypatch.setattr(qflab.cli, "discriminant", lambda B: 5)
+    code, out, _ = run(capsys, "sweep", "--suite", "appendix", "--fast")
+    assert code == 1
+    assert out.startswith("FAIL appendix:")
+    assert "ramification" in out
 
 
 def test_classify_inconsistent_exits_2(capsys):

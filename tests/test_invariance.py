@@ -1,13 +1,13 @@
 """Local invariants depend only on the class of a form, not on how it is written.
 
 Property tests over rescalings that change numerators and denominators but
-not the rational class: T -> g^T T g for rational diagonal g, and
+not the rational class: T -> g^T T g for g in GL_4(Q), diagonal or not, and
 (a, b) -> (a x^2, b y^2) for quaternion algebras.
 """
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qflab import (
@@ -27,6 +27,7 @@ SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 small_int = st.integers(-6, 6).filter(bool)
 scale = st.builds(Fraction, st.sampled_from((1, 2, 3, 5, 7, 9)), st.sampled_from((1, 3, 5, 7, 25)))
 rational = st.builds(Fraction, small_int, st.integers(1, 12))
+entry = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3, 5, 7)))
 incoherent = st.sampled_from(
     (IncoherentCollection.split(), IncoherentCollection.from_pair(-1, 3))
 )
@@ -44,15 +45,32 @@ def rank4_targets(draw):
     )
 
 
-def _rescale(T: SymMat, g) -> SymMat:
-    return SymMat([[g[i] * T[i, j] * g[j] for j in range(T.n)] for i in range(T.n)])
+def _diagonal(values) -> list:
+    return [[values[i] if i == j else 0 for j in range(4)] for i in range(4)]
+
+
+# a rational diagonal g, or a general one that is invertible unless assume() drops it
+change_of_basis = st.one_of(
+    st.lists(scale, min_size=4, max_size=4).map(_diagonal),
+    st.lists(st.lists(entry, min_size=4, max_size=4), min_size=4, max_size=4),
+)
+
+
+def _congruent(T: SymMat, g) -> SymMat:
+    """g^T T g."""
+    n = T.n
+    Tg = [[sum(T[i, k] * g[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return SymMat([[sum(g[k][i] * Tg[k][j] for k in range(n)) for j in range(n)]
+                   for i in range(n)])
 
 
 @SETTINGS
-@given(rank4_targets(), st.lists(scale, min_size=4, max_size=4), incoherent)
-def test_diff_set_invariant_under_diagonal_rescaling(T, g, C):
+@given(rank4_targets(), change_of_basis, incoherent)
+def test_diff_set_invariant_under_change_of_basis(T, g, C):
+    S = _congruent(T, g)
+    assume(S.is_nonsingular)
     places = diff_set(T, C)
-    assert diff_set(_rescale(T, g), C) == places
+    assert diff_set(S, C) == places
     assert len(places) % 2 == 1  # T is positive definite
 
 

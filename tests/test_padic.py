@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qflab import INFINITE_PLACE, Place, chi, finite_place, hilbert, unit_part, valuation
+from qflab import INFINITE_PLACE, Place, chi, hilbert, unit_part, valuation
 
 
 def test_valuation_examples():
@@ -65,7 +65,7 @@ def test_hilbert_examples():
     assert hilbert(-1, -1, Place(2)) == -1
     assert hilbert(2, 3, Place(3)) == -1
     assert hilbert(1, -1, INFINITE_PLACE) == 1
-    assert hilbert(3, 5, finite_place(7)) == 1
+    assert hilbert(3, 5, Place(7)) == 1
 
 
 def test_hilbert_symmetry_and_bimultiplicativity():
@@ -161,6 +161,6 @@ def test_place_api():
     assert INFINITE_PLACE.prime is None and not INFINITE_PLACE.is_finite
     assert Place(3).is_finite and Place(3).prime == 3
     assert str(Place(5)) == "5" and str(INFINITE_PLACE) == "oo"
-    assert Place(3) == finite_place(3)
+    assert Place(3) == Place(3) != INFINITE_PLACE
     with pytest.raises(ValueError, match="not a prime"):
         Place(6)
