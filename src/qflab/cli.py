@@ -82,9 +82,9 @@ def parse_matrix(text: str) -> SymMat:
             raise ValueError("an inline matrix must be a JSON list of rows of numbers")
         return SymMat(rows)
     if text.lstrip().startswith("{"):
-        return SymMat.from_json(json.loads(text))
+        return SymMat.from_json(json.loads(text, parse_float=Fraction))
     with open(text) as fh:
-        return SymMat.from_json(json.load(fh))
+        return SymMat.from_json(json.load(fh, parse_float=Fraction))
 
 
 def _parse_triple(text: str) -> tuple[int, int, int]:
@@ -116,7 +116,7 @@ def _cmd_density(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.job:
         with open(args.job) as fh:
-            job = CountJob.from_json(json.load(fh))
+            job = CountJob.from_json(json.load(fh, parse_float=Fraction))
         raw = count_solutions(job)
         print(json.dumps({
             "raw_count": raw,

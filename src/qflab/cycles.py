@@ -157,9 +157,14 @@ class FiniteFieldQuadSpace:
         ) % self.p
 
     def values(self) -> frozenset:
-        return frozenset(
-            self.evaluate(x) for x in itertools.product(range(self.p), repeat=self.dim)
-        )
+        """The set of values, enumerated once per instance."""
+        values = self.__dict__.get("_values")
+        if values is None:
+            values = frozenset(
+                self.evaluate(x) for x in itertools.product(range(self.p), repeat=self.dim)
+            )
+            object.__setattr__(self, "_values", values)
+        return values
 
     def represents(self, c: int) -> bool:
         return c % self.p in self.values()

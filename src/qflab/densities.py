@@ -14,6 +14,7 @@ from fractions import Fraction
 from .padic import Place, Rational, check_odd_prime, chi
 from .quadform import (
     SymMat,
+    _represents_one,
     frac_str,
     jordan_diagonalize,
     represents_local,
@@ -187,15 +188,21 @@ def assemble_A(T: SymMat, p: int) -> DensityPolynomial:
     Splits off a unimodular square witness and multiplies the unary factor
     with the ternary closed form of the complement.
     """
-    from .gkmult import gross_keating_exponents
+    from .gkmult import _normal_form
 
     jd = jordan_diagonalize(T, p)
     if jd.exponents[0] > 0:
         raise ValueError("reduction formula requires a unimodular entry")
-    if not represents_one_over_Zp(T, p):
+    if not _represents_one(jd):
         raise ValueError("Kitaoka closed form requires represented 1")
-    nf = gross_keating_exponents(T, p)
-    return unary_density_factor(1, p) * kitaoka_ternary_poly(nf.triple)
+    if T.n != 4:
+        raise ValueError("normal form requires a rank-4 input")
+    return _series(_normal_form(T, jd).triple)
+
+
+def _series(triple: GKTriple) -> DensityPolynomial:
+    # assemble_A from the normal-form triple of T
+    return unary_density_factor(1, triple.p) * kitaoka_ternary_poly(triple)
 
 
 def twisted_density(T: SymMat, p: int) -> Fraction:
@@ -208,6 +215,11 @@ def twisted_density(T: SymMat, p: int) -> Fraction:
             "twisted closed form requires a target representing 1; "
             "use the counting oracle for other targets"
         )
+    return _twisted_density(T, p)
+
+
+def _twisted_density(T: SymMat, p: int) -> Fraction:
+    # twisted_density for a checked T
     if not represents_local(twisted_space(p), T, Place(p)):
         return Fraction(0)
     return 2 * (1 - Fraction(1, p * p)) * (p + 1)

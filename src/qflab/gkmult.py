@@ -11,8 +11,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import check_odd_prime, chi, valuation
-from .quadform import SymMat, jordan_diagonalize, represents_one_over_Zp
+from .padic import _square_class, check_odd_prime, valuation
+from .quadform import JordanDiagonal, SymMat, _represents_one, jordan_diagonalize
 from .densities import GKTriple
 
 
@@ -57,16 +57,23 @@ def gross_keating_exponents(T: SymMat, p: int) -> GKNormalForm:
         raise ValueError("normal form requires p-integral entries")
     if not T.is_nonsingular:
         raise ValueError("normal form requires nonsingular input")
-    if not represents_one_over_Zp(T, p):
+    jd = jordan_diagonalize(T, p)
+    if not _represents_one(jd):
         raise ValueError("normal form requires a form that represents 1 over Z_p")
-    depth = max(jordan_diagonalize(T, p).exponents) + 2
+    return _normal_form(T, jd)
+
+
+def _normal_form(T: SymMat, jd: JordanDiagonal) -> GKNormalForm:
+    # gross_keating_exponents for a checked T whose Jordan data jd is known
+    p = jd.p
+    depth = max(jd.exponents) + 2
     q = p**depth
 
-    witness0 = next(
-        x for x in itertools.product(range(p), repeat=4)
-        if T.apply(x) != 0 and valuation(T.apply(x), p) == 0 and chi(T.apply(x), p) == 1
+    witness0, value0 = next(
+        (x, value) for x in itertools.product(range(p), repeat=4)
+        if (value := T.apply(x)) != 0 and _square_class(value, p) == (0, 1)
     )
-    y = _sqrt_mod_p_power(T.apply(witness0), p, depth)
+    y = _sqrt_mod_p_power(value0, p, depth)
     y_inv = pow(y, -1, q)
     witness = tuple(x * y_inv % q for x in witness0)
     value = T.apply(witness)

@@ -1,16 +1,24 @@
 """Scalar p-adic arithmetic: valuations, unit square classes, Hilbert symbols.
 
-Everything is exact. Inputs are ints or fractions.Fraction; no floats.
+Everything is exact. Inputs are integers (any type with `__index__`) or
+fractions.Fraction; floats raise TypeError.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from sympy import isprime
 
 Rational = Fraction | int
+
+
+@lru_cache(maxsize=1024, typed=True)
+def _is_prime(p: int) -> bool:
+    return bool(isprime(p))
 
 
 @dataclass(frozen=True)
@@ -20,7 +28,7 @@ class Place:
     prime: int | None = None
 
     def __post_init__(self):
-        if self.prime is not None and not isprime(self.prime):
+        if self.prime is not None and not _is_prime(self.prime):
             raise ValueError(f"not a prime: {self.prime}")
 
     @property
@@ -38,77 +46,107 @@ INFINITE_PLACE = Place()
 
 
 def check_odd_prime(p: int) -> int:
-    if not isprime(p) or p == 2:
+    if p == 2 or not _is_prime(p):
         raise ValueError(f"expected an odd prime, got {p}")
     return p
 
 
-def valuation(x: Rational, p: int) -> int:
-    """Exponent v with x = p^v * unit."""
-    if x == 0:
+def _exact(x: Rational) -> Fraction:
+    """x as a Fraction; anything but an integer or a Fraction raises TypeError."""
+    if isinstance(x, Fraction):
+        return x
+    return Fraction(_integer(x))
+
+
+def _integer(x) -> int:
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise TypeError(f"expected an integer or Fraction, got {x!r}") from None
+
+
+def _split(x: Rational, p: int) -> tuple[int, int, int]:
+    """(v, num, den) with x = p^v * num / den and p dividing neither num nor den."""
+    if isinstance(x, Fraction):
+        num, den = x.numerator, x.denominator
+    else:
+        num, den = _integer(x), 1
+    if num == 0:
         raise ValueError("valuation of zero undefined")
-    x = Fraction(x)
     v = 0
-    num, den = x.numerator, x.denominator
     while num % p == 0:
         num //= p
         v += 1
     while den % p == 0:
         den //= p
         v -= 1
-    return v
+    return v, num, den
+
+
+def _legendre(r: int, p: int) -> int:
+    # +1 or -1 for an integer r prime to the odd prime p
+    return 1 if pow(r, (p - 1) // 2, p) == 1 else -1
+
+
+def _square_class(x: Rational, p: int) -> tuple[int, int]:
+    """(valuation, chi of the unit part) of a nonzero rational at an odd prime."""
+    v, num, den = _split(x, p)
+    # chi(num/den) = chi(num*den): den and 1/den share a square class
+    return v, _legendre(num * den, p)
+
+
+def valuation(x: Rational, p: int) -> int:
+    """Exponent v with x = p^v * unit."""
+    return _split(x, p)[0]
 
 
 def unit_part(x: Rational, p: int) -> Fraction:
     """The p-adic unit u with x = p^valuation(x) * u."""
-    return Fraction(x) / Fraction(p) ** valuation(x, p)
-
-
-def _unit_residue(u: Fraction, modulus: int) -> int:
-    # residue of a unit rational mod p^k (denominator invertible)
-    num = u.numerator % modulus
-    den = u.denominator % modulus
-    return num * pow(den, -1, modulus) % modulus
+    _, num, den = _split(x, p)
+    return Fraction(num, den)
 
 
 def chi(u: Rational, p: int) -> int:
     """Square-class character of a p-adic unit: +1 for squares, -1 otherwise."""
     check_odd_prime(p)
-    u = Fraction(u)
-    if u == 0 or valuation(u, p) != 0:
+    if _exact(u) == 0:
         raise ValueError("chi requires a p-adic unit")
-    r = _unit_residue(u, p)
-    return 1 if pow(r, (p - 1) // 2, p) == 1 else -1
+    v, c = _square_class(u, p)
+    if v != 0:
+        raise ValueError("chi requires a p-adic unit")
+    return c
 
 
-def _eps2(u: Fraction) -> int:
-    # (u-1)/2 mod 2 for a 2-adic unit
-    return (_unit_residue(u, 8) - 1) // 2 % 2
+def _eps2(r: int) -> int:
+    # (u-1)/2 mod 2 for a 2-adic unit u with residue r mod 8
+    return (r - 1) // 2 % 2
 
 
-def _omega2(u: Fraction) -> int:
-    # (u^2-1)/8 mod 2 for a 2-adic unit
-    return (_unit_residue(u, 8) ** 2 - 1) // 8 % 2
+def _omega2(r: int) -> int:
+    # (u^2-1)/8 mod 2 for a 2-adic unit u with residue r mod 8
+    return (r * r - 1) // 8 % 2
 
 
 def hilbert(a: Rational, b: Rational, v: Place) -> int:
     """Local Hilbert symbol (a,b)_v in {+1,-1}."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = _exact(a), _exact(b)
     if a == 0 or b == 0:
         raise ValueError("hilbert symbol requires nonzero arguments")
     if not v.is_finite:
         return -1 if a < 0 and b < 0 else 1
     p = v.prime
-    alpha, beta = valuation(a, p), valuation(b, p)
-    u, w = unit_part(a, p), unit_part(b, p)
+    alpha, ua, da = _split(a, p)
+    beta, ub, db = _split(b, p)
     if p == 2:
+        # an odd den is its own inverse mod 8, so num*den is the residue of num/den
+        u, w = ua * da % 8, ub * db % 8
         e = _eps2(u) * _eps2(w) + alpha * _omega2(w) + beta * _omega2(u)
         return -1 if e % 2 else 1
     s = 1
-    if alpha * beta % 2 and chi(-1, p) == -1:
+    if alpha * beta % 2 and p % 4 == 3:  # chi(-1) = -1
         s = -s
-    if beta % 2 and chi(u, p) == -1:
+    if beta % 2 and _legendre(ua * da, p) == -1:
         s = -s
-    if alpha % 2 and chi(w, p) == -1:
+    if alpha % 2 and _legendre(ub * db, p) == -1:
         s = -s
     return s

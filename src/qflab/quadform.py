@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from sympy import factorint
 
@@ -17,10 +18,12 @@ from .padic import (
     INFINITE_PLACE,
     Place,
     Rational,
+    _exact,
+    _split,
+    _square_class,
     check_odd_prime,
     chi,
     hilbert,
-    unit_part,
     valuation,
 )
 
@@ -30,11 +33,17 @@ def frac_str(x: Rational) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _entry(x) -> Fraction:
+    # strings such as "1/3" (the JSON form) parse exactly; floats raise TypeError
+    return Fraction(x) if isinstance(x, str) else _exact(x)
+
+
 class SymMat:
-    """Symmetric matrix with exact rational entries."""
+    """Symmetric matrix with exact rational entries: integers, Fractions or
+    strings like "1/3"; floats raise TypeError."""
 
     def __init__(self, entries):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in entries)
+        rows = tuple(tuple(_entry(x) for x in row) for row in entries)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
@@ -78,15 +87,17 @@ class SymMat:
         return self.det != 0
 
     def is_p_integral(self, p: int) -> bool:
-        return all(x == 0 or valuation(x, p) >= 0 for row in self.entries for x in row)
+        return all(x.denominator % p for row in self.entries for x in row)
 
     def principal_block(self, start: int, size: int) -> "SymMat":
         return SymMat([row[start:start + size] for row in self.entries[start:start + size]])
 
     def apply(self, x) -> Fraction:
         """Value of the quadratic form: x^T M x."""
-        x = [Fraction(v) for v in x]
-        return sum(self.entries[i][j] * x[i] * x[j] for i in range(self.n) for j in range(self.n))
+        nonzero = [(i, v) for i, v in enumerate(map(_exact, x)) if v]
+        return sum(
+            (self.entries[i][j] * a * b for i, a in nonzero for j, b in nonzero), Fraction(0)
+        )
 
     def to_json(self) -> dict:
         return {"n": self.n, "entries": [[frac_str(x) for x in row] for row in self.entries]}
@@ -129,9 +140,11 @@ def _sym_add(m, i, j, c=Fraction(1)):
     # basis move x_i -> x_i + c*x_j (congruence: row then column)
     n = len(m)
     for t in range(n):
-        m[i][t] += c * m[j][t]
+        if m[j][t]:
+            m[i][t] += c * m[j][t]
     for t in range(n):
-        m[t][i] += c * m[t][j]
+        if m[t][j]:
+            m[t][i] += c * m[t][j]
 
 
 def rational_diagonalization(T: SymMat) -> tuple[Fraction, ...]:
@@ -167,6 +180,7 @@ def signature(T: SymMat) -> tuple[int, int]:
     return sum(1 for x in d if x > 0), sum(1 for x in d if x < 0)
 
 
+@lru_cache(maxsize=1024)
 def least_nonsquare(p: int) -> int:
     check_odd_prime(p)
     return next(u for u in range(2, p) if chi(u, p) == -1)
@@ -241,12 +255,15 @@ def jordan_diagonalize(T: SymMat, p: int) -> JordanDiagonal:
             if m[r][k]:
                 _sym_add(m, r, k, -m[r][k] / d)
         diag.append(d)
-    terms = sorted(((valuation(d, p), chi(unit_part(d, p), p)) for d in diag), key=lambda t: t[0])
+    terms = sorted((_square_class(d, p) for d in diag), key=lambda t: t[0])
     return JordanDiagonal(tuple(terms), p)
 
 
 class QuadSpace:
-    """Nonsingular quadratic space over Q with cached local invariants."""
+    """Nonsingular quadratic space over Q with cached local invariants.
+
+    The Hasse invariant is computed once per place and kept on the instance.
+    """
 
     def __init__(self, gram: SymMat):
         if not gram.is_nonsingular:
@@ -258,6 +275,7 @@ class QuadSpace:
             sum(1 for x in self.diagonal if x > 0),
             sum(1 for x in self.diagonal if x < 0),
         )
+        self._hasse: dict[Place, int] = {}
 
     @classmethod
     def from_diagonal(cls, values) -> "QuadSpace":
@@ -268,15 +286,33 @@ class QuadSpace:
         return self.gram.n
 
     def hasse(self, v: Place) -> int:
-        return hasse_of_diagonal(self.diagonal, v)
+        s = self._hasse.get(v)
+        if s is None:
+            s = self._hasse[v] = hasse_of_diagonal(self.diagonal, v)
+        return s
 
     def __repr__(self):
         return f"QuadSpace({self.gram!r})"
 
 
 def hasse_of_diagonal(diag, v: Place) -> int:
-    """Product of Hilbert symbols (d_i, d_j)_v over i < j."""
-    diag = [Fraction(d) for d in diag]
+    """Product of Hilbert symbols (d_i, d_j)_v over i < j.
+
+    At an odd prime p each entry is read once as d_i = p^a_i * u_i, and with
+    (d_i, d_j)_p = chi(-1)^(a_i a_j) chi(u_i)^a_j chi(u_j)^a_i the product is
+    chi(-1)^#{i < j : a_i, a_j odd} * prod_i chi(u_i)^(A - a_i), A = sum a_i.
+    """
+    if v.is_finite and v.prime != 2:
+        p = v.prime
+        classes = [_square_class(d, p) for d in diag]
+        total = sum(a for a, _ in classes)
+        odd = sum(a % 2 for a, _ in classes)
+        s = -1 if p % 4 == 3 and odd * (odd - 1) // 2 % 2 else 1
+        for a, c in classes:
+            if c == -1 and (total - a) % 2:
+                s = -s
+        return s
+    diag = [_exact(d) for d in diag]
     s = 1
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
@@ -285,18 +321,18 @@ def hasse_of_diagonal(diag, v: Place) -> int:
 
 
 def is_local_square(x: Rational, v: Place) -> bool:
-    x = Fraction(x)
+    x = _exact(x)
     if x == 0:
         raise ValueError("square class of zero undefined")
     if not v.is_finite:
         return x > 0
     p = v.prime
-    if valuation(x, p) % 2:
+    a, num, den = _split(x, p)
+    if a % 2:
         return False
-    u = unit_part(x, p)
     if p == 2:
-        return u.numerator * pow(u.denominator, -1, 8) % 8 == 1
-    return chi(u, p) == 1
+        return num * den % 8 == 1  # an odd den is its own inverse mod 8
+    return _square_class(num * den, p)[1] == 1
 
 
 # Canonical rank-5 spaces and their oracle-ready diagonals.
@@ -306,7 +342,9 @@ def base_diagonal(r: int = 0) -> tuple[int, ...]:
     return (1, 1, -1, 1, -1) + (1, -1) * r
 
 
+@lru_cache(maxsize=None)
 def base_space() -> QuadSpace:
+    """The base space; one shared instance, so its Hasse cache is reused."""
     return QuadSpace.from_diagonal(base_diagonal())
 
 
@@ -328,7 +366,9 @@ def twisted_complement_diagonal(p: int) -> tuple[int, ...]:
     return (1, -b, -p, b * p)
 
 
+@lru_cache(maxsize=1024)
 def twisted_space(p: int) -> QuadSpace:
+    """The twisted space at p; one shared instance per p."""
     return QuadSpace.from_diagonal(twisted_diagonal(p))
 
 
@@ -373,7 +413,11 @@ def represents_one_over_Zp(T: SymMat, p: int) -> bool:
     rank 1 works only for the square class; no unimodular part leaves all
     values divisible by p.
     """
-    jd = jordan_diagonalize(T, p)
+    return _represents_one(jordan_diagonalize(T, p))
+
+
+def _represents_one(jd: JordanDiagonal) -> bool:
+    # represents_one_over_Zp read off the Jordan data of the form
     uni = jd.unimodular_terms
     if len(uni) >= 2:
         return True

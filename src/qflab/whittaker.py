@@ -15,16 +15,17 @@ from .padic import Place, Rational, check_odd_prime
 from .quadform import (
     IncoherentCollection,
     SymMat,
+    _represents_one,
     base_diagonal,
     base_space,
     diff_set,
     frac_str,
+    jordan_diagonalize,
     represents_local,
-    represents_one_over_Zp,
 )
 from .counting import density_oracle
-from .densities import assemble_A, derivative_at_1, twisted_density
-from .gkmult import e_p, gross_keating_exponents
+from .densities import _series, _twisted_density, assemble_A, derivative_at_1, twisted_density
+from .gkmult import _normal_form, e_p
 
 
 @dataclass(frozen=True)
@@ -141,26 +142,29 @@ def verify_ratio_identity(T: SymMat, p: int) -> RatioReport:
 
     Both sides are computed by independent pipelines: the left from the
     assembled density series and the twisted density, the right from the
-    normal-form exponents alone.
+    normal-form exponents alone. T's Jordan data and normal form are
+    computed once and shared by both sides.
     """
     check_odd_prime(p)
     if T.n != 4 or not T.is_nonsingular:
         raise ValueError("ratio identity requires a nonsingular rank-4 target")
     if not T.is_p_integral(p):
         raise ValueError("ratio identity requires a p-integral target")
-    if not represents_one_over_Zp(T, p):
+    jd = jordan_diagonalize(T, p)
+    if not _represents_one(jd):
         raise ValueError("ratio identity requires a target representing 1 over Z_p")
     if represents_local(base_space(), T, Place(p)):
         raise ValueError(
             "ratio identity requires p in Diff(T): the target is represented "
             "by the base space at p"
         )
-    deriv = whittaker_derivative(T, p)
-    value = whittaker_twisted_value(T, p)
+    nf = _normal_form(T, jd)
+    deriv = LogPMultiple(-derivative_at_1(_series(nf.triple)), p)
+    value = Fraction(1, p**4) * _twisted_density(T, p)
     if value == 0:
         raise ArithmeticError("twisted value vanished on the twisted side of the dichotomy")
     lhs = deriv / value
-    mult = e_p(*gross_keating_exponents(T, p).triple.exponents, p)
+    mult = e_p(*nf.triple.exponents, p)
     if mult.denominator != 1:
         raise ArithmeticError("non-integral multiplicity inside the vanishing regime")
     rhs = Fraction((p * p + 1) * (p - 1), 2) * mult

@@ -1,6 +1,7 @@
 """Command-line interface: byte-exact outputs, exit codes, config injection."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -165,6 +166,18 @@ def test_matrix_from_file(tmp_path, capsys):
     path.write_text(json.dumps(SymMat.diag(1, 1, 1, 1).to_json()))
     code, out, _ = run(capsys, "density", "--p", "3", "--T", str(path))
     assert (code, out) == (0, "640/729\n")
+
+
+def test_matrix_file_decimals_read_exactly(tmp_path, capsys):
+    # JSON numbers with a decimal point are read as exact fractions, never floats
+    path = tmp_path / "T.json"
+    path.write_text('{"n": 1, "entries": [[0.5]]}')
+    code, out, _ = run(capsys, "density", "--p", "3", "--T", str(path), "--oracle")
+    assert code == 0
+    from qflab import SymMat
+    from qflab.cli import parse_matrix
+
+    assert parse_matrix(str(path)) == SymMat.diag(Fraction(1, 2))
 
 
 def test_output_is_deterministic(capsys):

@@ -2,7 +2,8 @@
 
 Property tests over rescalings that change numerators and denominators but
 not the rational class: T -> g^T T g for g in GL_4(Q), diagonal or not, and
-(a, b) -> (a x^2, b y^2) for quaternion algebras.
+(a, b) -> (a x^2, b y^2) for quaternion algebras. The Hilbert symbol and
+Hasse invariant kernels are checked against the textbook pairwise formulas.
 """
 
 from fractions import Fraction
@@ -18,9 +19,11 @@ from qflab import (
     QuaternionAlgebra,
     SymMat,
     diff_set,
+    hilbert,
     ramified_places,
     witt_index_rank5,
 )
+from qflab.quadform import hasse_of_diagonal
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -106,3 +109,72 @@ def test_candidate_prime_cancellation_examples():
     assert diff_set(SymMat.diag(third, 3, 1, 1), IncoherentCollection.split()) == {Place(3)}
     assert ramified_places(QuaternionAlgebra(third, 3)) == frozenset({Place(2), Place(3)})
     assert witt_index_rank5(QuadSpace.from_diagonal((1, 1, -5, -third, Fraction(3, 5)))) == 1
+
+
+# ---------------------------------------------------------------- kernel against the definition
+
+
+def _reference_split(x: Fraction, p: int) -> tuple[int, Fraction]:
+    v = 0
+    while x.numerator % p == 0:
+        x, v = x / p, v + 1
+    while x.denominator % p == 0:
+        x, v = x * p, v - 1
+    return v, x
+
+
+def _reference_hilbert(a: Fraction, b: Fraction, v: Place) -> int:
+    """(a, b)_v from Serre, A Course in Arithmetic, III.1.2, Theorem 1."""
+    if not v.is_finite:
+        return -1 if a < 0 and b < 0 else 1
+    p = v.prime
+    (alpha, u), (beta, w) = _reference_split(a, p), _reference_split(b, p)
+    if p == 2:
+        def residue(x):
+            return x.numerator * pow(x.denominator, -1, 8) % 8
+
+        eps = [(residue(x) - 1) // 2 % 2 for x in (u, w)]
+        omega = [(residue(x) ** 2 - 1) // 8 % 2 for x in (u, w)]
+        return (-1) ** (eps[0] * eps[1] + alpha * omega[1] + beta * omega[0])
+
+    def legendre(x):
+        r = x.numerator * pow(x.denominator, -1, p) % p
+        return 1 if pow(r, (p - 1) // 2, p) == 1 else -1
+
+    return (-1) ** (alpha * beta * (p - 1) // 2 % 2) * legendre(u) ** (beta % 2) * legendre(w) ** (alpha % 2)
+
+
+def _reference_hasse(diag, v: Place) -> int:
+    s = 1
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            s *= _reference_hilbert(diag[i], diag[j], v)
+    return s
+
+
+nonzero_rational = st.builds(
+    Fraction, st.integers(-300, 300).filter(bool), st.integers(1, 300)
+)
+kernel_place = st.sampled_from(
+    (INFINITE_PLACE, Place(2), Place(3), Place(5), Place(7), Place(11), Place(13))
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(nonzero_rational, nonzero_rational, kernel_place)
+def test_hilbert_matches_definition(a, b, v):
+    assert hilbert(a, b, v) == _reference_hilbert(a, b, v)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(nonzero_rational, min_size=1, max_size=6), kernel_place)
+def test_hasse_of_diagonal_matches_definition(diag, v):
+    assert hasse_of_diagonal(diag, v) == _reference_hasse(diag, v)
+
+
+@SETTINGS
+@given(st.lists(nonzero_rational, min_size=1, max_size=6), st.lists(kernel_place, min_size=1, max_size=4))
+def test_cached_space_hasse_matches_diagonal(diag, places):
+    space = QuadSpace.from_diagonal(diag)
+    for v in places + places:  # the second round reads the cache
+        assert space.hasse(v) == hasse_of_diagonal(space.diagonal, v) == _reference_hasse(diag, v)

@@ -21,6 +21,29 @@ def test_valuation_zero_rejected():
         valuation(0, 3)
 
 
+@pytest.mark.parametrize("call", [
+    lambda x: valuation(x, 3),
+    lambda x: unit_part(x, 3),
+    lambda x: chi(x, 3),
+    lambda x: hilbert(x, 3, Place(3)),
+    lambda x: hilbert(3, x, INFINITE_PLACE),
+])
+def test_floats_rejected(call):
+    for bad in (0.5, 2.0, 0.0):
+        with pytest.raises(TypeError, match=repr(bad)):
+            call(bad)
+
+
+def test_integral_types_and_fractions_accepted():
+    import numpy as np
+
+    for x in (np.int64(18), np.uint8(18), Fraction(18)):
+        assert valuation(x, 3) == 2
+        assert unit_part(x, 3) == 2
+    assert chi(np.int32(2), 3) == chi(2, 3) == -1
+    assert hilbert(np.int64(3), Fraction(2), Place(3)) == hilbert(3, 2, Place(3))
+
+
 def test_unit_part_reconstructs():
     rng = random.Random(7)
     for _ in range(200):

@@ -66,6 +66,17 @@ def test_symmat_rejects_asymmetric():
         SymMat([[1, 2]])
 
 
+def test_symmat_rejects_floats():
+    with pytest.raises(TypeError, match="0.1"):
+        SymMat([[0.1]])
+    with pytest.raises(TypeError, match="2.0"):
+        SymMat.diag(1, 2.0)
+    import numpy as np
+
+    exact = SymMat([[np.int64(2), Fraction(1, 2)], [Fraction(1, 2), "1/3"]])
+    assert exact == SymMat([[2, Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 3)]])
+
+
 def test_symmat_json_round_trip():
     T = SymMat([[1, Fraction(1, 2)], [Fraction(1, 2), 3]])
     data = T.to_json()

@@ -175,3 +175,41 @@ def test_audit_constant():
     assert ratio_audit_constant(5) == 52
     for p in (3, 5, 7, 11):
         assert ratio_audit_constant(p) == F((p * p + 1) * (p - 1), 2)
+
+
+# ---------------------------------------------------------------- shared local data
+
+
+def _count_calls(monkeypatch, name: str, modules) -> list:
+    """Wrap `name` in every module that binds it; the returned list grows by one per call."""
+    calls = []
+    for mod in modules:
+        if hasattr(mod, name):
+            def wrapped(*args, _f=getattr(mod, name), **kwargs):
+                calls.append(args)
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("call", ["verify_ratio_identity", "whittaker_derivative",
+                                  "assemble_A", "gross_keating_exponents"])
+def test_public_call_computes_jordan_and_normal_form_once(monkeypatch, call):
+    # Every module's binding of jordan_diagonalize is wrapped. A normal form is
+    # counted by its witness lift, _sqrt_mod_p_power, which each normal form
+    # makes exactly once whichever function computed it.
+    import qflab
+    from qflab import counting, cycles, densities, gkmult, quadform, whittaker
+
+    modules = (quadform, gkmult, densities, whittaker, counting, cycles)
+    jordan = _count_calls(monkeypatch, "jordan_diagonalize", modules)
+    normal_forms = _count_calls(monkeypatch, "_sqrt_mod_p_power", modules)
+    fn = getattr(qflab, call)
+    T = SymMat([[1, 1, 0, 0], [1, 4, 0, 0], [0, 0, 3, 3], [0, 0, 3, 12]])
+    fn(T, 3)
+    first = (len(jordan), len(normal_forms))
+    assert first[0] <= 2  # T and its ternary complement
+    assert first[1] == 1
+    fn(T, 3)  # no memo keyed by T outlives the first call
+    assert (len(jordan), len(normal_forms)) == (2 * first[0], 2 * first[1])
