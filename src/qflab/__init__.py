@@ -6,7 +6,6 @@ Everything is exact rational arithmetic; no floats anywhere.
 
 from .padic import INFINITE_PLACE, Place, chi, hilbert, unit_part, valuation
 from .quadform import (
-    IncoherentCollection,
     JordanDiagonal,
     QuadSpace,
     SymMat,
@@ -38,7 +37,6 @@ from .counting import (
 )
 from .densities import (
     DensityPolynomial,
-    GKTriple,
     assemble_A,
     chi_tilde,
     derivative_at_1,
@@ -49,6 +47,7 @@ from .densities import (
 )
 from .gkmult import (
     GKNormalForm,
+    GKTriple,
     e_p,
     e_p_of_form,
     gk_table_csv,
@@ -77,6 +76,7 @@ from .cycles import (
     reduced_superspecial_space,
 )
 from .clifford import (
+    IncoherentCollection,
     Quaternion,
     QuaternionAlgebra,
     SpinGenerators,

@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .padic import INFINITE_PLACE, Place
 from .quadform import (
-    IncoherentCollection,
     JordanDiagonal,
     SymMat,
     base_diagonal,
@@ -40,14 +39,13 @@ from .counting import (
     normalization_exponent,
 )
 from .densities import (
-    GKTriple,
     assemble_A,
     chi_tilde,
     derivative_at_1,
     kitaoka_ternary_poly,
     twisted_density,
 )
-from .gkmult import e_p, gk_table_csv, transversal
+from .gkmult import GKTriple, e_p, gk_table_csv, transversal
 from .whittaker import _sorted_places, verify_ratio_identity, whittaker_value
 from .cycles import (
     classify_component,
@@ -58,6 +56,7 @@ from .cycles import (
 )
 from .clifford import (
     GENERATOR_ORDER,
+    IncoherentCollection,
     QuaternionAlgebra,
     check_spin_compatibility,
     discriminant,
@@ -269,14 +268,14 @@ def _sweep_kitaoka(fast: bool):
             t = GKTriple(*a, *eps, 3)
             job = CountJob(s4, _gk_matrix(t), 3, 2)
             checked += 1
-            if density_value(job, count_solutions(job)) != kitaoka_ternary_poly(t).value_at_1:
+            if density_value(job, count_solutions(job)) != kitaoka_ternary_poly(t).evaluate(1):
                 bad.append((a, eps))
     detail = f"{checked} exponent/unit-class grid cases at modulus exponent 2"
     if not fast:
         t = GKTriple(0, 1, 2, 1, 1, -1, 3)
         job = CountJob(s4, _gk_matrix(t), 3, 3)
         got = density_value(job, count_solutions(job))
-        if got != kitaoka_ternary_poly(t).value_at_1 or got != Fraction(128, 81):
+        if got != kitaoka_ternary_poly(t).evaluate(1) or got != Fraction(128, 81):
             bad.append("depth-3 spot")
         detail += " plus the depth-3 spot check"
     if bad:
@@ -655,8 +654,8 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             return 0 if not exc.code else 2
         return args.func(args)
-    except (ValueError, ArithmeticError, RuntimeError, OSError, KeyError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, ArithmeticError, RuntimeError, OSError,
+            KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,5 +1,6 @@
-"""Quaternion algebras over Q, the attached rank-5 quadratic space, and the
-explicit 4x4 spin picture with its symplectic compatibility.
+"""Quaternion algebras over Q, the attached rank-5 quadratic space, the
+incoherent collection built from it, and the explicit 4x4 spin picture with
+its symplectic compatibility.
 
 Nothing here materializes a full Clifford algebra: every identity is checked
 inside the 4x4 matrix image or at the level of quadratic-space invariants.
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -134,6 +136,36 @@ def quaternion_with_discriminant(d: int) -> QuaternionAlgebra:
 def vb_space(B: QuaternionAlgebra) -> QuadSpace:
     """Rank-5 space <1> + (norm form of B), diagonally <1, 1, -a, -b, ab>."""
     return QuadSpace.from_diagonal((1, 1, -B.a, -B.b, B.a * B.b))
+
+
+class IncoherentCollection:
+    """Local spaces of the completed quaternion construction, flipped at the real place.
+
+    B is any object with nonzero rational fields a, b (i^2 = a, j^2 = b) that
+    is indefinite, i.e. split at the real place. Finite local spaces all come
+    from vb_space(B); the real member is positive definite.
+    """
+
+    def __init__(self, B):
+        B = QuaternionAlgebra(B.a, B.b)
+        ramified = ramified_places(B)
+        if INFINITE_PLACE in ramified:
+            raise ValueError("incoherent collection requires an indefinite quaternion algebra")
+        self.a = B.a
+        self.b = B.b
+        self.space = vb_space(B)
+        self.finite_ramified = tuple(sorted(v.prime for v in ramified))
+        self.finite_discriminant = discriminant(B)
+
+    @classmethod
+    @lru_cache(maxsize=None)
+    def split(cls) -> "IncoherentCollection":
+        """The collection of M_2(Q); one shared instance, as base_space() is."""
+        return cls.from_pair(1, 1)
+
+    @classmethod
+    def from_pair(cls, a: Rational, b: Rational) -> "IncoherentCollection":
+        return cls(QuaternionAlgebra(a, b))
 
 
 GENERATOR_ORDER = ("e0", "e1", "v0", "f0", "f1")

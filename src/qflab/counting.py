@@ -273,7 +273,6 @@ def density_oracle(
     p: int,
     t_start: int | None = None,
     t_max: int | None = None,
-    strategy: str = "mitm",
 ) -> DensityResult:
     """Stabilized representation density of T by diag(s) over Z_p.
 
@@ -290,7 +289,7 @@ def density_oracle(
     table = []
     prev = None
     for t in range(t_start, t_max + 1):
-        job = CountJob(tuple(Fraction(s) for s in s_diag), T, p, t, strategy)
+        job = CountJob(tuple(Fraction(s) for s in s_diag), T, p, t)
         raw = count_solutions(job)
         value = density_value(job, raw)
         table.append((t, raw, value))

@@ -8,7 +8,6 @@ cross-checked against the counting oracle in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .padic import Place, Rational, check_odd_prime, chi
@@ -21,21 +20,13 @@ from .quadform import (
     represents_one_over_Zp,
     twisted_space,
 )
+from .gkmult import GKTriple, _normal_form
 
 
 def _strip(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
-
-
-def _padd(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _strip(out)
 
 
 def _pmul(a, b):
@@ -54,12 +45,6 @@ def _peval(coeffs, x: Fraction) -> Fraction:
     return acc
 
 
-def _monomial(exp: int, coeff: Rational = 1):
-    out = [Fraction(0)] * (exp + 1)
-    out[exp] = Fraction(coeff)
-    return tuple(out)
-
-
 class DensityPolynomial:
     """Polynomial in X with exact rational coefficients, constant term first."""
 
@@ -68,10 +53,6 @@ class DensityPolynomial:
 
     def evaluate(self, x: Rational) -> Fraction:
         return _peval(self.coeffs, Fraction(x))
-
-    @property
-    def value_at_1(self) -> Fraction:
-        return self.evaluate(1)
 
     def __mul__(self, other: "DensityPolynomial") -> "DensityPolynomial":
         return DensityPolynomial(_pmul(self.coeffs, other.coeffs))
@@ -93,34 +74,6 @@ class DensityPolynomial:
 def derivative_at_1(A: DensityPolynomial) -> Fraction:
     """d/dX of the polynomial at X = 1, exactly."""
     return sum((i * c for i, c in enumerate(A.coeffs)), Fraction(0))
-
-
-@dataclass(frozen=True)
-class GKTriple:
-    """Ordered exponents and unit classes of a diagonalized ternary complement."""
-
-    a1: int
-    a2: int
-    a3: int
-    eps1: int
-    eps2: int
-    eps3: int
-    p: int
-
-    def __post_init__(self):
-        if not 0 <= self.a1 <= self.a2 <= self.a3:
-            raise ValueError("exponents must satisfy 0 <= a1 <= a2 <= a3")
-        if any(e not in (1, -1) for e in (self.eps1, self.eps2, self.eps3)):
-            raise ValueError("unit classes must be +1 or -1")
-        check_odd_prime(self.p)
-
-    @property
-    def exponents(self) -> tuple[int, int, int]:
-        return (self.a1, self.a2, self.a3)
-
-    @property
-    def signs(self) -> tuple[int, int, int]:
-        return (self.eps1, self.eps2, self.eps3)
 
 
 def unary_density_factor(eps0: int, p: int) -> DensityPolynomial:
@@ -156,20 +109,20 @@ def kitaoka_bracket(t: GKTriple) -> tuple[Fraction, ...]:
     asum = a1 + a2 + a3
     even = (a1 - a2) % 2 == 0
     top = (a1 + a2) // 2 - 1 if even else (a1 + a2 - 1) // 2
-    acc = (Fraction(0),)
+    acc = [0] * (asum + 1)
     for el in range(top + 1):
-        inner = (Fraction(0),)
+        w = p**el
         for k in range(min(a1, el) + 1):
-            inner = _padd(inner, _monomial(2 * el - k))
-            inner = _padd(inner, _monomial(asum + k - 2 * el, ct))
-        acc = _padd(acc, tuple(p**el * c for c in inner))
+            acc[2 * el - k] += w
+            acc[asum + k - 2 * el] += ct * w
     if even:
+        # p^((a1+a2)/2) X^a2 (1 + ... + X^a1)(1 + eps X + ... + (eps X)^(a3-a2))
         eps = chi(-1, p) * t.eps1 * t.eps2
-        geo1 = _strip([Fraction(1)] * (a1 + 1))
-        geo2 = _strip([Fraction(eps) ** j for j in range(a3 - a2 + 1)])
-        last = _pmul(_monomial(a2, p ** ((a1 + a2) // 2)), _pmul(geo1, geo2))
-        acc = _padd(acc, last)
-    return acc
+        lead = p ** ((a1 + a2) // 2)
+        for i in range(a1 + 1):
+            for j in range(a3 - a2 + 1):
+                acc[a2 + i + j] += lead * eps**j
+    return _strip([Fraction(c) for c in acc])
 
 
 def kitaoka_ternary_poly(t: GKTriple) -> DensityPolynomial:
@@ -188,8 +141,6 @@ def assemble_A(T: SymMat, p: int) -> DensityPolynomial:
     Splits off a unimodular square witness and multiplies the unary factor
     with the ternary closed form of the complement.
     """
-    from .gkmult import _normal_form
-
     jd = jordan_diagonalize(T, p)
     if jd.exponents[0] > 0:
         raise ValueError("reduction formula requires a unimodular entry")

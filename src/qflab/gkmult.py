@@ -13,7 +13,34 @@ from fractions import Fraction
 
 from .padic import _square_class, check_odd_prime, valuation
 from .quadform import JordanDiagonal, SymMat, _represents_one, jordan_diagonalize
-from .densities import GKTriple
+
+
+@dataclass(frozen=True)
+class GKTriple:
+    """Ordered exponents and unit classes of a diagonalized ternary complement."""
+
+    a1: int
+    a2: int
+    a3: int
+    eps1: int
+    eps2: int
+    eps3: int
+    p: int
+
+    def __post_init__(self):
+        if not 0 <= self.a1 <= self.a2 <= self.a3:
+            raise ValueError("exponents must satisfy 0 <= a1 <= a2 <= a3")
+        if any(e not in (1, -1) for e in (self.eps1, self.eps2, self.eps3)):
+            raise ValueError("unit classes must be +1 or -1")
+        check_odd_prime(self.p)
+
+    @property
+    def exponents(self) -> tuple[int, int, int]:
+        return (self.a1, self.a2, self.a3)
+
+    @property
+    def signs(self) -> tuple[int, int, int]:
+        return (self.eps1, self.eps2, self.eps3)
 
 
 @dataclass(frozen=True)
@@ -21,13 +48,8 @@ class GKNormalForm:
     """Unimodular square witness plus the Jordan data of its complement."""
 
     triple: GKTriple
-    eps0: int
     witness: tuple[int, ...]
     witness_depth: int  # witness Gram value is 1 mod p^depth
-
-    def __post_init__(self):
-        if self.eps0 != 1:
-            raise ValueError("the split-off entry must be a square class")
 
 
 def _sqrt_mod_p_power(s: Fraction, p: int, depth: int) -> int:
@@ -88,7 +110,7 @@ def _normal_form(T: SymMat, jd: JordanDiagonal) -> GKNormalForm:
     ])
     jd = jordan_diagonalize(comp, p)
     (a1, s1), (a2, s2), (a3, s3) = jd.terms
-    return GKNormalForm(GKTriple(a1, a2, a3, s1, s2, s3, p), 1, witness, depth)
+    return GKNormalForm(GKTriple(a1, a2, a3, s1, s2, s3, p), witness, depth)
 
 
 def e_p(a1: int, a2: int, a3: int, p: int) -> Fraction:

@@ -1,13 +1,15 @@
 """Symmetric bilinear forms over Q and Z_p (p odd).
 
-Covers exact symmetric matrices, Jordan diagonalization, Hasse invariants,
-local representation decisions, the specific rank-5 spaces used elsewhere,
-and the set of places where an incoherent collection fails to represent a
-target form.
+Covers exact symmetric matrices, class-canonical Jordan diagonalization,
+Hasse invariants, local representation decisions, the specific rank-5 spaces
+used elsewhere, and the set of places where an incoherent collection fails
+to represent a target form.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -188,7 +190,14 @@ def least_nonsquare(p: int) -> int:
 
 @dataclass(frozen=True)
 class JordanDiagonal:
-    """Exponent/unit-class data of a Z_p-diagonalized form, exponents nondecreasing."""
+    """Exponent/unit-class data of a Z_p-diagonalized form, exponents nondecreasing.
+
+    The terms are stored class-canonically: inside each exponent block every
+    sign is +1 except the last, which carries the block's product. For odd p
+    a p^a-modular block is determined by its rank and the square class of its
+    determinant (Kitaoka, Arithmetic of Quadratic Forms, 5.2), so equality,
+    hashing and diagonal_rep depend only on the Z_p-class of the form.
+    """
 
     terms: tuple[tuple[int, int], ...]  # (exponent, unit class sign)
     p: int
@@ -199,6 +208,11 @@ class JordanDiagonal:
             raise ValueError("exponents must be nondecreasing and nonnegative")
         if any(s not in (1, -1) for _, s in self.terms):
             raise ValueError("unit classes must be +1 or -1")
+        terms = []
+        for a, block in itertools.groupby(self.terms, key=lambda t: t[0]):
+            signs = [s for _, s in block]
+            terms += [(a, 1)] * (len(signs) - 1) + [(a, math.prod(signs))]
+        object.__setattr__(self, "terms", tuple(terms))
 
     @property
     def exponents(self) -> tuple[int, ...]:
@@ -223,7 +237,8 @@ class JordanDiagonal:
 
 
 def jordan_diagonalize(T: SymMat, p: int) -> JordanDiagonal:
-    """Split T into p-power-scaled unit classes via congruence moves over Z_p.
+    """Split T into p-power-scaled unit classes via congruence moves over Z_p;
+    the result is class-canonical (see JordanDiagonal).
 
     Pivots on an entry of minimal valuation (diagonal preferred); off-diagonal
     pivots are pulled onto the diagonal with x_i -> x_i + x_j, which keeps the
@@ -255,8 +270,7 @@ def jordan_diagonalize(T: SymMat, p: int) -> JordanDiagonal:
             if m[r][k]:
                 _sym_add(m, r, k, -m[r][k] / d)
         diag.append(d)
-    terms = sorted((_square_class(d, p) for d in diag), key=lambda t: t[0])
-    return JordanDiagonal(tuple(terms), p)
+    return JordanDiagonal(tuple(sorted(_square_class(d, p) for d in diag)), p)
 
 
 class QuadSpace:
@@ -424,40 +438,6 @@ def _represents_one(jd: JordanDiagonal) -> bool:
     return len(uni) == 1 and uni[0][1] == 1
 
 
-class IncoherentCollection:
-    """Local spaces of the completed quaternion construction, flipped at the real place.
-
-    B is any object with nonzero rational fields a, b (i^2 = a, j^2 = b) that
-    is indefinite, i.e. split at the real place. Finite local spaces all come
-    from the rank-5 space <1> + norm(B); the real member is positive definite.
-    """
-
-    def __init__(self, B):
-        a, b = Fraction(B.a), Fraction(B.b)
-        if a == 0 or b == 0:
-            raise ValueError("quaternion structure constants must be nonzero")
-        if hilbert(a, b, INFINITE_PLACE) == -1:
-            raise ValueError("incoherent collection requires an indefinite quaternion algebra")
-        self.a = a
-        self.b = b
-        self.space = QuadSpace.from_diagonal((1, 1, -a, -b, a * b))
-        self.finite_ramified = tuple(
-            q for q in _candidate_primes(a, b) if hilbert(a, b, Place(q)) == -1
-        )
-        self.finite_discriminant = 1
-        for q in self.finite_ramified:
-            self.finite_discriminant *= q
-
-    @classmethod
-    def split(cls) -> "IncoherentCollection":
-        return cls.from_pair(1, 1)
-
-    @classmethod
-    def from_pair(cls, a: Rational, b: Rational) -> "IncoherentCollection":
-        holder = type("_B", (), {"a": a, "b": b})
-        return cls(holder)
-
-
 def _candidate_primes(*values: Rational) -> list[int]:
     """2 and every prime dividing a numerator or denominator of the values.
 
@@ -472,14 +452,15 @@ def _candidate_primes(*values: Rational) -> list[int]:
     return sorted(primes)
 
 
-def diff_set(T: SymMat, C: IncoherentCollection) -> set[Place]:
-    """Places where the collection fails to represent T.
+def diff_set(T: SymMat, C) -> set[Place]:
+    """Places where the incoherent collection C fails to represent T.
 
-    The finite search runs over 2 and the primes dividing D(B), det T or a
-    denominator of an entry of T; everywhere else both sides are unimodular
-    of rank 5 at odd primes and the comparison passes. The real place joins
-    exactly for signatures (3,1) and (1,3); other indefinite signatures
-    never contribute it.
+    Only C.space and C.finite_discriminant are read (see
+    clifford.IncoherentCollection). The finite search runs over 2 and the
+    primes dividing D(B), det T or a denominator of an entry of T; everywhere
+    else both sides are unimodular of rank 5 at odd primes and the comparison
+    passes. The real place joins exactly for signatures (3,1) and (1,3);
+    other indefinite signatures never contribute it.
     """
     if T.n != 4 or not T.is_nonsingular:
         raise ValueError("Diff requires a nonsingular rank-4 form")

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .padic import Place, Rational, check_odd_prime
 from .quadform import (
-    IncoherentCollection,
     SymMat,
     _represents_one,
     base_diagonal,
@@ -26,6 +25,7 @@ from .quadform import (
 from .counting import density_oracle
 from .densities import _series, _twisted_density, assemble_A, derivative_at_1, twisted_density
 from .gkmult import _normal_form, e_p
+from .clifford import IncoherentCollection
 
 
 @dataclass(frozen=True)
@@ -167,6 +167,6 @@ def verify_ratio_identity(T: SymMat, p: int) -> RatioReport:
     mult = e_p(*nf.triple.exponents, p)
     if mult.denominator != 1:
         raise ArithmeticError("non-integral multiplicity inside the vanishing regime")
-    rhs = Fraction((p * p + 1) * (p - 1), 2) * mult
+    rhs = ratio_audit_constant(p) * mult
     diff = _sorted_places(diff_set(T, IncoherentCollection.split()))
     return RatioReport(T, p, lhs, rhs, lhs.coeff == rhs, mult, diff)

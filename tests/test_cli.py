@@ -260,6 +260,17 @@ def test_inline_json_not_rows_exits_2(capsys):
         assert "list of rows" in err
 
 
+def test_non_number_json_entry_exits_2(tmp_path, capsys):
+    code, _, err = run(capsys, "density", "--p", "3", "--T", '{"n":1,"entries":[[{}]]}')
+    assert code == 2
+    assert err.startswith("error:")
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"s": [1, {}], "T": {"n": 1, "entries": [["1"]]}, "p": 3, "t": 1}))
+    code, _, err = run(capsys, "oracle", "--job", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_failed_check_exits_1(capsys, monkeypatch):
     import dataclasses
 

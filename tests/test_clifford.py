@@ -8,6 +8,7 @@ import pytest
 
 from qflab import (
     INFINITE_PLACE,
+    IncoherentCollection,
     Place,
     QuaternionAlgebra,
     SymMat,
@@ -124,6 +125,10 @@ def test_quaternion_with_discriminant_is_deterministic():
 
 
 # ---------------------------------------------------------------- the rank-5 space
+
+
+def test_split_collection_is_shared():
+    assert IncoherentCollection.split() is IncoherentCollection.split()
 
 
 def test_vb_space_signatures():

@@ -98,6 +98,8 @@ def test_kitaoka_examples():
     # chi_tilde = -1 forces a zero at X = 1
     assert kitaoka_ternary_poly(GKTriple(0, 1, 1, 1, 1, 1, 3)).evaluate(F(1)) == 0
     assert kitaoka_ternary_poly(GKTriple(0, 1, 2, 1, 1, -1, 3)).evaluate(F(1)) == F(128, 81)
+    assert kitaoka_bracket(GKTriple(1, 3, 4, 1, -1, 1, 5)) == (1, 5, 5, 25, 0, -25, -5, -5, -1)
+    assert kitaoka_bracket(GKTriple(2, 2, 5, -1, 1, 1, 3)) == (1, 3, 12, 18, 27, 27, 18, 12, 3, 1)
 
 
 def test_kitaoka_zero_iff_chi_tilde_negative():

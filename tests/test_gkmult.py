@@ -28,7 +28,6 @@ def test_normal_form_diagonal_example():
     nf = gross_keating_exponents(SymMat.diag(1, 1, 1, 3), 3)
     assert nf.triple.exponents == (0, 0, 1)
     assert nf.triple.signs == (1, 1, 1)
-    assert nf.eps0 == 1
     assert nf.witness == (0, 0, 1, 0)
 
 

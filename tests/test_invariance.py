@@ -2,7 +2,8 @@
 
 Property tests over rescalings that change numerators and denominators but
 not the rational class: T -> g^T T g for g in GL_4(Q), diagonal or not, and
-(a, b) -> (a x^2, b y^2) for quaternion algebras. The Hilbert symbol and
+(a, b) -> (a x^2, b y^2) for quaternion algebras. Jordan data is checked
+under integral changes of basis with det g prime to p. The Hilbert symbol and
 Hasse invariant kernels are checked against the textbook pairwise formulas.
 """
 
@@ -20,6 +21,7 @@ from qflab import (
     SymMat,
     diff_set,
     hilbert,
+    jordan_diagonalize,
     ramified_places,
     witt_index_rank5,
 )
@@ -75,6 +77,35 @@ def test_diff_set_invariant_under_change_of_basis(T, g, C):
     places = diff_set(T, C)
     assert diff_set(S, C) == places
     assert len(places) % 2 == 1  # T is positive definite
+
+
+@st.composite
+def jordan_pairs(draw):
+    """p, a diagonal D of entries u p^a (u a unit), and an integral g with det g prime to p."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    n = draw(st.integers(2, 4))
+    unit = st.integers(1, p - 1)
+    sign = st.sampled_from((1, -1))
+    D = [draw(sign) * draw(unit) * p ** draw(st.integers(0, 2)) for _ in range(n)]
+    g = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    assume(_congruent(SymMat.diag(*[1] * n), g).det % p)  # det(g^T g) = det(g)^2
+    return p, SymMat.diag(*D), g
+
+
+@SETTINGS
+@given(jordan_pairs())
+def test_jordan_data_invariant_under_change_of_basis(pair):
+    p, D, g = pair
+    jd = jordan_diagonalize(D, p)
+    assert jordan_diagonalize(_congruent(D, g), p) == jd
+    assert jordan_diagonalize(SymMat.diag(*jd.diagonal_rep()), p) == jd
+
+
+def test_jordan_data_ignores_entry_order():
+    jd = jordan_diagonalize(SymMat.diag(1, 2), 3)
+    assert jd == jordan_diagonalize(SymMat.diag(2, 1), 3)
+    assert jd.terms == ((0, 1), (0, -1))  # the block's product sits on its last sign
 
 
 @SETTINGS

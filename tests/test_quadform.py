@@ -130,8 +130,8 @@ def test_jordan_diagonal_example():
 def test_jordan_hyperbolic_plane():
     jd = jordan_diagonalize(SymMat([[0, 1], [1, 0]]), 3)
     assert jd.exponents == (0, 0)
-    # unit classes individually depend on the chosen moves, the product does not
-    assert jd.signs[0] * jd.signs[1] == chi(-1, 3)
+    # one block: every sign is +1 but the last, which carries the product
+    assert jd.signs == (1, chi(-1, 3))
 
 
 def test_jordan_off_diagonal_pivot():
