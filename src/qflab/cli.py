@@ -124,7 +124,7 @@ def _cmd_oracle(args) -> int:
             "t": job.t,
         }))
         return 0
-    if not (args.s and args.T and args.p and args.t):
+    if None in (args.s, args.T, args.p, args.t):
         raise ValueError("oracle needs either --job or all of --s/--T/--p/--t")
     job = CountJob(
         tuple(Fraction(v) for v in args.s.split(",")),

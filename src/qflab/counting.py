@@ -84,6 +84,9 @@ class CountJob:
 
     @classmethod
     def from_json(cls, data: dict) -> "CountJob":
+        for key in ("p", "t"):  # a JSON 3.0 arrives as Fraction(3) and is accepted
+            if Fraction(data[key]).denominator != 1:
+                raise ValueError(f"job field {key!r} must be an integer, got {data[key]}")
         return cls(
             tuple(Fraction(s) for s in data["s"]),
             SymMat.from_json(data["T"]),

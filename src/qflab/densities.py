@@ -20,7 +20,7 @@ from .quadform import (
     represents_one_over_Zp,
     twisted_space,
 )
-from .gkmult import GKTriple, _normal_form
+from .gkmult import GKTriple, _complement_triple
 
 
 def _strip(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
@@ -138,8 +138,8 @@ def kitaoka_ternary_poly(t: GKTriple) -> DensityPolynomial:
 def assemble_A(T: SymMat, p: int) -> DensityPolynomial:
     """Density series A(X) of a rank-4 target with a represented 1.
 
-    Splits off a unimodular square witness and multiplies the unary factor
-    with the ternary closed form of the complement.
+    Splits off <1> and multiplies the unary factor with the ternary closed
+    form of the complement, whose triple is read off T's Jordan data.
     """
     jd = jordan_diagonalize(T, p)
     if jd.exponents[0] > 0:
@@ -148,11 +148,11 @@ def assemble_A(T: SymMat, p: int) -> DensityPolynomial:
         raise ValueError("Kitaoka closed form requires represented 1")
     if T.n != 4:
         raise ValueError("normal form requires a rank-4 input")
-    return _series(_normal_form(T, jd).triple)
+    return _series(_complement_triple(jd))
 
 
 def _series(triple: GKTriple) -> DensityPolynomial:
-    # assemble_A from the normal-form triple of T
+    # assemble_A from the complement triple of T
     return unary_density_factor(1, triple.p) * kitaoka_ternary_poly(triple)
 
 

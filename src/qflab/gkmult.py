@@ -1,8 +1,8 @@
 """Local intersection multiplicities from diagonalized quadratic data.
 
-Normalizes a rank-4 form that represents 1 into (1) + ternary complement,
-evaluates the closed-form multiplicity e_p on the complement exponents, and
-decides transversality.
+Reads the Jordan data of the ternary complement of (1) in a rank-4 form that
+represents 1, evaluates the closed-form multiplicity e_p on its exponents, and
+decides transversality. Only gross_keating_exponents searches for a witness.
 """
 
 from __future__ import annotations
@@ -65,13 +65,8 @@ def _sqrt_mod_p_power(s: Fraction, p: int, depth: int) -> int:
     return y
 
 
-def gross_keating_exponents(T: SymMat, p: int) -> GKNormalForm:
-    """Split T as <1> + ternary over Z_p and return the complement's Jordan data.
-
-    The witness is the lexicographically smallest x mod p with x^T T x a
-    nonzero square, lifted so the value is 1 to depth max(exponents) + 2;
-    determinism of the witness makes normal forms reproducible.
-    """
+def _checked_jordan(T: SymMat, p: int) -> JordanDiagonal:
+    # Jordan data of a rank-4 form T that represents 1 over Z_p, else ValueError
     check_odd_prime(p)
     if T.n != 4:
         raise ValueError("normal form requires a rank-4 input")
@@ -82,35 +77,39 @@ def gross_keating_exponents(T: SymMat, p: int) -> GKNormalForm:
     jd = jordan_diagonalize(T, p)
     if not _represents_one(jd):
         raise ValueError("normal form requires a form that represents 1 over Z_p")
-    return _normal_form(T, jd)
+    return jd
 
 
-def _normal_form(T: SymMat, jd: JordanDiagonal) -> GKNormalForm:
-    # gross_keating_exponents for a checked T whose Jordan data jd is known
-    p = jd.p
+def _complement_triple(jd: JordanDiagonal) -> GKTriple:
+    """Triple of the ternary C in T = <1> + C, from T's checked Jordan data jd.
+
+    For odd p a Z_p-class is fixed by each Jordan block's rank and determinant
+    square class (Kitaoka, Arithmetic of Quadratic Forms, 5.2; O'Meara 92:2)
+    and <1> cancels (Witt), so C's class-canonical data is jd.terms without
+    its leading (0, +1), which _represents_one(jd) guarantees.
+    """
+    (a1, s1), (a2, s2), (a3, s3) = jd.terms[1:]
+    return GKTriple(a1, a2, a3, s1, s2, s3, jd.p)
+
+
+def gross_keating_exponents(T: SymMat, p: int) -> GKNormalForm:
+    """Split T as <1> + ternary over Z_p and return the complement's Jordan data.
+
+    The witness is the lexicographically smallest x mod p with x^T T x a
+    nonzero square, lifted so the value is 1 to depth max(exponents) + 2;
+    determinism of the witness makes normal forms reproducible.
+    """
+    jd = _checked_jordan(T, p)
     depth = max(jd.exponents) + 2
     q = p**depth
-
     witness0, value0 = next(
         (x, value) for x in itertools.product(range(p), repeat=4)
         if (value := T.apply(x)) != 0 and _square_class(value, p) == (0, 1)
     )
-    y = _sqrt_mod_p_power(value0, p, depth)
-    y_inv = pow(y, -1, q)
+    y_inv = pow(_sqrt_mod_p_power(value0, p, depth), -1, q)
+    # y^2 = value0 mod q is checked in the lift, so T(witness) = 1 mod q
     witness = tuple(x * y_inv % q for x in witness0)
-    value = T.apply(witness)
-    if value != 1 and valuation(value - 1, p) < depth:
-        raise ArithmeticError("witness lift failed")
-
-    i0 = next(i for i in range(4) if witness[i] % p != 0)
-    tw = [sum(T[i, j] * witness[j] for j in range(4)) for i in range(4)]
-    rest = [i for i in range(4) if i != i0]
-    comp = SymMat([
-        [T[i, j] - tw[i] * tw[j] / value for j in rest] for i in rest
-    ])
-    jd = jordan_diagonalize(comp, p)
-    (a1, s1), (a2, s2), (a3, s3) = jd.terms
-    return GKNormalForm(GKTriple(a1, a2, a3, s1, s2, s3, p), witness, depth)
+    return GKNormalForm(_complement_triple(jd), witness, depth)
 
 
 def e_p(a1: int, a2: int, a3: int, p: int) -> Fraction:
@@ -139,18 +138,15 @@ def e_p(a1: int, a2: int, a3: int, p: int) -> Fraction:
 
 
 def e_p_of_form(T: SymMat, p: int) -> Fraction:
-    nf = gross_keating_exponents(T, p)
-    return e_p(*nf.triple.exponents, p)
+    return e_p(*_complement_triple(_checked_jordan(T, p)).exponents, p)
 
 
 def transversal(T: SymMat, p: int) -> bool:
     """Whether the intersection at a point with fundamental matrix T is transverse."""
-    nf = gross_keating_exponents(T, p)
-    by_det = valuation(T.det, p) == 1
-    by_mult = e_p(*nf.triple.exponents, p) == 1
-    if by_det != by_mult:
+    by_mult = e_p_of_form(T, p) == 1
+    if by_mult != (valuation(T.det, p) == 1):
         raise ArithmeticError("transversality cross-check failed")
-    return by_det
+    return by_mult
 
 
 def gk_table_csv(p: int, a_max: int) -> str:

@@ -24,7 +24,7 @@ from .quadform import (
 )
 from .counting import density_oracle
 from .densities import _series, _twisted_density, assemble_A, derivative_at_1, twisted_density
-from .gkmult import _normal_form, e_p
+from .gkmult import _complement_triple, e_p
 from .clifford import IncoherentCollection
 
 
@@ -142,8 +142,8 @@ def verify_ratio_identity(T: SymMat, p: int) -> RatioReport:
 
     Both sides are computed by independent pipelines: the left from the
     assembled density series and the twisted density, the right from the
-    normal-form exponents alone. T's Jordan data and normal form are
-    computed once and shared by both sides.
+    complement exponents alone. T's Jordan data is computed once and both
+    sides read the complement triple off it.
     """
     check_odd_prime(p)
     if T.n != 4 or not T.is_nonsingular:
@@ -158,13 +158,13 @@ def verify_ratio_identity(T: SymMat, p: int) -> RatioReport:
             "ratio identity requires p in Diff(T): the target is represented "
             "by the base space at p"
         )
-    nf = _normal_form(T, jd)
-    deriv = LogPMultiple(-derivative_at_1(_series(nf.triple)), p)
+    triple = _complement_triple(jd)
+    deriv = LogPMultiple(-derivative_at_1(_series(triple)), p)
     value = Fraction(1, p**4) * _twisted_density(T, p)
     if value == 0:
         raise ArithmeticError("twisted value vanished on the twisted side of the dichotomy")
     lhs = deriv / value
-    mult = e_p(*nf.triple.exponents, p)
+    mult = e_p(*triple.exponents, p)
     if mult.denominator != 1:
         raise ArithmeticError("non-integral multiplicity inside the vanishing regime")
     rhs = ratio_audit_constant(p) * mult

@@ -271,6 +271,26 @@ def test_non_number_json_entry_exits_2(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_oracle_job_non_integral_field_exits_2(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    base = {"s": [1, 1, -1, 1, -1], "T": {"n": 1, "entries": [["1"]]}, "p": 3, "t": 2}
+    for field, value in (("p", 3.5), ("t", 1.9)):
+        path.write_text(json.dumps({**base, field: value}))
+        code, out, err = run(capsys, "oracle", "--job", str(path))
+        assert (code, out) == (2, "")
+        assert f"job field '{field}' must be an integer" in err
+    path.write_text(json.dumps({**base, "p": 3.0, "t": 2.0}))  # integral floats are fine
+    code, out, _ = run(capsys, "oracle", "--job", str(path))
+    assert code == 0
+    assert json.loads(out)["value"] == "10/9"
+
+
+def test_oracle_inline_reports_job_error(capsys):
+    code, _, err = run(capsys, "oracle", "--s", "1,-1", "--T", "d:1", "--p", "3", "--t", "0")
+    assert code == 2
+    assert "modulus exponent t must be >= 1" in err
+
+
 def test_failed_check_exits_1(capsys, monkeypatch):
     import dataclasses
 

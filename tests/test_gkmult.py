@@ -1,9 +1,11 @@
-"""Witness-based normal forms and the closed-form intersection multiplicity."""
+"""Gross-Keating triples, witness normal forms and the closed-form intersection multiplicity."""
 
 import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qflab import (
     CountJob,
@@ -14,6 +16,7 @@ from qflab import (
     gk_table_csv,
     gross_keating_exponents,
     jordan_diagonalize,
+    represents_one_over_Zp,
     split_diagonal,
     transversal,
 )
@@ -102,6 +105,44 @@ def test_normal_form_validation():
         gross_keating_exponents(SymMat.diag(1, 1, 1, 0), 3)
     with pytest.raises(ValueError, match="represents 1 over Z_p"):
         gross_keating_exponents(SymMat.diag(2, 6, 3, 9), 3)
+
+
+def _witness_complement(T: SymMat, witness, p: int) -> SymMat:
+    """Gram matrix of the complement of the witness w: T restricted to w-perp,
+    on the basis e_i - (B(e_i, w) / Q(w)) w for i != i0, where w_i0 is a unit."""
+    value = T.apply(witness)
+    i0 = next(i for i in range(4) if witness[i] % p)
+    tw = [sum(T[i, j] * witness[j] for j in range(4)) for i in range(4)]
+    rest = [i for i in range(4) if i != i0]
+    return SymMat([[T[i, j] - tw[i] * tw[j] / value for j in rest] for i in rest])
+
+
+@st.composite
+def represented_forms(draw):
+    """(T, p) with T = g^T D g, D = diag(u_i p^a_i), a_i <= 3, det g possibly divisible by p."""
+    p = draw(st.sampled_from((3, 5, 7, 11)))
+    D = [draw(st.integers(1, p - 1)) * p ** draw(st.integers(0, 3)) for _ in range(4)]
+    g = draw(st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+                      min_size=4, max_size=4))
+    T = SymMat([[sum(g[k][i] * D[k] * g[k][j] for k in range(4)) for j in range(4)]
+                for i in range(4)])
+    assume(T.is_nonsingular and represents_one_over_Zp(T, p))
+    return T, p
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(represented_forms())
+def test_complement_triple_matches_witness_complement(case):
+    # the triple read off T's Jordan data equals the Jordan data of the
+    # complement of the returned witness, built the long way
+    T, p = case
+    nf = gross_keating_exponents(T, p)
+    assert (T.apply(nf.witness) - 1) % p**nf.witness_depth == 0
+    jd = jordan_diagonalize(_witness_complement(T, nf.witness, p), p)
+    assert (jd.exponents, jd.signs) == (nf.triple.exponents, nf.triple.signs)
+    mult = e_p(*nf.triple.exponents, p)
+    assert e_p_of_form(T, p) == mult
+    assert transversal(T, p) == (mult == 1)
 
 
 # ---------------------------------------------------------------- multiplicity

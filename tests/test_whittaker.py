@@ -194,22 +194,22 @@ def _count_calls(monkeypatch, name: str, modules) -> list:
 
 
 @pytest.mark.parametrize("call", ["verify_ratio_identity", "whittaker_derivative",
-                                  "assemble_A", "gross_keating_exponents"])
+                                  "assemble_A", "gross_keating_exponents",
+                                  "e_p_of_form", "transversal"])
 def test_public_call_computes_jordan_and_normal_form_once(monkeypatch, call):
-    # Every module's binding of jordan_diagonalize is wrapped. A normal form is
-    # counted by its witness lift, _sqrt_mod_p_power, which each normal form
-    # makes exactly once whichever function computed it.
+    # Every module's binding of jordan_diagonalize is wrapped. The complement
+    # triple is read off T's one Jordan diagonalization; a witness is counted
+    # by its lift, _sqrt_mod_p_power, and only gross_keating_exponents returns one.
     import qflab
     from qflab import counting, cycles, densities, gkmult, quadform, whittaker
 
     modules = (quadform, gkmult, densities, whittaker, counting, cycles)
     jordan = _count_calls(monkeypatch, "jordan_diagonalize", modules)
-    normal_forms = _count_calls(monkeypatch, "_sqrt_mod_p_power", modules)
+    lifts = _count_calls(monkeypatch, "_sqrt_mod_p_power", modules)
     fn = getattr(qflab, call)
     T = SymMat([[1, 1, 0, 0], [1, 4, 0, 0], [0, 0, 3, 3], [0, 0, 3, 12]])
     fn(T, 3)
-    first = (len(jordan), len(normal_forms))
-    assert first[0] <= 2  # T and its ternary complement
-    assert first[1] == 1
+    expected = (1, 1 if call == "gross_keating_exponents" else 0)
+    assert (len(jordan), len(lifts)) == expected
     fn(T, 3)  # no memo keyed by T outlives the first call
-    assert (len(jordan), len(normal_forms)) == (2 * first[0], 2 * first[1])
+    assert (len(jordan), len(lifts)) == (2 * expected[0], 2 * expected[1])
