@@ -4,7 +4,10 @@ Counts matrices x over Z/p^t with x^T diag(s) x = T mod p^t and normalizes
 the counts into density values with stabilization detection. There are two
 counting paths: full enumeration ("naive", the reference the tests compare
 against) and one array meet-in-the-middle engine ("mitm") over the rows of
-x, for any number of rows and any odd modulus. Row i of x adds
+x, for any number of rows and any odd modulus. The naive path walks every
+x in blocks of numpy digit columns and evaluates x^T diag(s) x directly; it
+shares no row keys, multiplicities, tables or helpers with the MITM engine,
+so it stays an independent reference for it. Row i of x adds
 s_i * x_i x_i^T to the left side, so each half of the rows is a weighted
 set of keys in Sym_n(Z/q), written as k = n(n+1)/2 radix-q digits. The state
 budget bounds the larger half's q^(n*ceil(m/2)) states and the q^k table
@@ -15,7 +18,6 @@ package; it must never call into the closed-form code.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,12 +29,20 @@ from .quadform import SymMat, frac_str, jordan_diagonalize
 
 DEFAULT_STATE_BUDGET = 2**29
 
-# keys per streamed or tabled block; larger blocks raise peak memory, not speed
+# keys or naive matrices per block; larger blocks raise peak memory, not speed
 _CHUNK = 2**16
 
 
 def state_budget() -> int:
-    return int(os.environ.get("QFLAB_STATE_BUDGET", DEFAULT_STATE_BUDGET))
+    """QFLAB_STATE_BUDGET, an integer in [1, 2^31], or the default.
+
+    Both engines are exact up to 2^31: the naive path needs q^2 < 2^63 in
+    int64, and the MITM engine's uint64 sums hold for budgets up to 2^32.
+    """
+    raw = os.environ.get("QFLAB_STATE_BUDGET", str(DEFAULT_STATE_BUDGET))
+    if not (raw.strip().isdecimal() and 1 <= int(raw) <= 2**31):
+        raise ValueError(f"QFLAB_STATE_BUDGET must be an integer in [1, 2^31], got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -127,43 +137,26 @@ def _target_digits(T: SymMat, q: int) -> tuple[int, ...]:
     return tuple(_residue(T[i, j], q) for (i, j) in _pairs(T.n))
 
 
-def _row_keys(s_res: int, q: int, n: int) -> list[tuple[int, ...]]:
-    # contribution of one row vector v: s * v_i * v_j over pairs i <= j
-    pairs = _pairs(n)
-    out = []
-    for v in itertools.product(range(q), repeat=n):
-        out.append(tuple(s_res * v[i] * v[j] % q for (i, j) in pairs))
-    return out
-
-
-def _keys_per_row(job: CountJob) -> list[list[tuple[int, ...]]]:
-    q = job.modulus
-    cache: dict[int, list] = {}
-    rows = []
-    for s in job.s_diag:
-        r = _residue(s, q)
-        if r not in cache:
-            cache[r] = _row_keys(r, q, job.n)
-        rows.append(cache[r])
-    return rows
-
-
-def _add_keys(x: tuple[int, ...], y: tuple[int, ...], q: int) -> tuple[int, ...]:
-    return tuple((a + b) % q for a, b in zip(x, y))
-
-
 def _naive_count(job: CountJob) -> int:
-    q = job.modulus
+    """Count by full enumeration: x runs over M_{m,n}(Z/q) by its radix-q
+    index, _CHUNK matrices per block, with x_ri the digit r*n + i. Every
+    product is reduced mod q, so no intermediate value reaches q^2."""
+    q, m, n = job.modulus, job.m, job.n
+    res = [_residue(s, q) for s in job.s_diag]
     tgt = _target_digits(job.T, q)
-    rows = _keys_per_row(job)
-    zero = (0,) * len(tgt)
+    total = q ** (m * n)
     count = 0
-    for combo in itertools.product(*rows):
-        acc = zero
-        for k in combo:
-            acc = _add_keys(acc, k, q)
-        if acc == tgt:
-            count += 1
+    for lo in range(0, total, _CHUNK):
+        rest = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
+        x = np.empty((m * n, len(rest)), dtype=np.int64)
+        for d in range(m * n):
+            rest, x[d] = np.divmod(rest, q)
+        x = x.reshape(m, n, -1)
+        sx = [[res[r] * x[r, i] % q for i in range(n)] for r in range(m)]
+        hit = np.ones(x.shape[2], dtype=bool)
+        for (i, j), want in zip(_pairs(n), tgt):
+            hit &= sum(sx[r][i] * x[r, j] % q for r in range(m)) % q == want
+        count += int(hit.sum())
     return count
 
 

@@ -291,6 +291,14 @@ def test_oracle_inline_reports_job_error(capsys):
     assert "modulus exponent t must be >= 1" in err
 
 
+@pytest.mark.parametrize("raw", ["abc", "-5"])
+def test_oracle_bad_state_budget_exits_2(monkeypatch, capsys, raw):
+    monkeypatch.setenv("QFLAB_STATE_BUDGET", raw)
+    code, out, err = run(capsys, "oracle", "--s", "1,-1", "--T", "d:1", "--p", "3", "--t", "1")
+    assert (code, out) == (2, "")
+    assert "QFLAB_STATE_BUDGET" in err
+
+
 def test_failed_check_exits_1(capsys, monkeypatch):
     import dataclasses
 

@@ -1,10 +1,12 @@
 """Exact solution counting mod p^t and the stabilized density oracle."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from qflab import counting
 from qflab import (
     CountJob,
     OracleError,
@@ -94,6 +96,103 @@ def test_state_budget_guard(monkeypatch):
     job = CountJob((1, -1), SymMat.diag(1, 1), 3, 2)
     with pytest.raises(RuntimeError, match="state budget exceeded"):
         count_solutions(job)
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-5", "2e9", str(2**31 + 1)])
+def test_state_budget_refuses_bad_values(monkeypatch, raw):
+    monkeypatch.setenv("QFLAB_STATE_BUDGET", raw)
+    with pytest.raises(ValueError, match="QFLAB_STATE_BUDGET"):
+        state_budget()
+    with pytest.raises(ValueError, match="QFLAB_STATE_BUDGET"):
+        count_solutions(CountJob((1,), SymMat.diag(1), 3, 1))
+
+
+def test_state_budget_accepts_its_range(monkeypatch):
+    for raw in ("1", "10", "500", str(2**31)):
+        monkeypatch.setenv("QFLAB_STATE_BUDGET", raw)
+        assert state_budget() == int(raw)
+
+
+def _literal_count(s, T, p, t):
+    """#{x in M_{m,n}(Z/q) : x^T diag(s) x = T mod q}, one x at a time."""
+    q, m, n = p**t, len(s), T.n
+    count = 0
+    for flat in itertools.product(range(q), repeat=m * n):
+        x = [flat[r * n:(r + 1) * n] for r in range(m)]
+        count += all(
+            (sum(s[r] * x[r][i] * x[r][j] for r in range(m)) - T[i, j]) % q == 0
+            for i in range(n) for j in range(i, n)
+        )
+    return count
+
+
+def _literal_jobs():
+    rng = random.Random(17)
+    jobs = [((3, 1, -1), SymMat.diag(9), 3, 2), ((5, 2), SymMat.diag(0, 5), 5, 1)]
+    while len(jobs) < 30:
+        p = rng.choice((3, 5, 7))
+        t = rng.randint(1, 2)
+        m = rng.randint(1, 4)
+        n = rng.randint(1, min(m, 3))
+        if (p**t) ** (m * n) > 4096:
+            continue
+        s = tuple(rng.choice((1, -1, 2, p, -p, p * p)) for _ in range(m))
+        zero = len(jobs) % 5 == 0  # every fifth target is 0 mod q
+        entries = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                v = rng.choice((0, p**t)) if zero else rng.randint(-6, 6)
+                entries[i][j] = entries[j][i] = v
+        jobs.append((s, SymMat(entries), p, t))
+    return jobs
+
+
+def test_naive_matches_literal_enumerator():
+    for s, T, p, t in _literal_jobs():
+        assert count_solutions(CountJob(s, T, p, t, "naive")) == _literal_count(s, T, p, t)
+
+
+@pytest.mark.parametrize("strategy", ["naive", "mitm"])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_binary_form_point_count(p, strategy):
+    # #{(x, y) in F_p^2 : a x^2 + b y^2 = c} = p - (-ab/p) for p not dividing c,
+    # and p + (p - 1)(-ab/p) for p | c
+    u = least_nonsquare(p)
+    for a, b in itertools.product((1, -1, u), repeat=2):
+        e = pow(-a * b, (p - 1) // 2, p)
+        legendre = 1 if e == 1 else -1
+        for c in (0, p, 1, -1, u, 2 * p + 1):
+            want = p - legendre if c % p else p + (p - 1) * legendre
+            got = count_solutions(CountJob((a, b), SymMat.diag(c), p, 1, strategy))
+            assert got == want, (a, b, c)
+
+
+_CHUNK_JOBS = [
+    ((1, -1, 3), SymMat.diag(1), 3, 2),
+    ((1, 2), SymMat([[1, 1], [1, 2]]), 5, 1),
+    ((3, 1, -1), SymMat.diag(2, 0), 3, 1),
+]
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_counts_do_not_depend_on_block_size(monkeypatch, chunk):
+    jobs = [CountJob(s, T, p, t, strategy) for s, T, p, t in _CHUNK_JOBS
+            for strategy in ("naive", "mitm")]
+    want = [count_solutions(job) for job in jobs]
+    monkeypatch.setattr(counting, "_CHUNK", chunk)
+    assert [count_solutions(job) for job in jobs] == want
+
+
+def test_naive_path_uses_no_mitm_helper(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the naive reference called a MITM helper")
+
+    for name in ("_row_digits", "_sums", "_radix", "_mitm_count"):
+        monkeypatch.setattr(counting, name, refuse)
+    for s, T, p, t in _literal_jobs()[:10]:
+        assert count_solutions(CountJob(s, T, p, t, "naive")) == _literal_count(s, T, p, t)
+    with pytest.raises(AssertionError, match="MITM helper"):
+        count_solutions(CountJob((1,), SymMat.diag(1), 3, 1))
 
 
 def test_job_validation():
