@@ -9,15 +9,20 @@ x in blocks of numpy digit columns and evaluates x^T diag(s) x directly; it
 shares no row keys, multiplicities, tables or helpers with the MITM engine,
 so it stays an independent reference for it. Row i of x adds
 s_i * x_i x_i^T to the left side, so each half of the rows is a weighted
-set of keys in Sym_n(Z/q), written as k = n(n+1)/2 radix-q digits. The state
-budget bounds the larger half's q^(n*ceil(m/2)) states and the q^k table
-cells.
+set of keys in Sym_n(Z/q), written as k = n(n+1)/2 radix-q digits. A row's
+keys depend only on the class of s_i mod q up to unit squares. When the
+rows pair up by class, as for split_diagonal(4) and the ramified quaternion
+norm form at p = 3 mod 4, both halves have one count table A and the count
+is the sum of A[key] * A[T - key]; otherwise one half is streamed against
+the other's table. The state budget bounds the larger half's
+q^(n*ceil(m/2)) states and the q^k table cells.
 This module is the independent auditor for every closed form in the
 package; it must never call into the closed-form code.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -200,36 +205,87 @@ def _stream_rows(job: CountJob) -> int:
     return (job.m + 1) // 2
 
 
+def _key_class(r: int, p: int, q: int) -> tuple[int, int]:
+    """Class of the residue r mod q: its valuation and the Legendre symbol of
+    its unit part, with 0 in a class of its own. Two residues of one class
+    differ by a unit square w^2, and v -> w v permutes (Z/q)^n, so rows of
+    one class have the same keys with the same counts."""
+    if r == 0:
+        return (q, 0)
+    v = 0
+    while r % p == 0:
+        r //= p
+        v += 1
+    return (v, pow(r, (p - 1) // 2, p))
+
+
+def _mirror_dot(table: np.ndarray, tgt: tuple[int, ...], q: int, k: int) -> int:
+    """Sum of table[key] * table[tgt - key] over all keys, digitwise mod q.
+
+    On each axis digit d pairs with t - d when d <= t and with q + t - d
+    when d > t. Both runs are a slice against a reversed slice, so the sum is
+    at most 2^k products of views and allocates nothing of the table's size.
+    """
+    cube = table.reshape((q,) * k)
+    runs = []
+    for t in reversed(tgt):  # axis 0 is the last, most significant digit
+        low = (slice(0, t + 1), slice(t, None, -1))
+        high = (slice(t + 1, q), slice(q - 1, t, -1))
+        runs.append([low, high] if t < q - 1 else [low])
+    axes = "abcdefghijklmnopqrstuvwxyz"[:k]
+    total = 0
+    for choice in itertools.product(*runs):
+        left = cube[tuple(run[0] for run in choice)]
+        right = cube[tuple(run[1] for run in choice)]
+        total += int(np.einsum(f"{axes},{axes}->", left, right, dtype=np.uint64))
+    return total
+
+
 def _mitm_count(job: CountJob) -> int:
     """Array meet-in-the-middle over each row's distinct keys, in radix q.
 
     Each row contributes its distinct keys with their multiplicities, so
     every combination of keys is weighted by the product of its rows'
-    counts. The first h = ceil(m/2) rows are streamed and the other m - h
-    rows fill a q^k count table (k = n(n+1)/2) with np.add.at, so no
+    counts; rows of one key class (_key_class) share one enumeration. A
+    table half fills a q^k count table (k = n(n+1)/2) with np.add.at, so no
     q^k-sized scratch is allocated; an empty table half is one count at
-    key 0. Streamed rows carry the negated source entries and start at the
-    target's digits, so each streamed block is the key it needs. A block's
-    sum of table[key] * weight is at most the job's count q^(mn) <=
-    budget^2, which fits uint64 for budgets up to 2^32 (2^58 at the
-    default).
+    key 0. When m is even and the rows sorted by class pair up, one row of
+    each pair fills the table A, the other rows have the same table, and
+    the count is the sum of A[key] * A[T - key] (_mirror_dot). Otherwise
+    the first h = ceil(m/2) rows are streamed against a table of the other
+    m - h rows: streamed rows carry the negated source entries and start at
+    the target's digits, so each streamed block is the key it needs.
+    Either table half has at most h rows, so no cell counts more than the
+    q^(nh) <= budget <= 2^31 states and uint32 holds it. Every partial sum
+    of table cells times weights, streamed or mirrored, is at most the
+    job's count q^(mn) <= budget^2, which fits uint64 for budgets up to
+    2^32 (2^58 at the default).
     """
-    q, n, h = job.modulus, job.n, _stream_rows(job)
+    p, q, n, h = job.p, job.modulus, job.n, _stream_rows(job)
     k = n * (n + 1) // 2
     dtype = np.min_scalar_type(2 * q)  # a sum of two digits must fit
     res = [_residue(s, q) for s in job.s_diag]
-    stream_res, table_res = [-r % q for r in res[:h]], res[h:]
-    keys = {r: _row_digits(r, q, n, dtype) for r in set(stream_res + table_res)}
-    zero = np.zeros((k, 1), dtype=dtype)
-    tgt = np.array(_target_digits(job.T, q), dtype=dtype).reshape(k, 1)
+    by_class = sorted(res, key=lambda r: _key_class(r, p, q))
+    classes = [_key_class(r, p, q) for r in by_class]
+    paired = job.m % 2 == 0 and classes[::2] == classes[1::2]
+    if paired:
+        stream_res, table_res = [], by_class[::2]
+    else:
+        stream_res, table_res = [-r % q for r in res[:h]], res[h:]
+    reps = {_key_class(r, p, q): r for r in stream_res + table_res}
+    keys = {c: _row_digits(r, q, n, dtype) for c, r in reps.items()}
+    tgt = _target_digits(job.T, q)
 
-    table_states = q ** (n * len(table_res))  # no cell counts more than this
-    table = np.zeros(q**k, dtype=np.uint32 if table_states < 2**32 else np.uint64)
-    for block, weights in _sums(zero, [keys[r] for r in table_res], q):
-        np.add.at(table, _radix(block, q), weights.astype(table.dtype))
+    table = np.zeros(q**k, dtype=np.uint32)
+    zero = np.zeros((k, 1), dtype=dtype)
+    for block, weights in _sums(zero, [keys[_key_class(r, p, q)] for r in table_res], q):
+        np.add.at(table, _radix(block, q), weights.astype(np.uint32))
+    if paired:
+        return _mirror_dot(table, tgt, q, k)
 
     total = 0
-    for block, weights in _sums(tgt, [keys[r] for r in stream_res], q):
+    start = np.array(tgt, dtype=dtype).reshape(k, 1)
+    for block, weights in _sums(start, [keys[_key_class(r, p, q)] for r in stream_res], q):
         total += int((table[_radix(block, q)] * weights).sum(dtype=np.uint64))
     return total
 

@@ -2,8 +2,10 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qflab import counting
@@ -19,6 +21,7 @@ from qflab import (
     normalization_exponent,
     split_diagonal,
     state_budget,
+    twisted_complement_diagonal,
 )
 
 
@@ -187,12 +190,137 @@ def test_naive_path_uses_no_mitm_helper(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the naive reference called a MITM helper")
 
-    for name in ("_row_digits", "_sums", "_radix", "_mitm_count"):
+    for name in ("_row_digits", "_sums", "_radix", "_key_class", "_mirror_dot", "_mitm_count"):
         monkeypatch.setattr(counting, name, refuse)
     for s, T, p, t in _literal_jobs()[:10]:
         assert count_solutions(CountJob(s, T, p, t, "naive")) == _literal_count(s, T, p, t)
     with pytest.raises(AssertionError, match="MITM helper"):
         count_solutions(CountJob((1,), SymMat.diag(1), 3, 1))
+
+
+@pytest.mark.parametrize("p, t, n", [(3, 1, 2), (3, 2, 2), (3, 3, 1), (5, 2, 1), (7, 1, 2)])
+def test_row_keys_depend_only_on_key_class(p, t, n):
+    q = p**t
+    units = [w for w in range(1, q) if w % p]
+    classes = {}
+    for r in range(q):
+        for w in units:
+            assert counting._key_class(r * w * w % q, p, q) == counting._key_class(r, p, q)
+        classes.setdefault(counting._key_class(r, p, q), []).append(r)
+    # the class has no finer split: each valuation below t has two unit-part
+    # symbols and 0 stands alone
+    assert len(classes) == 2 * t + 1
+    for members in classes.values():
+        digits, counts = counting._row_digits(members[0], q, n, "int64")
+        for r in members[1:]:
+            other_digits, other_counts = counting._row_digits(r, q, n, "int64")
+            assert (other_digits == digits).all() and (other_counts == counts).all(), r
+
+
+def _literal_mirror_dot(table, tgt, q, k):
+    """sum table[key] * table[tgt - key] over keys, one key and digit at a time."""
+    cells = table.tolist()
+    total = 0
+    for index in range(q**k):
+        rest, partner = index, 0
+        for c, t in enumerate(tgt):
+            rest, d = divmod(rest, q)
+            partner += (t - d) % q * q**c
+        total += cells[index] * cells[partner]
+    return total
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_mirror_dot_matches_literal_sum(q, k):
+    rng = random.Random(q * 10 + k)
+    # cells up to 2^20: products pass 2^32, sums stay below 2^64 as in a count
+    table = np.array([rng.choice((0, 1, rng.randrange(2**20))) for _ in range(q**k)],
+                     dtype=np.uint32)
+    if k == 1:
+        targets = [(0,), (q - 1,), (q // 2,)]
+    else:  # targets with both a 0 and a q - 1 digit, and all 0s or all q - 1s
+        targets = [(0, q - 1) + tuple(rng.randrange(q) for _ in range(k - 2))]
+        if q**k <= 729:
+            targets += [(0,) * k, (q - 1,) * k]
+    for tgt in targets:
+        assert counting._mirror_dot(table, tgt, q, k) == _literal_mirror_dot(table, tgt, q, k)
+
+
+def _pairing_jobs():
+    """(s, T, p, t, paired): sources of (s, s * w^2) pairs, twisted quaternion
+    norm forms, and unpaired sources of even and odd length."""
+    rng = random.Random(29)
+    jobs = []
+    for p in (3, 5):  # 1 and -b share a class only when -1 is a nonsquare
+        jobs += [(twisted_complement_diagonal(p), SymMat.diag(1), p, 1, p == 3),
+                 (twisted_complement_diagonal(p), SymMat.diag(p), p, 1, p == 3)]
+    jobs += [(twisted_complement_diagonal(3), SymMat([[1, 1], [1, 3]]), 3, 1, True),
+             (twisted_complement_diagonal(3), SymMat.diag(9), 3, 2, True)]
+    while len(jobs) < 40:
+        p = rng.choice((3, 5, 7))
+        t = rng.randint(1, 2)
+        q = p**t
+        kind = len(jobs) % 3
+        if kind == 0:
+            s = []
+            for _ in range(rng.randint(1, 2)):
+                x = rng.choice((1, -1, 2, p, -2 * p, p * p, q))
+                w = rng.choice([u for u in range(2, 3 * p) if u % p])
+                s += [x, x * w * w]
+            rng.shuffle(s)
+        else:  # a unit square and a nonsquare never share a class
+            s = [rng.choice((1, 4)), 1, p, least_nonsquare(p)]
+            if kind == 2:
+                s.pop(rng.randrange(4))
+            rng.shuffle(s)
+        m = len(s)
+        n = rng.randint(1, min(m, 2))
+        if q ** (m * n) > 6561:
+            continue
+        zero = len(jobs) % 4 == 0  # every fourth target is 0 mod q
+        entries = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                v = rng.choice((0, q)) if zero else rng.randint(-6, 6)
+                entries[i][j] = entries[j][i] = v
+        jobs.append((tuple(s), SymMat(entries), p, t, kind == 0))
+    return jobs
+
+
+def test_paired_sources_match_literal_enumerator(monkeypatch):
+    mirrored = []
+    real = counting._mirror_dot
+
+    def spy(*args):
+        mirrored.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(counting, "_mirror_dot", spy)
+    jobs = _pairing_jobs()
+    for s, T, p, t, paired in jobs:
+        before = len(mirrored)
+        assert count_solutions(CountJob(s, T, p, t)) == _literal_count(s, T, p, t), (s, T, p, t)
+        assert len(mirrored) - before == paired, (s, p, t)
+    assert 10 < len(mirrored) < len(jobs)
+
+
+def test_paired_source_fills_one_table_and_streams_nothing(monkeypatch):
+    calls = []
+    real = counting._sums
+
+    def spy(start, rows, q):
+        if sys._getframe(1).f_code.co_name == "_mitm_count":  # not _sums' own recursion
+            calls.append(len(rows))
+        return real(start, rows, q)
+
+    monkeypatch.setattr(counting, "_sums", spy)
+    T = SymMat([[1, 1], [1, 2]])
+    count_solutions(CountJob(split_diagonal(4), T, 3, 2))
+    assert calls == [2]
+    calls.clear()
+    count_solutions(CountJob((1, 1, 1, -1), T, 3, 2))
+    assert calls == [2, 2]
 
 
 def test_job_validation():
