@@ -10,18 +10,26 @@ shares no row keys, multiplicities, tables or helpers with the MITM engine,
 so it stays an independent reference for it. Row i of x adds
 s_i * x_i x_i^T to the left side, so each half of the rows is a weighted
 set of keys in Sym_n(Z/q), written as k = n(n+1)/2 radix-q digits. A row's
-keys depend only on the class of s_i mod q up to unit squares. When the
-rows pair up by class, as for split_diagonal(4) and the ramified quaternion
-norm form at p = 3 mod 4, both halves have one count table A and the count
-is the sum of A[key] * A[T - key]; otherwise one half is streamed against
-the other's table. The state budget bounds the larger half's
-q^(n*ceil(m/2)) states and the q^k table cells.
+keys depend only on the class of s_i mod q up to unit squares, and negating
+s_i negates them. Two rows of one class in one half are enumerated as
+unordered pairs of their keys, and the split of the rows into a table half
+and another half is chosen from the class counts to enumerate the fewest
+key combinations. When the other half has the table half's classes
+(split_diagonal(4) at p = 1 mod 4) or their negations (at p = 3 mod 4), one
+count table A serves both halves and the count is the sum of
+A[key] * A[T - key] or of A[key] * A[key - T], unless streaming the other
+half costs less than reading the table; otherwise the other half is
+streamed against the table. Keys are packed into int64 so that a key
+combination is one addition and its table index a few lookups. The state
+budget bounds the larger half's q^(n*ceil(m/2)) states and the q^k table
+cells.
 This module is the independent auditor for every closed form in the
 package; it must never call into the closed-form code.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass
@@ -34,8 +42,18 @@ from .quadform import SymMat, frac_str, jordan_diagonalize
 
 DEFAULT_STATE_BUDGET = 2**29
 
-# keys or naive matrices per block; larger blocks raise peak memory, not speed
+# keys or naive matrices per block; larger blocks raise peak memory, smaller
+# ones per-block overhead (2^15 makes the MITM engine about 15% slower)
 _CHUNK = 2**16
+
+# entries of one digit-group lookup table of the MITM engine (int64): small
+# enough to stay in cache; 2^12 to 2^17 time alike, more groups making up
+# for fewer misses
+_LOOKUP_CELLS = 2**14
+
+# table cells the mirrored MITM product reads in the time the streamed pass
+# takes per key combination (about 5 ns and 30 ns on a 2-core x86 VM)
+_CELLS_PER_KEY = 6
 
 
 def state_budget() -> int:
@@ -167,30 +185,15 @@ def _naive_count(job: CountJob) -> int:
 
 def _row_digits(s_res: int, q: int, n: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     """Distinct keys of s * v v^T mod q over v in (Z/q)^n, as digit columns,
-    with the number of vectors v giving each key (v and -v always agree)."""
+    with the number of vectors v giving each key (v and -v always agree).
+    A count is at most q^n <= budget <= 2^31, so the counts are uint32."""
     vecs = np.indices((q,) * n).reshape(n, -1).astype(np.int64)
     rows = np.stack([s_res * vecs[i] % q * vecs[j] % q for (i, j) in _pairs(n)])
     keys, counts = np.unique(_radix(rows, q), return_counts=True)
     digits = np.empty((len(rows), len(keys)), dtype=dtype)
     for c in range(len(rows)):
         keys, digits[c] = np.divmod(keys, q)
-    return digits, counts.astype(np.uint64)
-
-
-def _sums(start: np.ndarray, rows: list[tuple[np.ndarray, np.ndarray]], q: int):
-    """Yield (block, weights) over all choices of one key per row: block holds
-    start + the chosen keys mod q as digit columns, in blocks of about _CHUNK
-    columns (or one row's worth), and weights the product of their counts."""
-    if not rows:
-        yield start, np.ones(start.shape[1], dtype=np.uint64)
-        return
-    last, last_w = rows[-1]
-    step = max(1, _CHUNK // last.shape[1])
-    for prefix, prefix_w in _sums(start, rows[:-1], q):
-        for lo in range(0, prefix.shape[1], step):
-            block = (prefix[:, lo:lo + step, None] + last[:, None, :]) % q
-            weights = prefix_w[lo:lo + step, None] * last_w
-            yield block.reshape(len(last), -1), weights.reshape(-1)
+    return digits, counts.astype(np.uint32)
 
 
 def _radix(block: np.ndarray, q: int) -> np.ndarray:
@@ -219,19 +222,126 @@ def _key_class(r: int, p: int, q: int) -> tuple[int, int]:
     return (v, pow(r, (p - 1) // 2, p))
 
 
-def _mirror_dot(table: np.ndarray, tgt: tuple[int, ...], q: int, k: int) -> int:
-    """Sum of table[key] * table[tgt - key] over all keys, digitwise mod q.
+@functools.lru_cache(maxsize=32)
+def _digit_lookup(q: int, k: int, base: int):
+    """How to pack k-digit keys whose sums stay below base in every digit.
 
-    On each axis digit d pairs with t - d when d <= t and with q + t - d
-    when d > t. Both runs are a slice against a reversed slice, so the sum is
-    at most 2^k products of views and allocates nothing of the table's size.
+    Digit c of a key goes to group c // g at place base^(c % g), and group i
+    starts at bit width * i; g is the most digits with base^g <= _LOOKUP_CELLS
+    and width is the bit length of base^g - 1. No digit of a sum reaches
+    base, so nothing carries, within a group or out of it. Returns (places,
+    width, g, lookup), where lookup maps the value of a group to the radix-q
+    value of its digits mod q. For k = 1 there is no lookup: the packed sum
+    mod q is the index.
+    """
+    g = 1
+    while g < k and base ** (g + 1) <= _LOOKUP_CELLS:
+        g += 1
+    width = (base**g - 1).bit_length()
+    places = np.array([base ** (c % g) << width * (c // g) for c in range(k)], dtype=np.int64)
+    if k == 1:
+        return places, width, g, None
+    rest = np.arange(base**g, dtype=np.int64)
+    lookup = np.zeros(base**g, dtype=np.int64)
+    digit = np.empty_like(rest)
+    for c in range(g):
+        np.divmod(rest, base, out=(rest, digit))
+        digit %= q
+        digit *= q**c
+        lookup += digit
+    return places, width, g, lookup
+
+
+def _table_index(sums: np.ndarray, q: int, k: int, base: int) -> np.ndarray:
+    """Radix-q table index of each packed sum's digits mod q: one gather
+    per digit group (_digit_lookup)."""
+    _, width, g, lookup = _digit_lookup(q, k, base)
+    if lookup is None:
+        return sums % q
+    mask = (1 << width) - 1
+    group = np.bitwise_and(sums, mask)
+    idx = lookup.take(group)
+    part = np.empty_like(idx)
+    for i in range(1, -(-k // g)):
+        np.right_shift(sums, width * i, out=group)
+        group &= mask
+        lookup.take(group, out=part, mode="clip")  # "clip" writes out unbuffered
+        part *= q ** (g * i)
+        idx += part
+    return idx
+
+
+@functools.lru_cache(maxsize=8)
+def _triangle(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index pairs i <= j below r, and 2 where i < j and 1 where i = j."""
+    i, j = np.triu_indices(r)
+    return i, j, np.where(i < j, 2, 1).astype(np.uint32)
+
+
+def _pair_sums(keys: np.ndarray, weights: np.ndarray, start: int = 0):
+    """Yield (sums, weights) over the unordered pairs i <= j of one row's
+    packed keys, for two rows of one class, with start added to each sum:
+    for each block of about _CHUNK // d rows i, the triangle of j inside the
+    block, then the rectangle of j past it. The pair i < j weighs 2 w_i w_j
+    and i = j weighs w_i^2, the number of ordered vector pairs that give the
+    two keys."""
+    d = len(keys)
+    step = max(1, _CHUNK // d)
+    for lo in range(0, d, step):
+        hi = min(lo + step, d)
+        i, j, twice = _triangle(hi - lo)
+        sums = keys[lo:][i] + keys[lo:][j]
+        sums += start
+        yield sums, weights[lo:][i] * weights[lo:][j] * twice
+        if hi < d:
+            sums = (keys[lo:hi, None] + keys[hi:]).reshape(-1)
+            sums += start
+            yield sums, (2 * weights[lo:hi, None] * weights[hi:]).reshape(-1)
+
+
+def _sums(start: int, factors: list):
+    """Yield (sums, weights) over all choices of one element per factor.
+
+    A factor (keys, weights, pair) is one row's packed keys or, with pair
+    set, the unordered pairs of them for two rows of one class (_pair_sums).
+    sums holds start plus the chosen keys, in blocks of about _CHUNK (or one
+    factor block's worth), and weights the product of their weights.
+    """
+    if not factors:
+        yield np.array([start], dtype=np.int64), np.ones(1, dtype=np.uint32)
+        return
+    keys, weights, pair = factors[-1]
+    if len(factors) == 1:  # no prefix: start goes straight into the factor's sums
+        yield from _pair_sums(keys, weights, start) if pair else [(keys + start, weights)]
+        return
+    for prefix, prefix_w in _sums(start, factors[:-1]):
+        for last, last_w in _pair_sums(keys, weights) if pair else [(keys, weights)]:
+            step = max(1, _CHUNK // len(last))
+            for lo in range(0, len(prefix), step):
+                block = prefix[lo:lo + step, None] + last
+                block_w = prefix_w[lo:lo + step, None] * last_w
+                yield block.reshape(-1), block_w.reshape(-1)
+
+
+def _mirror_dot(table: np.ndarray, tgt: tuple[int, ...], q: int, k: int, sign: int = 1) -> int:
+    """Sum of table[key] * table[sign * (tgt - key)] over all keys, digitwise
+    mod q.
+
+    On each axis, for sign 1 digit d pairs with t - d when d <= t and with
+    q + t - d when d > t, a slice against a reversed slice; for sign -1 it
+    pairs with d - t when d >= t and with q + d - t when d < t, a slice
+    against a shifted slice. So the sum is at most 2^k products of views
+    and allocates nothing of the table's size.
     """
     cube = table.reshape((q,) * k)
     runs = []
     for t in reversed(tgt):  # axis 0 is the last, most significant digit
-        low = (slice(0, t + 1), slice(t, None, -1))
-        high = (slice(t + 1, q), slice(q - 1, t, -1))
-        runs.append([low, high] if t < q - 1 else [low])
+        if sign == 1:
+            run = [(slice(0, t + 1), slice(t, None, -1)), (slice(t + 1, q), slice(q - 1, t, -1))]
+            runs.append(run if t < q - 1 else run[:1])
+        else:
+            run = [(slice(t, q), slice(0, q - t)), (slice(0, t), slice(q - t, q))]
+            runs.append(run if t > 0 else run[:1])
     axes = "abcdefghijklmnopqrstuvwxyz"[:k]
     total = 0
     for choice in itertools.product(*runs):
@@ -241,52 +351,125 @@ def _mirror_dot(table: np.ndarray, tgt: tuple[int, ...], q: int, k: int) -> int:
     return total
 
 
+def _split(classes: list, size: dict, neg: dict, cells: int) -> tuple[tuple, tuple, int]:
+    """Choose the rows that fill the table, as (table, other, sign).
+
+    A split is fixed by how many rows of each class go to the table half;
+    each half has floor(m/2) or ceil(m/2) rows. Its work is the number of
+    key combinations it enumerates: a row of d distinct keys (size) costs d
+    and a same-class pair d(d + 1)/2. When the other half has the table
+    half's classes, or their negations (neg), the table also serves the
+    other half, and the mirrored product over its cells costs
+    cells / _CELLS_PER_KEY; sign is then 1 or -1 if that is cheaper than
+    streaming the other half. Otherwise sign is 0 and the other half is
+    streamed at its own cost. The least work wins, then the cheaper table.
+    """
+    m, kinds = len(classes), sorted(set(classes))
+    have = [classes.count(c) for c in kinds]
+    single = [size[c] for c in kinds]
+    pair = [d * (d + 1) // 2 for d in single]
+
+    def cost(counts):
+        out = 1
+        for a, d, dd in zip(counts, single, pair):
+            out *= dd ** (a // 2) * d ** (a % 2)
+        return out
+
+    dot = cells // _CELLS_PER_KEY
+    best = None
+    for counts in itertools.product(*(range(a + 1) for a in have)):
+        if sum(counts) not in (m // 2, (m + 1) // 2):
+            continue
+        rest = tuple(a - b for a, b in zip(have, counts))
+        negated = {neg[c]: a for c, a in zip(kinds, counts) if a}
+        other = {c: a for c, a in zip(kinds, rest) if a}
+        sign = 1 if rest == counts else -1 if negated == other else 0
+        table_cost, other_cost = cost(counts), cost(rest)
+        if sign and other_cost <= dot:
+            sign = 0
+        rank = (table_cost + (dot if sign else other_cost), table_cost)
+        if best is None or rank < best[0]:
+            best = rank, counts, rest, sign
+    _, counts, rest, sign = best
+    return (tuple(c for c, a in zip(kinds, counts) for _ in range(a)),
+            tuple(c for c, a in zip(kinds, rest) for _ in range(a)), sign)
+
+
 def _mitm_count(job: CountJob) -> int:
     """Array meet-in-the-middle over each row's distinct keys, in radix q.
 
     Each row contributes its distinct keys with their multiplicities, so
     every combination of keys is weighted by the product of its rows'
-    counts; rows of one key class (_key_class) share one enumeration. A
-    table half fills a q^k count table (k = n(n+1)/2) with np.add.at, so no
-    q^k-sized scratch is allocated; an empty table half is one count at
-    key 0. When m is even and the rows sorted by class pair up, one row of
-    each pair fills the table A, the other rows have the same table, and
-    the count is the sum of A[key] * A[T - key] (_mirror_dot). Otherwise
-    the first h = ceil(m/2) rows are streamed against a table of the other
-    m - h rows: streamed rows carry the negated source entries and start at
-    the target's digits, so each streamed block is the key it needs.
-    Either table half has at most h rows, so no cell counts more than the
-    q^(nh) <= budget <= 2^31 states and uint32 holds it. Every partial sum
-    of table cells times weights, streamed or mirrored, is at most the
-    job's count q^(mn) <= budget^2, which fits uint64 for budgets up to
-    2^32 (2^58 at the default).
+    counts. Rows of one key class (_key_class) have the same keys, and a
+    class's negation has the negated keys, so there is one _row_digits
+    enumeration per class and its negation. Two rows of one class in one
+    half are enumerated as unordered pairs of their keys (_pair_sums).
+    _split picks the table half, which fills a q^k count table A
+    (k = n(n+1)/2) with np.add.at, so no q^k-sized scratch is allocated. When
+    the other half has the same classes its table is A and the count is the
+    sum of A[key] * A[T - key]; when it has the negated classes its table is
+    A[-key] and the count is the sum of A[key] * A[key - T] (_mirror_dot).
+    Otherwise, or when that costs more than streaming the other half, the
+    other half is streamed: its rows carry the negated keys and start at the
+    target's digits, so each streamed sum is the key it needs. Keys are
+    packed (_digit_lookup) so that a combination is one int64 sum and its
+    table index one gather per digit group; for every shape a 2^31 budget
+    admits, a packed sum has at most 49 bits.
+
+    Each half has at most h = ceil(m/2) rows, so no cell or combination
+    weight counts more than the q^(nh) <= budget <= 2^31 ordered vector
+    tuples of its half and uint32 holds both; the weight 2 w_i w_j of an
+    unordered pair counts ordered vector pairs and is at most q^(2n) <=
+    q^(nh). Every partial sum of table cells times weights, streamed or
+    from one table with either sign, counts distinct solutions, so it is at
+    most the job's count q^(mn) <= budget^2, which fits uint64 for budgets
+    up to 2^32 (2^58 at the default).
     """
-    p, q, n, h = job.p, job.modulus, job.n, _stream_rows(job)
+    p, q, n = job.p, job.modulus, job.n
     k = n * (n + 1) // 2
-    dtype = np.min_scalar_type(2 * q)  # a sum of two digits must fit
+    dtype = np.min_scalar_type(q)
     res = [_residue(s, q) for s in job.s_diag]
-    by_class = sorted(res, key=lambda r: _key_class(r, p, q))
-    classes = [_key_class(r, p, q) for r in by_class]
-    paired = job.m % 2 == 0 and classes[::2] == classes[1::2]
-    if paired:
-        stream_res, table_res = [], by_class[::2]
-    else:
-        stream_res, table_res = [-r % q for r in res[:h]], res[h:]
-    reps = {_key_class(r, p, q): r for r in stream_res + table_res}
-    keys = {c: _row_digits(r, q, n, dtype) for c, r in reps.items()}
+    classes = [_key_class(r, p, q) for r in res]
+    rep = dict(zip(classes, res))
+    neg = {c: _key_class(-r % q, p, q) for c, r in rep.items()}
+    keys = {}
+    for c, r in rep.items():
+        if neg[c] in keys:
+            digits, counts = keys[neg[c]]
+            keys[c] = (q - digits) % q, counts
+        else:
+            keys[c] = _row_digits(r, q, n, dtype)
+    sizes = {c: len(w) for c, (_, w) in keys.items()}
+    table_half, other, sign = _split(classes, sizes, neg, q**k)
+
+    def factors(half, base, negate):
+        places, out = _digit_lookup(q, k, base)[0], []
+        for c in sorted(set(half)):
+            digits, counts = keys[c]
+            packed = places @ ((q - digits) % q if negate else digits)
+            a = half.count(c)
+            out += [(packed, counts, True)] * (a // 2) + [(packed, counts, False)] * (a % 2)
+        return out
+
+    # a base is 1 + the most a digit of a sum can reach; both halves' lookups
+    # are built before the table is filled, so their scratch is freed by then
     tgt = _target_digits(job.T, q)
+    base = max(len(table_half), 1) * (q - 1) + 1
+    filling = factors(table_half, base, False)
+    if not sign:
+        other_base = (len(other) + 1) * (q - 1) + 1
+        streamed = factors(other, other_base, True)
+        start = sum(int(place) * t for place, t in zip(_digit_lookup(q, k, other_base)[0], tgt))
 
     table = np.zeros(q**k, dtype=np.uint32)
-    zero = np.zeros((k, 1), dtype=dtype)
-    for block, weights in _sums(zero, [keys[_key_class(r, p, q)] for r in table_res], q):
-        np.add.at(table, _radix(block, q), weights.astype(np.uint32))
-    if paired:
-        return _mirror_dot(table, tgt, q, k)
-
+    for sums, weights in _sums(0, filling):
+        np.add.at(table, _table_index(sums, q, k, base), weights)
+    if sign:
+        return _mirror_dot(table, tgt, q, k, sign)
     total = 0
-    start = np.array(tgt, dtype=dtype).reshape(k, 1)
-    for block, weights in _sums(start, [keys[_key_class(r, p, q)] for r in stream_res], q):
-        total += int((table[_radix(block, q)] * weights).sum(dtype=np.uint64))
+    for sums, weights in _sums(start, streamed):
+        cells = table.take(_table_index(sums, q, k, other_base))
+        total += int(np.einsum("i,i->", cells, weights, dtype=np.uint64))
     return total
 
 

@@ -174,6 +174,8 @@ _CHUNK_JOBS = [
     ((1, -1, 3), SymMat.diag(1), 3, 2),
     ((1, 2), SymMat([[1, 1], [1, 2]]), 5, 1),
     ((3, 1, -1), SymMat.diag(2, 0), 3, 1),
+    ((1, 4, 1, 1), SymMat.diag(2), 5, 1),  # equal halves: a same-class pair fills the table
+    ((1, -1, 2, -2), SymMat.diag(3), 3, 2),  # negated halves, a same-class pair in the table
 ]
 
 
@@ -190,7 +192,8 @@ def test_naive_path_uses_no_mitm_helper(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the naive reference called a MITM helper")
 
-    for name in ("_row_digits", "_sums", "_radix", "_key_class", "_mirror_dot", "_mitm_count"):
+    for name in ("_row_digits", "_sums", "_pair_sums", "_triangle", "_radix", "_key_class",
+                 "_digit_lookup", "_table_index", "_split", "_mirror_dot", "_mitm_count"):
         monkeypatch.setattr(counting, name, refuse)
     for s, T, p, t in _literal_jobs()[:10]:
         assert count_solutions(CountJob(s, T, p, t, "naive")) == _literal_count(s, T, p, t)
@@ -217,15 +220,16 @@ def test_row_keys_depend_only_on_key_class(p, t, n):
             assert (other_digits == digits).all() and (other_counts == counts).all(), r
 
 
-def _literal_mirror_dot(table, tgt, q, k):
-    """sum table[key] * table[tgt - key] over keys, one key and digit at a time."""
+def _literal_mirror_dot(table, tgt, q, k, sign):
+    """sum table[key] * table[sign * (tgt - key)] over keys, one key and digit
+    at a time."""
     cells = table.tolist()
     total = 0
     for index in range(q**k):
         rest, partner = index, 0
         for c, t in enumerate(tgt):
             rest, d = divmod(rest, q)
-            partner += (t - d) % q * q**c
+            partner += sign * (t - d) % q * q**c
         total += cells[index] * cells[partner]
     return total
 
@@ -243,8 +247,29 @@ def test_mirror_dot_matches_literal_sum(q, k):
         targets = [(0, q - 1) + tuple(rng.randrange(q) for _ in range(k - 2))]
         if q**k <= 729:
             targets += [(0,) * k, (q - 1,) * k]
-    for tgt in targets:
-        assert counting._mirror_dot(table, tgt, q, k) == _literal_mirror_dot(table, tgt, q, k)
+    for tgt, sign in itertools.product(targets, (1, -1)):  # tgt - key, key - tgt
+        want = _literal_mirror_dot(table, tgt, q, k, sign)
+        assert counting._mirror_dot(table, tgt, q, k, sign) == want, (tgt, sign)
+
+
+def test_packed_sums_fit_int64():
+    # q = p^t for the small primes and the largest prime a rank-2 table
+    # admits, every rank n >= 2 and half of h rows a 2^31 budget admits, and
+    # the streamed half's extra target summand; the widest sum is at q = 3
+    widest = 0
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 1289):
+        for t in range(1, 20):
+            q = p**t
+            for n in range(2, 6):
+                k = n * (n + 1) // 2
+                h = 1
+                while max(q**k, q ** (n * h)) <= 2**31:
+                    base = (h + 1) * (q - 1) + 1
+                    places, width, g, lookup = counting._digit_lookup(q, k, base)
+                    assert len(lookup) <= counting._LOOKUP_CELLS
+                    widest = max(widest, int(sum(int(c) * (base - 1) for c in places)).bit_length())
+                    h += 1
+    assert widest == 49
 
 
 def _pairing_jobs():
@@ -288,39 +313,139 @@ def _pairing_jobs():
     return jobs
 
 
+def _one_table_signs(s, p, t):
+    """Signs of the one-table products open to a source: 1 when its rows
+    split into two halves of one class multiset, -1 when into halves whose
+    classes are each other's negations."""
+    q, m = p**t, len(s)
+    res = [int(x) % q for x in s]
+    classes = [counting._key_class(r, p, q) for r in res]
+    negated = [counting._key_class(-r % q, p, q) for r in res]
+    signs = set()
+    if m % 2:  # halves of unequal size share no table
+        return signs
+    for half in itertools.combinations(range(m), m // 2):
+        other = [r for r in range(m) if r not in half]
+        if sorted(classes[r] for r in half) == sorted(classes[r] for r in other):
+            signs.add(1)
+        if sorted(negated[r] for r in half) == sorted(classes[r] for r in other):
+            signs.add(-1)
+    return signs
+
+
 def test_paired_sources_match_literal_enumerator(monkeypatch):
     mirrored = []
     real = counting._mirror_dot
 
-    def spy(*args):
-        mirrored.append(args)
-        return real(*args)
+    def spy(table, tgt, q, k, sign=1):
+        mirrored.append(sign)
+        return real(table, tgt, q, k, sign)
 
     monkeypatch.setattr(counting, "_mirror_dot", spy)
     jobs = _pairing_jobs()
-    for s, T, p, t, paired in jobs:
-        before = len(mirrored)
-        assert count_solutions(CountJob(s, T, p, t)) == _literal_count(s, T, p, t), (s, T, p, t)
-        assert len(mirrored) - before == paired, (s, p, t)
-    assert 10 < len(mirrored) < len(jobs)
+    wants = [_literal_count(s, T, p, t) for s, T, p, t, _ in jobs]
+    priced = counting._CELLS_PER_KEY
+    # first as priced, then with a free mirrored product, which then runs
+    # wherever the halves allow it
+    for dot_free in (False, True):
+        monkeypatch.setattr(counting, "_CELLS_PER_KEY", 10**12 if dot_free else priced)
+        mirrored.clear()
+        for (s, T, p, t, paired), want in zip(jobs, wants):
+            before = len(mirrored)
+            assert count_solutions(CountJob(s, T, p, t)) == want, (s, T, p, t)
+            signs = _one_table_signs(s, p, t)
+            assert paired <= bool(signs)  # a source of (s, s w^2) pairs has equal halves
+            assert set(mirrored[before:]) <= signs and len(mirrored) - before <= 1, (s, p, t)
+            if dot_free:
+                assert len(mirrored) - before == bool(signs), (s, p, t)
+    assert 10 < len(mirrored) < len(jobs) and set(mirrored) == {1, -1}
 
 
 def test_paired_source_fills_one_table_and_streams_nothing(monkeypatch):
-    calls = []
-    real = counting._sums
+    calls, mirrored = [], []
+    real_sums, real_dot = counting._sums, counting._mirror_dot
 
-    def spy(start, rows, q):
+    def spy(start, factors):
         if sys._getframe(1).f_code.co_name == "_mitm_count":  # not _sums' own recursion
-            calls.append(len(rows))
-        return real(start, rows, q)
+            calls.append(tuple(1 + pair for _, _, pair in factors))
+        return real_sums(start, factors)
+
+    def dot_spy(table, tgt, q, k, sign=1):
+        mirrored.append(sign)
+        return real_dot(table, tgt, q, k, sign)
 
     monkeypatch.setattr(counting, "_sums", spy)
+    monkeypatch.setattr(counting, "_mirror_dot", dot_spy)
     T = SymMat([[1, 1], [1, 2]])
-    count_solutions(CountJob(split_diagonal(4), T, 3, 2))
-    assert calls == [2]
+    # rows per factor of each enumerated half: (2,) is one same-class pair
+    count_solutions(CountJob(split_diagonal(4), T, 3, 2))  # classes 1, 1, -1, -1 at p = 3
+    assert calls == [(2,)] and mirrored == [-1]
     calls.clear()
+    mirrored.clear()
+    count_solutions(CountJob(split_diagonal(4), T, 5, 1))  # one class at p = 5
+    assert calls == [(2,)] and mirrored == [1]
+    calls.clear()
+    mirrored.clear()
     count_solutions(CountJob((1, 1, 1, -1), T, 3, 2))
-    assert calls == [2, 2]
+    assert calls == [(2,), (1, 1)] and mirrored == []
+
+
+def _dispatch_jobs():
+    """Random jobs for every MITM dispatch: equal, negated and streamed
+    halves, odd m, same-class pairs in either half, p | s_i and T = 0 mod q."""
+    rng = random.Random(41)
+    jobs = []
+    while len(jobs) < 90:
+        p = rng.choice((3, 5, 7))
+        t = rng.randint(1, 3)
+        q = p**t
+        m = rng.randint(2, 6)
+        n = rng.randint(1, min(m, 2))
+        if q ** (m * n) > 200_000:
+            continue
+        pool = (1, -1, 2, -2, p, -p, 2 * p, p * p, q, least_nonsquare(p))
+        half = [rng.choice(pool) for _ in range(m // 2)]
+        kind = len(jobs) % 3  # equal, negated or unrelated halves
+        w = rng.choice([u * u for u in range(1, 3 * p) if u % p])
+        other = [x * w for x in half] if kind == 0 else [-x * w for x in half] if kind == 1 else \
+            [rng.choice(pool) for _ in half]
+        s = half + other + [rng.choice(pool) for _ in range(m % 2)]
+        rng.shuffle(s)
+        entries = [[0] * n for _ in range(n)]
+        zero = len(jobs) % 5 == 0  # every fifth target is 0 mod q
+        for i in range(n):
+            for j in range(i + 1):
+                entries[i][j] = entries[j][i] = rng.choice((0, q)) if zero else rng.randint(-9, 9)
+        jobs.append((tuple(s), SymMat(entries), p, t))
+    return jobs
+
+
+def test_dispatch_modes_match_naive(monkeypatch):
+    seen = set()
+    real = counting._split
+
+    def spy(classes, size, neg, cells):
+        table, other, sign = real(classes, size, neg, cells)
+        m = len(classes)  # neither half passes ceil(m/2) rows, as the budget and uint32 need
+        assert sorted(table + other) == sorted(classes) and len(table) in (m // 2, (m + 1) // 2)
+        seen.add(("sign", sign))
+        seen.add(("odd m", len(classes) % 2 == 1))
+        seen.add(("pair streamed", not sign and len(set(other)) < len(other)))
+        seen.add(("pair in table", len(set(table)) < len(table)))
+        return table, other, sign
+
+    monkeypatch.setattr(counting, "_split", spy)
+    for s, T, p, t in _dispatch_jobs():
+        naive = count_solutions(CountJob(s, T, p, t, "naive"))
+        assert count_solutions(CountJob(s, T, p, t)) == naive, (s, T, p, t)
+        seen.add(("p | s", any(x % p == 0 for x in s)))
+        seen.add(("T = 0", all(T[i, j] % p**t == 0 for i in range(T.n) for j in range(T.n))))
+    assert {("sign", 1), ("sign", -1), ("sign", 0), ("odd m", True), ("pair streamed", True),
+            ("pair in table", True), ("p | s", True), ("T = 0", True)} <= seen
+    # a count above 2^32 through the negated product: 448/243 * 3^20 at t = 4
+    seen.clear()
+    raw = count_solutions(CountJob(split_diagonal(4), SymMat.diag(3, 9), 3, 4))
+    assert raw == 448 * 3**15 > 2**32 and ("sign", -1) in seen
 
 
 def test_job_validation():
