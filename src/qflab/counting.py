@@ -20,15 +20,22 @@ count table A serves both halves and the count is the sum of
 A[key] * A[T - key] or of A[key] * A[key - T], unless streaming the other
 half costs less than reading the table; otherwise the other half is
 streamed against the table. Keys are packed into int64 so that a key
-combination is one addition and its table index a few lookups. The state
-budget bounds the larger half's q^(n*ceil(m/2)) states and the q^k table
-cells.
+combination is one addition and its table index a few lookups. A filled
+table depends only on q, n and its half's class multiset, and a class's row
+keys only on the class, q and n, so both are kept read-only for later
+counts in the process under those keys; a count whose table is kept does
+only its target-dependent pass. The state budget bounds the larger half's
+q^(n*ceil(m/2)) states and the q^k table cells of a count, and the cells
+kept resident: before a new table is filled, the least recently used
+tables and keys are dropped until the resident cells and the new q^k fit
+it.
 This module is the independent auditor for every closed form in the
 package; it must never call into the closed-form code.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import os
@@ -395,6 +402,66 @@ def _split(classes: list, size: dict, neg: dict, cells: int) -> tuple[tuple, tup
             tuple(c for c, a in zip(kinds, rest) for _ in range(a)), sign)
 
 
+class _Resident:
+    """Filled count tables and row keys kept for later counts in this
+    process, read-only, least recently used first. Every element of a kept
+    array is one resident cell, and the resident cells stay within the
+    state budget."""
+
+    def __init__(self):
+        self.entries = collections.OrderedDict()
+        self.cells = 0
+
+    def clear(self):
+        self.entries.clear()
+        self.cells = 0
+
+    def recall(self, key):
+        """The arrays kept under key, now the most recently used, or None."""
+        arrays = self.entries.get(key)
+        if arrays is not None:
+            self.entries.move_to_end(key)
+        return arrays
+
+    def make_room(self, cells: int) -> bool:
+        """Evict least recently used entries until cells more fit the budget
+        beside the resident ones; False if cells alone exceed it."""
+        budget = state_budget()
+        if cells > budget:
+            return False
+        while self.cells + cells > budget:
+            _, arrays = self.entries.popitem(last=False)
+            self.cells -= sum(a.size for a in arrays)
+        return True
+
+    def remember(self, key, *arrays):
+        """Keep arrays under key, read-only, if they fit the budget."""
+        cells = sum(a.size for a in arrays)
+        if self.make_room(cells):
+            for a in arrays:
+                a.flags.writeable = False
+            self.entries[key] = arrays
+            self.cells += cells
+        return arrays
+
+
+_RESIDENT = _Resident()
+
+
+def _class_keys(c, r: int, neg, q: int, n: int):
+    """_row_digits of the residue r of class c, cached by (class, q, n); the
+    keys of the negated class neg, when cached, give them by negation."""
+    key = ("keys", c, q, n)
+    kept = _RESIDENT.recall(key)
+    if kept is not None:
+        return kept
+    negated = _RESIDENT.recall(("keys", neg, q, n))
+    if negated is not None:
+        digits, counts = negated
+        return _RESIDENT.remember(key, (q - digits) % q, counts)
+    return _RESIDENT.remember(key, *_row_digits(r, q, n, np.min_scalar_type(q)))
+
+
 def _mitm_count(job: CountJob) -> int:
     """Array meet-in-the-middle over each row's distinct keys, in radix q.
 
@@ -402,10 +469,12 @@ def _mitm_count(job: CountJob) -> int:
     every combination of keys is weighted by the product of its rows'
     counts. Rows of one key class (_key_class) have the same keys, and a
     class's negation has the negated keys, so there is one _row_digits
-    enumeration per class and its negation. Two rows of one class in one
-    half are enumerated as unordered pairs of their keys (_pair_sums).
-    _split picks the table half, which fills a q^k count table A
-    (k = n(n+1)/2) with np.add.at, so no q^k-sized scratch is allocated. When
+    enumeration per class and its negation (_class_keys). Two rows of one
+    class in one half are enumerated as unordered pairs of their keys
+    (_pair_sums). _split picks the table half, which fills a q^k count
+    table A (k = n(n+1)/2) with np.add.at, so no q^k-sized scratch is
+    allocated; A is kept (_RESIDENT) for later counts with the same q, n
+    and table-half classes, which only read it. When
     the other half has the same classes its table is A and the count is the
     sum of A[key] * A[T - key]; when it has the negated classes its table is
     A[-key] and the count is the sum of A[key] * A[key - T] (_mirror_dot).
@@ -427,18 +496,11 @@ def _mitm_count(job: CountJob) -> int:
     """
     p, q, n = job.p, job.modulus, job.n
     k = n * (n + 1) // 2
-    dtype = np.min_scalar_type(q)
     res = [_residue(s, q) for s in job.s_diag]
     classes = [_key_class(r, p, q) for r in res]
     rep = dict(zip(classes, res))
     neg = {c: _key_class(-r % q, p, q) for c, r in rep.items()}
-    keys = {}
-    for c, r in rep.items():
-        if neg[c] in keys:
-            digits, counts = keys[neg[c]]
-            keys[c] = (q - digits) % q, counts
-        else:
-            keys[c] = _row_digits(r, q, n, dtype)
+    keys = {c: _class_keys(c, r, neg[c], q, n) for c, r in rep.items()}
     sizes = {c: len(w) for c, (_, w) in keys.items()}
     table_half, other, sign = _split(classes, sizes, neg, q**k)
 
@@ -452,18 +514,24 @@ def _mitm_count(job: CountJob) -> int:
         return out
 
     # a base is 1 + the most a digit of a sum can reach; both halves' lookups
-    # are built before the table is filled, so their scratch is freed by then
+    # are built before a table is filled, so their scratch is freed by then
     tgt = _target_digits(job.T, q)
-    base = max(len(table_half), 1) * (q - 1) + 1
-    filling = factors(table_half, base, False)
     if not sign:
         other_base = (len(other) + 1) * (q - 1) + 1
         streamed = factors(other, other_base, True)
         start = sum(int(place) * t for place, t in zip(_digit_lookup(q, k, other_base)[0], tgt))
 
-    table = np.zeros(q**k, dtype=np.uint32)
-    for sums, weights in _sums(0, filling):
-        np.add.at(table, _table_index(sums, q, k, base), weights)
+    key = ("table", q, n, table_half)
+    kept = _RESIDENT.recall(key)
+    if kept is None:
+        base = max(len(table_half), 1) * (q - 1) + 1
+        filling = factors(table_half, base, False)
+        _RESIDENT.make_room(q**k)
+        table = np.zeros(q**k, dtype=np.uint32)
+        for sums, weights in _sums(0, filling):
+            np.add.at(table, _table_index(sums, q, k, base), weights)
+        kept = _RESIDENT.remember(key, table)
+    (table,) = kept
     if sign:
         return _mirror_dot(table, tgt, q, k, sign)
     total = 0
@@ -521,6 +589,8 @@ def density_oracle(
         t_start = max(jordan_diagonalize(T, p).exponents) + 1
     if t_max is None:
         t_max = t_start + 2
+    if t_max < t_start:
+        raise ValueError(f"t_max = {t_max} is below t_start = {t_start}: no modulus to count")
     table = []
     prev = None
     for t in range(t_start, t_max + 1):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -23,6 +24,13 @@ from qflab import (
     state_budget,
     twisted_complement_diagonal,
 )
+
+
+@pytest.fixture
+def cold():
+    """Start from no kept MITM tables or row keys, so that a test which
+    spies on or patches the engine sees it fill them."""
+    counting._RESIDENT.clear()
 
 
 def test_count_examples():
@@ -185,18 +193,21 @@ def test_counts_do_not_depend_on_block_size(monkeypatch, chunk):
             for strategy in ("naive", "mitm")]
     want = [count_solutions(job) for job in jobs]
     monkeypatch.setattr(counting, "_CHUNK", chunk)
+    counting._RESIDENT.clear()  # refill the tables in blocks of chunk
     assert [count_solutions(job) for job in jobs] == want
 
 
-def test_naive_path_uses_no_mitm_helper(monkeypatch):
+def test_naive_path_uses_no_mitm_helper(monkeypatch, cold):
     def refuse(*args, **kwargs):
         raise AssertionError("the naive reference called a MITM helper")
 
     for name in ("_row_digits", "_sums", "_pair_sums", "_triangle", "_radix", "_key_class",
-                 "_digit_lookup", "_table_index", "_split", "_mirror_dot", "_mitm_count"):
+                 "_digit_lookup", "_table_index", "_split", "_mirror_dot", "_class_keys",
+                 "_mitm_count"):
         monkeypatch.setattr(counting, name, refuse)
     for s, T, p, t in _literal_jobs()[:10]:
         assert count_solutions(CountJob(s, T, p, t, "naive")) == _literal_count(s, T, p, t)
+    assert not counting._RESIDENT.entries
     with pytest.raises(AssertionError, match="MITM helper"):
         count_solutions(CountJob((1,), SymMat.diag(1), 3, 1))
 
@@ -333,7 +344,7 @@ def _one_table_signs(s, p, t):
     return signs
 
 
-def test_paired_sources_match_literal_enumerator(monkeypatch):
+def test_paired_sources_match_literal_enumerator(monkeypatch, cold):
     mirrored = []
     real = counting._mirror_dot
 
@@ -349,6 +360,7 @@ def test_paired_sources_match_literal_enumerator(monkeypatch):
     # wherever the halves allow it
     for dot_free in (False, True):
         monkeypatch.setattr(counting, "_CELLS_PER_KEY", 10**12 if dot_free else priced)
+        counting._RESIDENT.clear()  # each pricing fills the tables of its own splits
         mirrored.clear()
         for (s, T, p, t, paired), want in zip(jobs, wants):
             before = len(mirrored)
@@ -361,7 +373,7 @@ def test_paired_sources_match_literal_enumerator(monkeypatch):
     assert 10 < len(mirrored) < len(jobs) and set(mirrored) == {1, -1}
 
 
-def test_paired_source_fills_one_table_and_streams_nothing(monkeypatch):
+def test_paired_source_fills_one_table_and_streams_nothing(monkeypatch, cold):
     calls, mirrored = [], []
     real_sums, real_dot = counting._sums, counting._mirror_dot
 
@@ -376,18 +388,21 @@ def test_paired_source_fills_one_table_and_streams_nothing(monkeypatch):
 
     monkeypatch.setattr(counting, "_sums", spy)
     monkeypatch.setattr(counting, "_mirror_dot", dot_spy)
-    T = SymMat([[1, 1], [1, 2]])
-    # rows per factor of each enumerated half: (2,) is one same-class pair
-    count_solutions(CountJob(split_diagonal(4), T, 3, 2))  # classes 1, 1, -1, -1 at p = 3
-    assert calls == [(2,)] and mirrored == [-1]
-    calls.clear()
-    mirrored.clear()
-    count_solutions(CountJob(split_diagonal(4), T, 5, 1))  # one class at p = 5
-    assert calls == [(2,)] and mirrored == [1]
-    calls.clear()
-    mirrored.clear()
-    count_solutions(CountJob((1, 1, 1, -1), T, 3, 2))
-    assert calls == [(2,), (1, 1)] and mirrored == []
+    T, U = SymMat([[1, 1], [1, 2]]), SymMat.diag(1, 2)
+    # rows per factor of each enumerated half: (2,) is one same-class pair;
+    # the table is filled once, and a new target only reads it
+    for p, t, sign in ((3, 2, -1), (5, 1, 1)):  # classes 1, 1, -1, -1 at p = 3; one at p = 5
+        for target, enumerated in ((T, [(2,)]), (U, [])):
+            calls.clear()
+            mirrored.clear()
+            count_solutions(CountJob(split_diagonal(4), target, p, t))
+            assert calls == enumerated and mirrored == [sign], (p, target)
+    # unpaired: the other half is streamed for every target
+    for target, enumerated in ((T, [(2,), (1, 1)]), (U, [(1, 1)])):
+        calls.clear()
+        mirrored.clear()
+        count_solutions(CountJob((1, 1, 1, -1), target, 3, 2))
+        assert calls == enumerated and mirrored == [], target
 
 
 def _dispatch_jobs():
@@ -420,7 +435,7 @@ def _dispatch_jobs():
     return jobs
 
 
-def test_dispatch_modes_match_naive(monkeypatch):
+def test_dispatch_modes_match_naive(monkeypatch, cold):
     seen = set()
     real = counting._split
 
@@ -446,6 +461,88 @@ def test_dispatch_modes_match_naive(monkeypatch):
     seen.clear()
     raw = count_solutions(CountJob(split_diagonal(4), SymMat.diag(3, 9), 3, 4))
     assert raw == 448 * 3**15 > 2**32 and ("sign", -1) in seen
+
+
+# jobs that share, or must not share, kept tables and row keys
+_KEPT_GROUPS = [
+    # one class written differently: 4 = 2^2 mod 5
+    [((1, 4, 2, 3), SymMat.diag(1, 2), 5, 1), ((1, 1, 2, 3), SymMat([[2, 1], [1, 3]]), 5, 1)],
+    # negated classes at p = 3 mod 4: the keys of -1 are the negated keys of 1
+    [((1, 1, 1), SymMat.diag(2), 3, 2), ((-1, -1, -1), SymMat.diag(2), 3, 2),
+     ((1, -1, 1, -1), SymMat.diag(1, 1), 3, 1), ((-1, 2, -1, 2), SymMat.diag(1, 2), 3, 1)],
+    # odd m
+    [((1, 2, 3), SymMat.diag(1), 5, 2), ((2, 3, 1), SymMat.diag(3), 5, 2),
+     ((1, 2, 3, 4, 5), SymMat.diag(2), 5, 1)],
+    # two t at one p: 3 is 0 mod 3 but not mod 9
+    [((1, 3, 1, 3), SymMat.diag(1), 3, 1), ((1, 3, 1, 3), SymMat.diag(1), 3, 2),
+     ((1, 3, 1, 3), SymMat.diag(3, 1), 3, 1), ((1, 3, 1, 3), SymMat.diag(3), 3, 2)],
+]
+
+
+@pytest.mark.parametrize("group", range(len(_KEPT_GROUPS)))
+def test_kept_tables_and_keys_match_naive(monkeypatch, group):
+    jobs = [CountJob(s, T, p, t) for s, T, p, t in _KEPT_GROUPS[group]]
+    wants = [count_solutions(CountJob(j.s_diag, j.T, j.p, j.t, "naive")) for j in jobs]
+    enumerated = []
+    real = counting._row_digits
+
+    def spy(*args):
+        enumerated.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(counting, "_row_digits", spy)
+    for order in (jobs, jobs[::-1]):
+        counting._RESIDENT.clear()
+        for warm in (False, True):  # a warm pass enumerates no row keys
+            enumerated.clear()
+            for job in order:
+                assert count_solutions(job) == wants[jobs.index(job)], (job, warm)
+            assert bool(enumerated) != warm
+
+
+def test_one_class_written_differently_shares_keys_and_table(cold):
+    first, second = (CountJob(s, T, p, t) for s, T, p, t in _KEPT_GROUPS[0])
+    count_solutions(first)
+    kept = set(counting._RESIDENT.entries)
+    count_solutions(second)
+    assert set(counting._RESIDENT.entries) == kept and len(kept) == 3  # two classes, one table
+
+
+def test_kept_cells_stay_within_budget(monkeypatch, cold):
+    # 9^3-cell tables at q = 9, n = 2, one for each class of the single table row
+    jobs = [CountJob(s, SymMat([[1, 1], [1, 2]]), 3, 2) for s in
+            ((1, 1), (2, 2), (3, 3), (6, 6), (9, 9), (1, 2), (3, 6), (1, 9))]
+    wants = [count_solutions(CountJob(j.s_diag, j.T, j.p, j.t, "naive")) for j in jobs]
+    monkeypatch.setenv("QFLAB_STATE_BUDGET", "2000")
+    tables = set()
+    for job, want in itertools.chain(zip(jobs, wants), zip(jobs, wants)):
+        assert count_solutions(job) == want, job
+        kept = counting._RESIDENT.entries
+        assert counting._RESIDENT.cells == sum(a.size for arrays in kept.values() for a in arrays)
+        assert counting._RESIDENT.cells <= 2000
+        tables |= {key for key in kept if key[0] == "table"}
+    resident = {key for key in counting._RESIDENT.entries if key[0] == "table"}
+    assert len(tables) == 5 and len(resident) == 2  # two 729-cell tables fit
+
+
+def test_kept_arrays_are_read_only(cold):
+    count_solutions(CountJob(split_diagonal(4), SymMat.diag(1, 2), 3, 2))
+    count_solutions(CountJob((1, 1, 1, -1), SymMat.diag(1, 2), 3, 2))
+    kept = [a for arrays in counting._RESIDENT.entries.values() for a in arrays]
+    assert len(kept) == 6  # two tables, and digits and counts of two classes
+    for a in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1
+
+
+def test_kept_table_does_not_bypass_budget(monkeypatch, cold):
+    job = CountJob((1, -1), SymMat.diag(1, 1), 3, 2)
+    count_solutions(job)
+    monkeypatch.setenv("QFLAB_STATE_BUDGET", "500")
+    message = ("state budget exceeded: meet-in-the-middle needs 81 states per half "
+               "and 729 table cells, budget 500")
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        count_solutions(job)
 
 
 def test_job_validation():
@@ -504,3 +601,8 @@ def test_density_oracle_reports_non_stabilization():
     table = exc.value.partial_table
     assert len(table) == 1
     assert table[0][0] == 1
+
+
+def test_density_oracle_refuses_empty_range():
+    with pytest.raises(ValueError, match=r"t_max = 1 is below t_start = 3"):
+        density_oracle(base_diagonal(), SymMat.diag(1), 3, t_start=3, t_max=1)
