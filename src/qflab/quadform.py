@@ -4,6 +4,11 @@ Covers exact symmetric matrices, class-canonical Jordan diagonalization,
 Hasse invariants, local representation decisions, the specific rank-5 spaces
 used elsewhere, and the set of places where an incoherent collection fails
 to represent a target form.
+
+One congruence elimination (`_eliminate`) serves every invariant. A SymMat
+keeps its diagonal over Q, which gives the determinant (its product: the
+moves have determinant +-1), the signature and the local tests. Jordan
+diagonalization over Z_p is the same loop with a valuation-first pivot rank.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ class SymMat:
                     raise ValueError("matrix must be symmetric")
         self.entries = rows
         self.n = n
-        self._det = None
+        self._diagonal = None
 
     @classmethod
     def diag(cls, *values: Rational) -> "SymMat":
@@ -80,13 +85,11 @@ class SymMat:
 
     @property
     def det(self) -> Fraction:
-        if self._det is None:
-            self._det = _det(self.entries)
-        return self._det
+        return math.prod(rational_diagonalization(self), start=Fraction(1))
 
     @property
     def is_nonsingular(self) -> bool:
-        return self.det != 0
+        return 0 not in rational_diagonalization(self)
 
     def is_p_integral(self, p: int) -> bool:
         return all(x.denominator % p for row in self.entries for x in row)
@@ -112,26 +115,6 @@ class SymMat:
         return m
 
 
-def _det(rows) -> Fraction:
-    # fraction-exact Gaussian elimination
-    n = len(rows)
-    m = [list(row) for row in rows]
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det *= m[k][k]
-        for i in range(k + 1, n):
-            c = m[i][k] / m[k][k]
-            if c:
-                m[i] = [a - c * b for a, b in zip(m[i], m[k])]
-    return det
-
-
 def _sym_swap(m, i, j):
     m[i], m[j] = m[j], m[i]
     for row in m:
@@ -149,29 +132,42 @@ def _sym_add(m, i, j, c=Fraction(1)):
             m[t][i] += c * m[t][j]
 
 
-def rational_diagonalization(T: SymMat) -> tuple[Fraction, ...]:
-    """Diagonal entries of a congruent diagonal form over Q (zeros for the radical)."""
-    n = T.n
-    m = [list(row) for row in T.entries]
-    out = []
+def _eliminate(entries, rank) -> list[Fraction]:
+    """Diagonal of a congruent form, by symmetric elimination; zeros for the radical.
+
+    Each step pivots on the nonzero entry (i, j), i <= j, of the trailing
+    block with the least rank(value, i, j). An off-diagonal pivot is pulled
+    onto the diagonal with x_i -> x_i + x_j first.
+    """
+    n = len(entries)
+    m = [list(row) for row in entries]
+    diag = []
     for k in range(n):
-        if m[k][k] == 0:
-            i = next((i for i in range(k, n) if m[i][i] != 0), None)
-            if i is not None:
-                _sym_swap(m, k, i)
-            else:
-                pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if m[i][j] != 0), None)
-                if pair is None:
-                    out.extend(Fraction(0) for _ in range(k, n))
-                    break
-                _sym_add(m, pair[0], pair[1])
-                _sym_swap(m, k, pair[0])
+        pivots = [(rank(m[i][j], i, j), i, j) for i in range(k, n) for j in range(i, n) if m[i][j]]
+        if not pivots:
+            return diag + [Fraction(0)] * (n - k)
+        _, i, j = min(pivots)
+        if i != j:
+            _sym_add(m, i, j)
+        if i != k:
+            _sym_swap(m, k, i)
         d = m[k][k]
         for r in range(k + 1, n):
             if m[r][k]:
                 _sym_add(m, r, k, -m[r][k] / d)
-        out.append(d)
-    return tuple(out)
+        diag.append(d)
+    return diag
+
+
+def rational_diagonalization(T: SymMat) -> tuple[Fraction, ...]:
+    """Diagonal entries of a congruent diagonal form over Q (zeros for the radical).
+
+    Pivots on a nonzero diagonal entry if there is one, else on the first
+    nonzero off-diagonal entry. Computed once per matrix and kept on it.
+    """
+    if T._diagonal is None:
+        T._diagonal = tuple(_eliminate(T.entries, lambda x, i, j: (i != j, i, j)))
+    return T._diagonal
 
 
 def signature(T: SymMat) -> tuple[int, int]:
@@ -247,29 +243,9 @@ def jordan_diagonalize(T: SymMat, p: int) -> JordanDiagonal:
     check_odd_prime(p)
     if not T.is_p_integral(p):
         raise ValueError("Jordan form requires p-integral entries")
-    if not T.is_nonsingular:
+    diag = _eliminate(T.entries, lambda x, i, j: (valuation(x, p), i != j, i, j))
+    if 0 in diag:
         raise ValueError("Jordan form requires nonsingular input")
-    n = T.n
-    m = [list(row) for row in T.entries]
-    diag = []
-    for k in range(n):
-        best = None
-        for i in range(k, n):
-            for j in range(i, n):
-                if m[i][j] != 0:
-                    key = (valuation(m[i][j], p), 0 if i == j else 1, i, j)
-                    if best is None or key < best[0]:
-                        best = (key, i, j)
-        _, i, j = best
-        if i != j:
-            _sym_add(m, i, j)
-        if i != k:
-            _sym_swap(m, k, i)
-        d = m[k][k]
-        for r in range(k + 1, n):
-            if m[r][k]:
-                _sym_add(m, r, k, -m[r][k] / d)
-        diag.append(d)
     return JordanDiagonal(tuple(sorted(_square_class(d, p) for d in diag)), p)
 
 
@@ -283,12 +259,9 @@ class QuadSpace:
         if not gram.is_nonsingular:
             raise ValueError("quadratic space requires a nonsingular Gram matrix")
         self.gram = gram
-        self.diagonal = tuple(d for d in rational_diagonalization(gram))
+        self.diagonal = rational_diagonalization(gram)
         self.det = gram.det
-        self.signature = (
-            sum(1 for x in self.diagonal if x > 0),
-            sum(1 for x in self.diagonal if x < 0),
-        )
+        self.signature = signature(gram)
         self._hasse: dict[Place, int] = {}
 
     @classmethod
@@ -405,16 +378,12 @@ def represents_local(S: QuadSpace, T: SymMat, v: Place) -> bool:
         tp, tn = signature(T)
         sp, sn = S.signature
         return tp <= sp and tn <= sn
-    return T.n <= 2 or _represents_finite(S, T, rational_diagonalization(T), v)
-
-
-def _represents_finite(S: QuadSpace, T: SymMat, diag_t, v: Place) -> bool:
-    # represents_local at a finite place for a target of rank 3 or 4, given
-    # a rational diagonalization of T
+    if T.n <= 2:
+        return True
     det_t = T.det
+    diag_t = rational_diagonalization(T)
     if T.n == 4:
-        forced = det_t * S.det
-        return hasse_of_diagonal(diag_t + (forced,), v) == S.hasse(v)
+        return hasse_of_diagonal(diag_t + (det_t * S.det,), v) == S.hasse(v)
     det_r = S.det * det_t
     required = S.hasse(v) * hasse_of_diagonal(diag_t, v) * hilbert(det_t, det_r, v)
     return not (is_local_square(-det_r, v) and required == -1)
@@ -465,11 +434,10 @@ def diff_set(T: SymMat, C) -> set[Place]:
     if T.n != 4 or not T.is_nonsingular:
         raise ValueError("Diff requires a nonsingular rank-4 form")
     denominators = {x.denominator for row in T.entries for x in row}
-    diag_t = rational_diagonalization(T)
     out = set()
     for q in _candidate_primes(C.finite_discriminant, T.det, *denominators):
-        if not _represents_finite(C.space, T, diag_t, Place(q)):
+        if not represents_local(C.space, T, Place(q)):
             out.add(Place(q))
-    if sum(1 for x in diag_t if x > 0) in (1, 3):  # signature (3, 1) or (1, 3)
+    if signature(T)[0] in (1, 3):  # signature (3, 1) or (1, 3)
         out.add(INFINITE_PLACE)
     return out

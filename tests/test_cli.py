@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qflab.cli import main
+from qflab.cli import SUITES, main
 
 
 def run(capsys, *argv):
@@ -190,10 +190,10 @@ def test_output_is_deterministic(capsys):
 
 
 def test_fast_sweeps_pass(capsys):
-    for suite in ("unary", "twisted", "gk", "appendix", "components"):
+    for suite in SUITES:
         code, out, _ = run(capsys, "sweep", "--suite", suite, "--fast")
         assert code == 0, (suite, out)
-        assert "PASS" in out
+        assert out.startswith(f"PASS {suite}: ")
 
 
 # ---------------------------------------------------------------- config file

@@ -109,6 +109,19 @@ def test_state_budget_guard(monkeypatch):
         count_solutions(job)
 
 
+def test_naive_budget_guard(monkeypatch):
+    # q^(mn) = 3^2 states: one over the budget refuses before enumerating
+    job = CountJob((1, 1), SymMat.diag(1), 3, 1, strategy="naive")
+    monkeypatch.setenv("QFLAB_STATE_BUDGET", "8")
+    monkeypatch.setattr(counting, "_naive_count", lambda job: pytest.fail("enumerated"))
+    with pytest.raises(RuntimeError, match=r"^state budget exceeded: naive enumeration "
+                                           r"needs 9 states, budget 8$"):
+        count_solutions(job)
+    monkeypatch.undo()
+    monkeypatch.setenv("QFLAB_STATE_BUDGET", "9")
+    assert count_solutions(job) == 4  # x^2 + y^2 = 1 mod 3: (+-1, 0), (0, +-1)
+
+
 @pytest.mark.parametrize("raw", ["abc", "0", "-5", "2e9", str(2**31 + 1)])
 def test_state_budget_refuses_bad_values(monkeypatch, raw):
     monkeypatch.setenv("QFLAB_STATE_BUDGET", raw)

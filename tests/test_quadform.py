@@ -1,8 +1,9 @@
 """Symmetric matrices, Jordan splitting, Hasse invariants, and local representability."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
-from math import isqrt
 
 import pytest
 
@@ -12,6 +13,7 @@ from qflab import (
     IncoherentCollection,
     Place,
     QuadSpace,
+    QuaternionAlgebra,
     SymMat,
     base_diagonal,
     base_space,
@@ -28,6 +30,7 @@ from qflab import (
     signature,
     split_diagonal,
     twisted_space,
+    vb_space,
 )
 
 
@@ -96,19 +99,43 @@ def test_signature():
     assert signature(SymMat([[0, 1], [1, 0]])) == (1, 1)
 
 
+def _leibniz_det(T):
+    # sum over permutations of sign * product, independent of any elimination
+    n = T.n
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
+        total += (-1) ** inversions * math.prod((T[i, perm[i]] for i in range(n)), start=Fraction(1))
+    return total
+
+
 def test_rational_diagonalization_is_congruent():
+    # congruence moves have determinant +-1, so the diagonal's product is det T
     rng = random.Random(31)
-    for _ in range(50):
-        T = _random_nonsingular(rng, rng.choice((2, 3, 4)))
+    singular = 0
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        T = _random_symmetric(rng, n, rng.choice((1, 2, 9)))
         d = rational_diagonalization(T)
-        prod = Fraction(1)
-        for x in d:
-            prod *= x
-        # determinants agree up to the square of the change of basis
-        ratio = prod / T.det
-        assert ratio > 0
-        assert isqrt(ratio.numerator) ** 2 == ratio.numerator
-        assert isqrt(ratio.denominator) ** 2 == ratio.denominator
+        assert len(d) == n
+        det = _leibniz_det(T)
+        assert T.det == math.prod(d, start=Fraction(1)) == det
+        assert T.is_nonsingular == (det != 0) == (0 not in d)
+        singular += det == 0
+    assert singular >= 20
+
+
+@pytest.mark.parametrize("entries, diagonal", [
+    ([[1, 1], [1, 1]], (1, 0)),
+    ([[0, 0], [0, 0]], (0, 0)),
+    ([[0, 1, 0], [1, 0, 0], [0, 0, 0]], (2, Fraction(-1, 2), 0)),
+])
+def test_rational_diagonalization_radical(entries, diagonal):
+    T = SymMat(entries)
+    assert rational_diagonalization(T) == diagonal
+    assert T.det == 0 and not T.is_nonsingular
+    with pytest.raises(ValueError, match="signature requires a nonsingular form"):
+        signature(T)
 
 
 def test_least_nonsquare():
@@ -141,8 +168,10 @@ def test_jordan_off_diagonal_pivot():
 
 
 def test_jordan_rejects_singular_and_non_integral():
-    with pytest.raises(ValueError, match="Jordan form requires nonsingular input"):
-        jordan_diagonalize(SymMat.diag(1, 0), 3)
+    singular = (SymMat.diag(1, 0), SymMat([[3, 3], [3, 3]]), SymMat([[0, 1, 0], [1, 0, 0], [0, 0, 0]]))
+    for T in singular:
+        with pytest.raises(ValueError, match="Jordan form requires nonsingular input"):
+            jordan_diagonalize(T, 3)
     with pytest.raises(ValueError, match="p-integral"):
         jordan_diagonalize(SymMat.diag(Fraction(1, 3)), 3)
 
@@ -243,6 +272,41 @@ def test_represents_local_examples():
     posdef = QuadSpace.from_diagonal((1, 1, 1, 1, 1))
     assert represents_local(posdef, SymMat.diag(1, 1, 1, 3), INFINITE_PLACE)
     assert not represents_local(posdef, SymMat.diag(-1), INFINITE_PLACE)
+
+
+def _square_class_reps(v):
+    if v.prime == 2:
+        return (1, 3, 5, 7, 2, 6, 10, 14)
+    u = least_nonsquare(v.prime)
+    return (1, u, v.prime, u * v.prime)
+
+
+def _direct_sum(T, a):
+    n = T.n
+    return SymMat([[T[i, j] if i < n and j < n else (a if i == j else 0)
+                    for j in range(n + 1)] for i in range(n + 1)])
+
+
+def test_represents_local_rank_three_by_a_fourth_vector():
+    # S represents a ternary T at v exactly when it represents T + <a> for
+    # some a: the binary complement of T in S represents some a, and conversely
+    rng = random.Random(1301)
+    spaces = [base_space(), vb_space(QuaternionAlgebra(-1, -1)), vb_space(QuaternionAlgebra(-1, 3))]
+    seen = set()
+    for _ in range(150):
+        T = _random_nonsingular(rng, 3, 12)
+        if rng.random() < 0.5:  # rational entries, still symmetric
+            scale = [rng.choice((1, 2, 3, 5, 7)) for _ in range(3)]
+            T = SymMat([[Fraction(T[i, j], scale[i] * scale[j]) for j in range(3)] for i in range(3)])
+        for p in (2, 3, 5, 7):
+            v = Place(p)
+            for S in spaces + ([twisted_space(p)] if p != 2 else []):
+                got = represents_local(S, T, v)
+                assert got == any(
+                    represents_local(S, _direct_sum(T, a), v) for a in _square_class_reps(v)
+                )
+                seen.add(got)
+    assert seen == {True, False}
 
 
 def test_dichotomy_sample():
