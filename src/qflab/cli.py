@@ -623,6 +623,9 @@ def _inject_config(argv: list, registry: dict) -> list:
             if isinstance(actions[flag], argparse._StoreTrueAction):
                 if value.lower() in ("1", "true", "yes"):
                     injected.append(flag)
+                elif value.lower() not in ("0", "false", "no"):
+                    raise ValueError(f"config key {key.strip()!r} has value {value!r}; "
+                                     "expected one of 1, true, yes, 0, false, no")
             else:
                 injected.extend((flag, value))
     return [argv[0]] + injected + rest

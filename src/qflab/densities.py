@@ -1,9 +1,9 @@
 """Closed forms for local representation densities (p odd).
 
 Unary factors, the ternary closed form over the split complement, the
-reduction-formula assembly of the density series A(X), its derivative at
-X = 1, and the twisted (ramified-quaternion) density. Every value here is
-cross-checked against the counting oracle in the test suite.
+density series A(X) assembled from T's Jordan data (kept on its SymMat), its
+derivative at X = 1, and the twisted (ramified-quaternion) density. Every
+value here is cross-checked against the counting oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -13,14 +13,13 @@ from fractions import Fraction
 from .padic import Place, Rational, check_odd_prime, chi
 from .quadform import (
     SymMat,
-    _represents_one,
     frac_str,
     jordan_diagonalize,
     represents_local,
     represents_one_over_Zp,
     twisted_space,
 )
-from .gkmult import GKTriple, _complement_triple
+from .gkmult import GKTriple, complement_triple
 
 
 def _strip(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
@@ -139,21 +138,13 @@ def assemble_A(T: SymMat, p: int) -> DensityPolynomial:
     """Density series A(X) of a rank-4 target with a represented 1.
 
     Splits off <1> and multiplies the unary factor with the ternary closed
-    form of the complement, whose triple is read off T's Jordan data.
+    form of the complement, whose triple complement_triple reads and checks.
     """
-    jd = jordan_diagonalize(T, p)
-    if jd.exponents[0] > 0:
+    if jordan_diagonalize(T, p).exponents[0] > 0:
         raise ValueError("reduction formula requires a unimodular entry")
-    if not _represents_one(jd):
+    if not represents_one_over_Zp(T, p):
         raise ValueError("Kitaoka closed form requires represented 1")
-    if T.n != 4:
-        raise ValueError("normal form requires a rank-4 input")
-    return _series(_complement_triple(jd))
-
-
-def _series(triple: GKTriple) -> DensityPolynomial:
-    # assemble_A from the complement triple of T
-    return unary_density_factor(1, triple.p) * kitaoka_ternary_poly(triple)
+    return unary_density_factor(1, p) * kitaoka_ternary_poly(complement_triple(T, p))
 
 
 def twisted_density(T: SymMat, p: int) -> Fraction:
@@ -166,11 +157,6 @@ def twisted_density(T: SymMat, p: int) -> Fraction:
             "twisted closed form requires a target representing 1; "
             "use the counting oracle for other targets"
         )
-    return _twisted_density(T, p)
-
-
-def _twisted_density(T: SymMat, p: int) -> Fraction:
-    # twisted_density for a checked T
     if not represents_local(twisted_space(p), T, Place(p)):
         return Fraction(0)
     return 2 * (1 - Fraction(1, p * p)) * (p + 1)

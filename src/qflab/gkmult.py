@@ -1,8 +1,9 @@
 """Local intersection multiplicities from diagonalized quadratic data.
 
-Reads the Jordan data of the ternary complement of (1) in a rank-4 form that
-represents 1, evaluates the closed-form multiplicity e_p on its exponents, and
-decides transversality. Only gross_keating_exponents searches for a witness.
+Reads the triple of the ternary complement of <1> in a rank-4 form that
+represents 1 from the form's Jordan data (kept on its SymMat), evaluates the
+closed-form multiplicity e_p on its exponents, and decides transversality.
+Only gross_keating_exponents searches for a witness.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import _square_class, check_odd_prime, valuation
-from .quadform import JordanDiagonal, SymMat, _represents_one, jordan_diagonalize
+from .padic import check_odd_prime, chi, valuation
+from .quadform import SymMat, jordan_diagonalize, represents_one_over_Zp
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,14 @@ def _sqrt_mod_p_power(s: Fraction, p: int, depth: int) -> int:
     return y
 
 
-def _checked_jordan(T: SymMat, p: int) -> JordanDiagonal:
-    # Jordan data of a rank-4 form T that represents 1 over Z_p, else ValueError
+def complement_triple(T: SymMat, p: int) -> GKTriple:
+    """Triple of the ternary C in T = <1> + C, for a rank-4 T that represents 1 over Z_p.
+
+    For odd p a Z_p-class is fixed by each Jordan block's rank and determinant
+    square class (Kitaoka, Arithmetic of Quadratic Forms, 5.2; O'Meara 92:2)
+    and <1> cancels (Witt), so C's class-canonical data is T's Jordan terms
+    without their leading (0, +1), which representing 1 guarantees.
+    """
     check_odd_prime(p)
     if T.n != 4:
         raise ValueError("normal form requires a rank-4 input")
@@ -74,22 +81,10 @@ def _checked_jordan(T: SymMat, p: int) -> JordanDiagonal:
         raise ValueError("normal form requires p-integral entries")
     if not T.is_nonsingular:
         raise ValueError("normal form requires nonsingular input")
-    jd = jordan_diagonalize(T, p)
-    if not _represents_one(jd):
+    if not represents_one_over_Zp(T, p):
         raise ValueError("normal form requires a form that represents 1 over Z_p")
-    return jd
-
-
-def _complement_triple(jd: JordanDiagonal) -> GKTriple:
-    """Triple of the ternary C in T = <1> + C, from T's checked Jordan data jd.
-
-    For odd p a Z_p-class is fixed by each Jordan block's rank and determinant
-    square class (Kitaoka, Arithmetic of Quadratic Forms, 5.2; O'Meara 92:2)
-    and <1> cancels (Witt), so C's class-canonical data is jd.terms without
-    its leading (0, +1), which _represents_one(jd) guarantees.
-    """
-    (a1, s1), (a2, s2), (a3, s3) = jd.terms[1:]
-    return GKTriple(a1, a2, a3, s1, s2, s3, jd.p)
+    (a1, s1), (a2, s2), (a3, s3) = jordan_diagonalize(T, p).terms[1:]
+    return GKTriple(a1, a2, a3, s1, s2, s3, p)
 
 
 def gross_keating_exponents(T: SymMat, p: int) -> GKNormalForm:
@@ -99,17 +94,17 @@ def gross_keating_exponents(T: SymMat, p: int) -> GKNormalForm:
     nonzero square, lifted so the value is 1 to depth max(exponents) + 2;
     determinism of the witness makes normal forms reproducible.
     """
-    jd = _checked_jordan(T, p)
-    depth = max(jd.exponents) + 2
+    triple = complement_triple(T, p)
+    depth = triple.a3 + 2
     q = p**depth
     witness0, value0 = next(
         (x, value) for x in itertools.product(range(p), repeat=4)
-        if (value := T.apply(x)) != 0 and _square_class(value, p) == (0, 1)
+        if (value := T.apply(x)) != 0 and valuation(value, p) == 0 and chi(value, p) == 1
     )
     y_inv = pow(_sqrt_mod_p_power(value0, p, depth), -1, q)
     # y^2 = value0 mod q is checked in the lift, so T(witness) = 1 mod q
     witness = tuple(x * y_inv % q for x in witness0)
-    return GKNormalForm(_complement_triple(jd), witness, depth)
+    return GKNormalForm(triple, witness, depth)
 
 
 def e_p(a1: int, a2: int, a3: int, p: int) -> Fraction:
@@ -138,7 +133,7 @@ def e_p(a1: int, a2: int, a3: int, p: int) -> Fraction:
 
 
 def e_p_of_form(T: SymMat, p: int) -> Fraction:
-    return e_p(*_complement_triple(_checked_jordan(T, p)).exponents, p)
+    return e_p(*complement_triple(T, p).exponents, p)
 
 
 def transversal(T: SymMat, p: int) -> bool:

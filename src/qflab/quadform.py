@@ -7,8 +7,8 @@ to represent a target form.
 
 One congruence elimination (`_eliminate`) serves every invariant. A SymMat
 keeps its diagonal over Q, which gives the determinant (its product: the
-moves have determinant +-1), the signature and the local tests. Jordan
-diagonalization over Z_p is the same loop with a valuation-first pivot rank.
+moves have determinant +-1), the signature and the local tests, and its
+Jordan data per prime: the same loop with a valuation-first pivot rank.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ class SymMat:
         self.entries = rows
         self.n = n
         self._diagonal = None
+        self._jordan = {}  # prime -> JordanDiagonal
 
     @classmethod
     def diag(cls, *values: Rational) -> "SymMat":
@@ -238,15 +239,19 @@ def jordan_diagonalize(T: SymMat, p: int) -> JordanDiagonal:
 
     Pivots on an entry of minimal valuation (diagonal preferred); off-diagonal
     pivots are pulled onto the diagonal with x_i -> x_i + x_j, which keeps the
-    minimal valuation only because p is odd.
+    minimal valuation only because p is odd. Kept on T per prime; a refusal
+    is not kept, so every call raises it again.
     """
     check_odd_prime(p)
-    if not T.is_p_integral(p):
-        raise ValueError("Jordan form requires p-integral entries")
-    diag = _eliminate(T.entries, lambda x, i, j: (valuation(x, p), i != j, i, j))
-    if 0 in diag:
-        raise ValueError("Jordan form requires nonsingular input")
-    return JordanDiagonal(tuple(sorted(_square_class(d, p) for d in diag)), p)
+    jd = T._jordan.get(p)
+    if jd is None:
+        if not T.is_p_integral(p):
+            raise ValueError("Jordan form requires p-integral entries")
+        diag = _eliminate(T.entries, lambda x, i, j: (valuation(x, p), i != j, i, j))
+        if 0 in diag:
+            raise ValueError("Jordan form requires nonsingular input")
+        jd = T._jordan[p] = JordanDiagonal(tuple(sorted(_square_class(d, p) for d in diag)), p)
+    return jd
 
 
 class QuadSpace:
@@ -396,15 +401,8 @@ def represents_one_over_Zp(T: SymMat, p: int) -> bool:
     rank 1 works only for the square class; no unimodular part leaves all
     values divisible by p.
     """
-    return _represents_one(jordan_diagonalize(T, p))
-
-
-def _represents_one(jd: JordanDiagonal) -> bool:
-    # represents_one_over_Zp read off the Jordan data of the form
-    uni = jd.unimodular_terms
-    if len(uni) >= 2:
-        return True
-    return len(uni) == 1 and uni[0][1] == 1
+    uni = jordan_diagonalize(T, p).unimodular_terms
+    return len(uni) >= 2 or (len(uni) == 1 and uni[0][1] == 1)
 
 
 def _candidate_primes(*values: Rational) -> list[int]:

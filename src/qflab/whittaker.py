@@ -3,7 +3,8 @@
 Values are representation densities; derivatives are exact multiples of
 log p, kept symbolic so nothing ever touches floating point. The headline
 check: at a place in Diff(T), the ratio of the derivative to the twisted
-value has coefficient (p^2+1)(p-1)/2 times the local multiplicity.
+value has coefficient (p^2+1)(p-1)/2 times the local multiplicity. Each side
+comes from public closed forms that share T's Jordan data, kept on T.
 """
 
 from __future__ import annotations
@@ -14,17 +15,16 @@ from fractions import Fraction
 from .padic import Place, Rational, check_odd_prime
 from .quadform import (
     SymMat,
-    _represents_one,
     base_diagonal,
     base_space,
     diff_set,
     frac_str,
-    jordan_diagonalize,
     represents_local,
+    represents_one_over_Zp,
 )
 from .counting import density_oracle
-from .densities import _series, _twisted_density, assemble_A, derivative_at_1, twisted_density
-from .gkmult import _complement_triple, e_p
+from .densities import assemble_A, derivative_at_1, twisted_density
+from .gkmult import e_p_of_form
 from .clifford import IncoherentCollection
 
 
@@ -141,30 +141,28 @@ def verify_ratio_identity(T: SymMat, p: int) -> RatioReport:
     """Compare derivative/value against the closed-form multiplicity at p.
 
     Both sides are computed by independent pipelines: the left from the
-    assembled density series and the twisted density, the right from the
-    complement exponents alone. T's Jordan data is computed once and both
-    sides read the complement triple off it.
+    assembled density series and the twisted value, the right from the
+    complement exponents alone. T's Jordan data is computed once, kept on T,
+    and both sides read the complement triple off it.
     """
     check_odd_prime(p)
     if T.n != 4 or not T.is_nonsingular:
         raise ValueError("ratio identity requires a nonsingular rank-4 target")
     if not T.is_p_integral(p):
         raise ValueError("ratio identity requires a p-integral target")
-    jd = jordan_diagonalize(T, p)
-    if not _represents_one(jd):
+    if not represents_one_over_Zp(T, p):
         raise ValueError("ratio identity requires a target representing 1 over Z_p")
     if represents_local(base_space(), T, Place(p)):
         raise ValueError(
             "ratio identity requires p in Diff(T): the target is represented "
             "by the base space at p"
         )
-    triple = _complement_triple(jd)
-    deriv = LogPMultiple(-derivative_at_1(_series(triple)), p)
-    value = Fraction(1, p**4) * _twisted_density(T, p)
+    deriv = LogPMultiple(-derivative_at_1(assemble_A(T, p)), p)
+    value = whittaker_twisted_value(T, p)
     if value == 0:
         raise ArithmeticError("twisted value vanished on the twisted side of the dichotomy")
     lhs = deriv / value
-    mult = e_p(*triple.exponents, p)
+    mult = e_p_of_form(T, p)
     if mult.denominator != 1:
         raise ArithmeticError("non-integral multiplicity inside the vanishing regime")
     rhs = ratio_audit_constant(p) * mult

@@ -1,7 +1,10 @@
 """Command-line interface: byte-exact outputs, exit codes, config injection."""
 
 import json
+import re
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +28,40 @@ def test_density_closed_form(capsys):
 def test_density_vanishing(capsys):
     code, out, _ = run(capsys, "density", "--p", "3", "--T", "d:1,1,1,3")
     assert (code, out) == (0, "0/1\n")
+
+
+def _readme_examples():
+    """(argv, output) of each README command line whose comment is a single value."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    value = r"-?\d+(/\d+)?|true|false|\{.*\}|\[.*\]"
+    out = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.splitlines():
+            command, _, comment = line.partition("#")
+            if command.startswith("qflab ") and re.fullmatch(value, comment.strip()):
+                out.append((shlex.split(command)[1:], comment.strip()))
+    return out
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_has_exact_examples():
+    assert len(README_EXAMPLES) >= 8
+    assert any("--closed" in argv for argv, _ in README_EXAMPLES)
+
+
+@pytest.mark.parametrize("argv, expected", README_EXAMPLES,
+                         ids=[" ".join(argv) for argv, _ in README_EXAMPLES])
+def test_readme_example_output(capsys, argv, expected):
+    assert run(capsys, *argv) == (0, expected + "\n", "")
+
+
+def test_density_closed_refuses_without_closed_form(capsys):
+    # no represented 1 at 3: the closed form does not apply, and --closed says so
+    code, out, err = run(capsys, "density", "--p", "3", "--T", "d:2,6,3,9", "--closed")
+    assert (code, out) == (2, "")
+    assert err == "error: Kitaoka closed form requires represented 1\n"
 
 
 def test_oracle_inline(capsys):
@@ -220,6 +257,29 @@ def test_config_unknown_key_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "ratio", "--config", str(cfg), "--T", "d:1,1,1,1")
     assert code == 2
     assert "'TT'" in err
+
+
+@pytest.mark.parametrize("value", ["maybe", "on", "2", ""])
+def test_config_bad_switch_value_exits_2(tmp_path, capsys, value):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"suite=unary\nfast={value}\n")
+    code, out, err = run(capsys, "sweep", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == (f"error: config key 'fast' has value {value!r}; "
+                   "expected one of 1, true, yes, 0, false, no\n")
+
+
+@pytest.mark.parametrize("value, fast", [("yes", True), ("TRUE", True), ("1", True),
+                                         ("no", False), ("False", False), ("0", False)])
+def test_config_switch_values(tmp_path, monkeypatch, capsys, value, fast):
+    import qflab.cli
+
+    seen = []
+    monkeypatch.setitem(qflab.cli.SUITES, "unary", lambda f: seen.append(f) or (True, "ok"))
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"suite=unary\nfast={value}\n")
+    assert run(capsys, "sweep", "--config", str(cfg)) == (0, "PASS unary: ok\n", "")
+    assert seen == [fast]
 
 
 # ---------------------------------------------------------------- failure paths

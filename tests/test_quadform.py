@@ -309,6 +309,33 @@ def test_represents_local_rank_three_by_a_fourth_vector():
     assert seen == {True, False}
 
 
+def test_represents_local_rank_at_most_two_through_rank_three():
+    # a rank-5 space represents every form of rank <= 2 over Q_p; checked
+    # through the rank-3 branch: S represents T exactly when it represents
+    # T + <a_1> + ... for some square-class representatives a_i up to rank 3
+    rng = random.Random(1501)
+    spaces = [base_space(), vb_space(QuaternionAlgebra(-1, -1)), vb_space(QuaternionAlgebra(-1, 3))]
+    extensions_seen = set()
+    for _ in range(40):
+        n = rng.choice((1, 2))
+        T = _random_nonsingular(rng, n, 12)
+        if rng.random() < 0.5:  # rational entries, still symmetric
+            scale = [rng.choice((1, 2, 3, 5, 7)) for _ in range(n)]
+            T = SymMat([[Fraction(T[i, j], scale[i] * scale[j]) for j in range(n)] for i in range(n)])
+        for p in (2, 3, 5, 7):
+            v = Place(p)
+            for S in spaces + ([twisted_space(p)] if p != 2 else []):
+                assert represents_local(S, T, v)
+                reps = _square_class_reps(v)
+                ternaries = [T]
+                while ternaries[0].n < 3:
+                    ternaries = [_direct_sum(U, a) for U in ternaries for a in reps]
+                outcomes = [represents_local(S, U, v) for U in ternaries]
+                assert any(outcomes)
+                extensions_seen.update(outcomes)
+    assert extensions_seen == {True, False}
+
+
 def test_dichotomy_sample():
     rng = random.Random(307)
     for _ in range(40):

@@ -197,19 +197,27 @@ def _count_calls(monkeypatch, name: str, modules) -> list:
                                   "assemble_A", "gross_keating_exponents",
                                   "e_p_of_form", "transversal"])
 def test_public_call_computes_jordan_and_normal_form_once(monkeypatch, call):
-    # Every module's binding of jordan_diagonalize is wrapped. The complement
-    # triple is read off T's one Jordan diagonalization; a witness is counted
-    # by its lift, _sqrt_mod_p_power, and only gross_keating_exponents returns one.
+    # A SymMat keeps its Jordan data per prime. Every elimination is counted
+    # by wrapping quadform._eliminate, after T's rational diagonal is taken
+    # (T.det): a fresh T is Jordan-diagonalized once at p by its first call
+    # and not again by a second. An equal but new SymMat is diagonalized
+    # again, so no memo is keyed by T's value. A witness is counted by its
+    # lift, _sqrt_mod_p_power; gross_keating_exponents searches on every call.
     import qflab
     from qflab import counting, cycles, densities, gkmult, quadform, whittaker
 
-    modules = (quadform, gkmult, densities, whittaker, counting, cycles)
-    jordan = _count_calls(monkeypatch, "jordan_diagonalize", modules)
-    lifts = _count_calls(monkeypatch, "_sqrt_mod_p_power", modules)
     fn = getattr(qflab, call)
-    T = SymMat([[1, 1, 0, 0], [1, 4, 0, 0], [0, 0, 3, 3], [0, 0, 3, 12]])
+    fn(SymMat.diag(1, 1, 1, 3), 3)  # builds the shared spaces first
+    rows = [[1, 1, 0, 0], [1, 4, 0, 0], [0, 0, 3, 3], [0, 0, 3, 12]]
+    T, same = SymMat(rows), SymMat(rows)
+    assert T.det == same.det == 81
+    eliminations = _count_calls(monkeypatch, "_eliminate", (quadform,))
+    modules = (quadform, gkmult, densities, whittaker, counting, cycles)
+    lifts = _count_calls(monkeypatch, "_sqrt_mod_p_power", modules)
+    lift = 1 if call == "gross_keating_exponents" else 0
     fn(T, 3)
-    expected = (1, 1 if call == "gross_keating_exponents" else 0)
-    assert (len(jordan), len(lifts)) == expected
-    fn(T, 3)  # no memo keyed by T outlives the first call
-    assert (len(jordan), len(lifts)) == (2 * expected[0], 2 * expected[1])
+    assert (len(eliminations), len(lifts)) == (1, lift)
+    fn(T, 3)
+    assert (len(eliminations), len(lifts)) == (1, 2 * lift)
+    fn(same, 3)
+    assert (len(eliminations), len(lifts)) == (2, 3 * lift)
