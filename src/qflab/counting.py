@@ -24,11 +24,16 @@ combination is one addition and its table index a few lookups. A filled
 table depends only on q, n and its half's class multiset, and a class's row
 keys only on the class, q and n, so both are kept read-only for later
 counts in the process under those keys; a count whose table is kept does
-only its target-dependent pass. The state budget bounds the larger half's
+only its target-dependent pass. When such a count has paired halves, the
+first one indexes the table's nonzero cells, at most as many as the other
+half's key combinations, and keeps the index with the table; while the
+table has fewer than one nonzero cell in _CELLS_PER_KEY, every such count
+sums A[key] * A[partner] over the indexed cells alone, and otherwise reads
+the whole table as before. The state budget bounds the larger half's
 q^(n*ceil(m/2)) states and the q^k table cells of a count, and the cells
-kept resident: before a new table is filled, the least recently used
-tables and keys are dropped until the resident cells and the new q^k fit
-it.
+kept resident, indices included: before a new table is filled, the least
+recently used tables and keys are dropped until the resident cells and the
+new q^k fit it.
 This module is the independent auditor for every closed form in the
 package; it must never call into the closed-form code.
 """
@@ -59,7 +64,10 @@ _CHUNK = 2**16
 _LOOKUP_CELLS = 2**14
 
 # table cells the mirrored MITM product reads in the time the streamed pass
-# takes per key combination (about 5 ns and 30 ns on a 2-core x86 VM)
+# takes per key combination (about 5 ns and 30 ns on a 2-core x86 VM), and
+# so also per indexed nonzero cell, whose partner is a random gather too: a
+# kept paired table is read through its nonzero cells while it has fewer
+# than one in _CELLS_PER_KEY, and by the mirrored product otherwise
 _CELLS_PER_KEY = 6
 
 
@@ -87,7 +95,7 @@ class CountJob:
 
     def __post_init__(self):
         object.__setattr__(self, "s_diag", tuple(Fraction(s) for s in self.s_diag))
-        check_odd_prime(self.p)
+        object.__setattr__(self, "p", check_odd_prime(self.p))
         if self.t < 1:
             raise ValueError("modulus exponent t must be >= 1")
         if self.strategy not in ("naive", "mitm"):
@@ -358,18 +366,84 @@ def _mirror_dot(table: np.ndarray, tgt: tuple[int, ...], q: int, k: int, sign: i
     return total
 
 
-def _split(classes: list, size: dict, neg: dict, cells: int) -> tuple[tuple, tuple, int]:
-    """Choose the rows that fill the table, as (table, other, sign).
+def _nonzero_cells(table: np.ndarray, most: int) -> np.ndarray:
+    """Ascending indices of the nonzero cells of table, as int32 (q^k <=
+    budget <= 2^31), or an empty index if there are more than most. The
+    nonzero cells are counted first, so the index is allocated at its size
+    and filled in one pass over the table in slices of _CHUNK cells."""
+    found = np.count_nonzero(table)
+    if found > most:
+        return np.empty(0, dtype=np.int32)
+    index, at = np.empty(found, dtype=np.int32), 0
+    for lo in range(0, table.size, _CHUNK):
+        cells = np.flatnonzero(table[lo:lo + _CHUNK])
+        index[at:at + len(cells)] = cells
+        index[at:at + len(cells)] += lo
+        at += len(cells)
+    return index
+
+
+@functools.lru_cache(maxsize=8)
+def _group_digits(q: int, g: int) -> np.ndarray:
+    """Radix-q digits of 0 .. q^g - 1, one row per digit, least first."""
+    rest, digits = np.arange(q**g, dtype=np.int32), np.empty((g, q**g), dtype=np.int32)
+    for c in range(g):
+        rest, digits[c] = np.divmod(rest, q)
+    return digits
+
+
+def _partner_dot(table: np.ndarray, nonzero: np.ndarray, tgt: tuple[int, ...], q: int,
+                 k: int, sign: int = 1) -> int:
+    """_mirror_dot over the nonzero cells of table alone (_nonzero_cells).
+
+    A cell index splits into groups of g radix-q digits, g the most with
+    q^g <= _LOOKUP_CELLS (as in _digit_lookup). For the target, a lookup per
+    group maps the group's value to its digits' share of the partner index
+    sign * (tgt - key) mod q, so a partner index is one divmod and one
+    gather per group; for k = 1 it is the partner digit itself. The index
+    is read in blocks of _CHUNK cells, so nothing of the table's or the
+    index's size is allocated.
+    """
+    g = 1
+    while g < k and q ** (g + 1) <= _LOOKUP_CELLS:
+        g += 1
+    lookups = []  # none for k = 1, where the partner is computed directly
+    for lo in range(0, k if k > 1 else 0, g):
+        lookup = np.zeros(q ** min(g, k - lo), dtype=np.int32)
+        for c, digit in enumerate(_group_digits(q, min(g, k - lo))):
+            lookup += sign * (tgt[lo + c] - digit) % q * q ** (lo + c)
+        lookups.append(lookup)
+    total = 0
+    for lo in range(0, len(nonzero), _CHUNK):
+        cells = nonzero[lo:lo + _CHUNK]
+        if k == 1:
+            partner = sign * (tgt[0] - cells) % q
+        else:  # the last group is what is left once the others are divided out
+            partner, rest = 0, cells
+            for lookup in lookups[:-1]:
+                rest, group = np.divmod(rest, q**g)
+                partner += lookup.take(group)
+            partner += lookups[-1].take(rest)
+        total += int(np.einsum("i,i->", table.take(cells), table.take(partner), dtype=np.uint64))
+    return total
+
+
+def _split(classes: list, size: dict, neg: dict, cells: int) -> tuple[tuple, tuple, int, bool]:
+    """Choose the rows that fill the table, as (table, other, sign, stream).
 
     A split is fixed by how many rows of each class go to the table half;
     each half has floor(m/2) or ceil(m/2) rows. Its work is the number of
     key combinations it enumerates: a row of d distinct keys (size) costs d
     and a same-class pair d(d + 1)/2. When the other half has the table
-    half's classes, or their negations (neg), the table also serves the
-    other half, and the mirrored product over its cells costs
-    cells / _CELLS_PER_KEY; sign is then 1 or -1 if that is cheaper than
-    streaming the other half. Otherwise sign is 0 and the other half is
-    streamed at its own cost. The least work wins, then the cheaper table.
+    half's classes (sign 1), or their negations (neg, sign -1), the halves
+    are paired: the table also serves the other half, and the mirrored
+    product over its cells costs cells / _CELLS_PER_KEY. stream is set
+    when the other half is streamed instead, at its own cost: always for
+    sign 0, and for paired halves if that costs no more than the mirrored
+    product. The least work wins, then the cheaper table. A later count
+    that finds the table kept reads paired halves through the table's
+    nonzero cells, which are no more than the other half's key
+    combinations, whenever that is cheaper still (_mitm_count).
     """
     m, kinds = len(classes), sorted(set(classes))
     have = [classes.count(c) for c in kinds]
@@ -392,14 +466,13 @@ def _split(classes: list, size: dict, neg: dict, cells: int) -> tuple[tuple, tup
         other = {c: a for c, a in zip(kinds, rest) if a}
         sign = 1 if rest == counts else -1 if negated == other else 0
         table_cost, other_cost = cost(counts), cost(rest)
-        if sign and other_cost <= dot:
-            sign = 0
-        rank = (table_cost + (dot if sign else other_cost), table_cost)
+        stream = not sign or other_cost <= dot
+        rank = (table_cost + (other_cost if stream else dot), table_cost)
         if best is None or rank < best[0]:
-            best = rank, counts, rest, sign
-    _, counts, rest, sign = best
+            best = rank, counts, rest, sign, stream
+    _, counts, rest, sign, stream = best
     return (tuple(c for c, a in zip(kinds, counts) for _ in range(a)),
-            tuple(c for c, a in zip(kinds, rest) for _ in range(a)), sign)
+            tuple(c for c, a in zip(kinds, rest) for _ in range(a)), sign, stream)
 
 
 class _Resident:
@@ -435,7 +508,10 @@ class _Resident:
         return True
 
     def remember(self, key, *arrays):
-        """Keep arrays under key, read-only, if they fit the budget."""
+        """Keep arrays under key, read-only, in place of any kept there, if
+        they fit the budget."""
+        replaced = self.entries.pop(key, ())
+        self.cells -= sum(a.size for a in replaced)
         cells = sum(a.size for a in arrays)
         if self.make_room(cells):
             for a in arrays:
@@ -477,13 +553,20 @@ def _mitm_count(job: CountJob) -> int:
     and table-half classes, which only read it. When
     the other half has the same classes its table is A and the count is the
     sum of A[key] * A[T - key]; when it has the negated classes its table is
-    A[-key] and the count is the sum of A[key] * A[key - T] (_mirror_dot).
-    Otherwise, or when that costs more than streaming the other half, the
-    other half is streamed: its rows carry the negated keys and start at the
-    target's digits, so each streamed sum is the key it needs. Keys are
-    packed (_digit_lookup) so that a combination is one int64 sum and its
-    table index one gather per digit group; for every shape a 2^31 budget
-    admits, a packed sum has at most 49 bits.
+    A[-key] and the count is the sum of A[key] * A[key - T]. A count that
+    fills A sums over all its cells (_mirror_dot), or streams the other half
+    when that costs no more (_split). A later count that finds A kept reads
+    it through its nonzero cells (_partner_dot): the first one indexes them
+    (_nonzero_cells) and keeps the index in A's resident entry, so the two
+    are evicted together. The index holds A's nonzero cells, no more than
+    the other half's key combinations, only if there are fewer than
+    q^k / _CELLS_PER_KEY of them and it fits the budget beside A; otherwise
+    it is empty and such counts decide as the filling one did. With
+    unpaired halves the other half is always streamed: its rows carry the
+    negated keys and start at the target's digits, so each streamed sum is
+    the key it needs. Keys are packed (_digit_lookup) so that a combination
+    is one int64 sum and its table index one gather per digit group; for
+    every shape a 2^31 budget admits, a packed sum has at most 49 bits.
 
     Each half has at most h = ceil(m/2) rows, so no cell or combination
     weight counts more than the q^(nh) <= budget <= 2^31 ordered vector
@@ -502,7 +585,7 @@ def _mitm_count(job: CountJob) -> int:
     neg = {c: _key_class(-r % q, p, q) for c, r in rep.items()}
     keys = {c: _class_keys(c, r, neg[c], q, n) for c, r in rep.items()}
     sizes = {c: len(w) for c, (_, w) in keys.items()}
-    table_half, other, sign = _split(classes, sizes, neg, q**k)
+    table_half, other, sign, stream = _split(classes, sizes, neg, q**k)
 
     def factors(half, base, negate):
         places, out = _digit_lookup(q, k, base)[0], []
@@ -513,16 +596,24 @@ def _mitm_count(job: CountJob) -> int:
             out += [(packed, counts, True)] * (a // 2) + [(packed, counts, False)] * (a % 2)
         return out
 
+    tgt = _target_digits(job.T, q)
+    key = ("table", q, n, table_half)
+    kept = _RESIDENT.recall(key)
+    if kept is not None and sign:
+        if len(kept) == 1:  # the first paired count to find the table kept
+            table = kept[0]
+            most = min((q**k - 1) // _CELLS_PER_KEY, state_budget() - q**k)
+            kept = _RESIDENT.remember(key, table, _nonzero_cells(table, most))
+        if len(kept[1]):
+            return _partner_dot(*kept, tgt, q, k, sign)
+
     # a base is 1 + the most a digit of a sum can reach; both halves' lookups
     # are built before a table is filled, so their scratch is freed by then
-    tgt = _target_digits(job.T, q)
-    if not sign:
+    if stream:
         other_base = (len(other) + 1) * (q - 1) + 1
         streamed = factors(other, other_base, True)
         start = sum(int(place) * t for place, t in zip(_digit_lookup(q, k, other_base)[0], tgt))
 
-    key = ("table", q, n, table_half)
-    kept = _RESIDENT.recall(key)
     if kept is None:
         base = max(len(table_half), 1) * (q - 1) + 1
         filling = factors(table_half, base, False)
@@ -531,8 +622,8 @@ def _mitm_count(job: CountJob) -> int:
         for sums, weights in _sums(0, filling):
             np.add.at(table, _table_index(sums, q, k, base), weights)
         kept = _RESIDENT.remember(key, table)
-    (table,) = kept
-    if sign:
+    table = kept[0]
+    if not stream:
         return _mirror_dot(table, tgt, q, k, sign)
     total = 0
     for sums, weights in _sums(start, streamed):

@@ -37,7 +37,7 @@ def is_isolated(T: SymMat, p: int) -> bool:
 
     Criterion: T nonsingular and representing 1 over the p-adic integers.
     """
-    check_odd_prime(p)
+    p = check_odd_prime(p)
     if not T.is_p_integral(p):
         raise ValueError("isolation criterion requires p-integral entries")
     return T.is_nonsingular and represents_one_over_Zp(T, p)
@@ -68,7 +68,7 @@ def classify_component(
     (whether it represents 1, whether it carries a radical line). The form m
     is extra data, not derivable from the matrix alone.
     """
-    check_odd_prime(p)
+    p = check_odd_prime(p)
     if not 0 <= rank_t_mod_p <= 3:
         raise ValueError("inconsistent case: the rank of the reduction is at most 3")
     if not 0 <= dim_m <= 3:
@@ -129,7 +129,7 @@ class FiniteFieldQuadSpace:
     gram: tuple
 
     def __post_init__(self):
-        check_odd_prime(self.p)
+        object.__setattr__(self, "p", check_odd_prime(self.p))
         rows = tuple(tuple(int(x) % self.p for x in row) for row in self.gram)
         if not 1 <= len(rows) <= 3 or any(len(r) != len(rows) for r in rows):
             raise ValueError("finite-field form must be square of dimension 1..3")
@@ -218,7 +218,7 @@ def incidence_counts(p: int) -> IncidenceCounts:
     points of a projective line over the quadratic extension, counted from
     normalized representatives.
     """
-    check_odd_prime(p)
+    p = check_odd_prime(p)
     u = least_nonsquare(p)
     q = p * p
 
@@ -247,7 +247,7 @@ def incidence_counts(p: int) -> IncidenceCounts:
 
 def proper_intersection_sum(entries, p: int) -> Fraction:
     """Sum of local multiplicity times point count over isolated targets."""
-    check_odd_prime(p)
+    p = check_odd_prime(p)
     total = Fraction(0)
     for idx, (T, count) in enumerate(entries):
         if count < 0:

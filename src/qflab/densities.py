@@ -77,7 +77,7 @@ def derivative_at_1(A: DensityPolynomial) -> Fraction:
 
 def unary_density_factor(eps0: int, p: int) -> DensityPolynomial:
     """Density of a unit square class against the base space: 1 + chi * X / p^2."""
-    check_odd_prime(p)
+    p = check_odd_prime(p)
     if eps0 not in (1, -1):
         raise ValueError("unit class must be +1 or -1")
     return DensityPolynomial((1, Fraction(eps0, p * p)))
@@ -149,7 +149,7 @@ def assemble_A(T: SymMat, p: int) -> DensityPolynomial:
 
 def twisted_density(T: SymMat, p: int) -> Fraction:
     """Density of a rank-4 target against the rank-5 ramified-quaternion space."""
-    check_odd_prime(p)
+    p = check_odd_prime(p)
     if T.n != 4 or not T.is_nonsingular:
         raise ValueError("twisted density requires a nonsingular rank-4 target")
     if not represents_one_over_Zp(T, p):

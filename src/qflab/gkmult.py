@@ -33,7 +33,7 @@ class GKTriple:
             raise ValueError("exponents must satisfy 0 <= a1 <= a2 <= a3")
         if any(e not in (1, -1) for e in (self.eps1, self.eps2, self.eps3)):
             raise ValueError("unit classes must be +1 or -1")
-        check_odd_prime(self.p)
+        object.__setattr__(self, "p", check_odd_prime(self.p))
 
     @property
     def exponents(self) -> tuple[int, int, int]:
@@ -74,7 +74,7 @@ def complement_triple(T: SymMat, p: int) -> GKTriple:
     and <1> cancels (Witt), so C's class-canonical data is T's Jordan terms
     without their leading (0, +1), which representing 1 guarantees.
     """
-    check_odd_prime(p)
+    p = check_odd_prime(p)
     if T.n != 4:
         raise ValueError("normal form requires a rank-4 input")
     if not T.is_p_integral(p):
@@ -95,7 +95,7 @@ def gross_keating_exponents(T: SymMat, p: int) -> GKNormalForm:
     determinism of the witness makes normal forms reproducible.
     """
     triple = complement_triple(T, p)
-    depth = triple.a3 + 2
+    p, depth = triple.p, triple.a3 + 2
     q = p**depth
     witness0, value0 = next(
         (x, value) for x in itertools.product(range(p), repeat=4)
@@ -116,7 +116,7 @@ def e_p(a1: int, a2: int, a3: int, p: int) -> Fraction:
     """
     if not 0 <= a1 <= a2 <= a3:
         raise ValueError("exponents must satisfy 0 <= a1 <= a2 <= a3")
-    check_odd_prime(p)
+    p = check_odd_prime(p)
     total = Fraction(sum((i + 1) * (a1 + a2 + a3 - 3 * i) * p**i for i in range(a1)))
     if (a1 + a2) % 2 == 0:
         total += sum(

@@ -28,8 +28,10 @@ class Place:
     prime: int | None = None
 
     def __post_init__(self):
-        if self.prime is not None and not _is_prime(self.prime):
-            raise ValueError(f"not a prime: {self.prime}")
+        if self.prime is not None:
+            object.__setattr__(self, "prime", _prime_integer(self.prime))
+            if not _is_prime(self.prime):
+                raise ValueError(f"not a prime: {self.prime}")
 
     @property
     def is_finite(self) -> bool:
@@ -45,7 +47,20 @@ class Place:
 INFINITE_PLACE = Place()
 
 
+def _prime_integer(p) -> int:
+    """p as a plain int, from any integer with __index__ but a bool, so that
+    no numpy scalar reaches three-argument pow or a cache key."""
+    if not isinstance(p, bool):
+        try:
+            return operator.index(p)
+        except TypeError:
+            pass
+    raise TypeError(f"expected an integer prime, got {p!r}")
+
+
 def check_odd_prime(p: int) -> int:
+    """p as a plain int (_prime_integer); ValueError unless it is an odd prime."""
+    p = _prime_integer(p)
     if p == 2 or not _is_prime(p):
         raise ValueError(f"expected an odd prime, got {p}")
     return p
@@ -67,6 +82,10 @@ def _integer(x) -> int:
 
 def _split(x: Rational, p: int) -> tuple[int, int, int]:
     """(v, num, den) with x = p^v * num / den and p dividing neither num nor den."""
+    if type(p) is not int:  # the common int skips the conversion
+        p = _prime_integer(p)
+    if p < 2:
+        raise ValueError(f"expected a prime, got {p}")
     if isinstance(x, Fraction):
         num, den = x.numerator, x.denominator
     else:
@@ -108,7 +127,7 @@ def unit_part(x: Rational, p: int) -> Fraction:
 
 def chi(u: Rational, p: int) -> int:
     """Square-class character of a p-adic unit: +1 for squares, -1 otherwise."""
-    check_odd_prime(p)
+    p = check_odd_prime(p)
     if _exact(u) == 0:
         raise ValueError("chi requires a p-adic unit")
     v, c = _square_class(u, p)

@@ -26,6 +26,7 @@ from .padic import (
     Place,
     Rational,
     _exact,
+    _prime_integer,
     _split,
     _square_class,
     check_odd_prime,
@@ -93,6 +94,7 @@ class SymMat:
         return 0 not in rational_diagonalization(self)
 
     def is_p_integral(self, p: int) -> bool:
+        p = _prime_integer(p)
         return all(x.denominator % p for row in self.entries for x in row)
 
     def principal_block(self, start: int, size: int) -> "SymMat":
@@ -181,7 +183,7 @@ def signature(T: SymMat) -> tuple[int, int]:
 
 @lru_cache(maxsize=1024)
 def least_nonsquare(p: int) -> int:
-    check_odd_prime(p)
+    p = check_odd_prime(p)
     return next(u for u in range(2, p) if chi(u, p) == -1)
 
 
@@ -200,6 +202,7 @@ class JordanDiagonal:
     p: int
 
     def __post_init__(self):
+        object.__setattr__(self, "p", check_odd_prime(self.p))
         exps = [a for a, _ in self.terms]
         if exps != sorted(exps) or any(a < 0 for a in exps):
             raise ValueError("exponents must be nondecreasing and nonnegative")
@@ -242,7 +245,7 @@ def jordan_diagonalize(T: SymMat, p: int) -> JordanDiagonal:
     minimal valuation only because p is odd. Kept on T per prime; a refusal
     is not kept, so every call raises it again.
     """
-    check_odd_prime(p)
+    p = check_odd_prime(p)
     jd = T._jordan.get(p)
     if jd is None:
         if not T.is_p_integral(p):
@@ -348,19 +351,25 @@ def split_diagonal(rank: int) -> tuple[int, ...]:
 
 def twisted_diagonal(p: int) -> tuple[int, ...]:
     """Rank-5 twisted space at p: <1> plus the norm form of the ramified quaternions."""
+    p = check_odd_prime(p)
     b = least_nonsquare(p)
     return (1, 1, -b, -p, b * p)
 
 
 def twisted_complement_diagonal(p: int) -> tuple[int, ...]:
     # the rank-4 quaternion norm form left after splitting off <1>
+    p = check_odd_prime(p)
     b = least_nonsquare(p)
     return (1, -b, -p, b * p)
 
 
-@lru_cache(maxsize=1024)
 def twisted_space(p: int) -> QuadSpace:
-    """The twisted space at p; one shared instance per p."""
+    """The twisted space at p; one shared instance per p, however p is typed."""
+    return _twisted_space(check_odd_prime(p))
+
+
+@lru_cache(maxsize=1024)
+def _twisted_space(p: int) -> QuadSpace:
     return QuadSpace.from_diagonal(twisted_diagonal(p))
 
 

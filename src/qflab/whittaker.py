@@ -37,7 +37,7 @@ class LogPMultiple:
 
     def __post_init__(self):
         object.__setattr__(self, "coeff", Fraction(self.coeff))
-        check_odd_prime(self.p)
+        object.__setattr__(self, "p", check_odd_prime(self.p))
 
     def _check(self, other: "LogPMultiple"):
         if self.p != other.p:
@@ -71,7 +71,7 @@ def whittaker_value(T: SymMat, p: int, r: int = 0) -> Fraction:
     Non-p-integral targets give 0. Uses the closed form when the reduction
     applies (unimodular entry representing 1), otherwise the counting oracle.
     """
-    check_odd_prime(p)
+    p = check_odd_prime(p)
     if not T.is_nonsingular:
         raise ValueError("Whittaker value requires a nonsingular target")
     if not T.is_p_integral(p):
@@ -89,7 +89,7 @@ def whittaker_value(T: SymMat, p: int, r: int = 0) -> Fraction:
 
 def whittaker_derivative(T: SymMat, p: int) -> LogPMultiple:
     """Leading derivative term at a place where the value vanishes."""
-    check_odd_prime(p)
+    p = check_odd_prime(p)
     if not T.is_nonsingular:
         raise ValueError("Whittaker derivative requires a nonsingular target")
     if not T.is_p_integral(p):
@@ -106,6 +106,7 @@ def whittaker_twisted_value(T: SymMat, p: int) -> Fraction:
 
 def ratio_audit_constant(p: int) -> Fraction:
     """The volume-ratio constant relating the two normalizations."""
+    p = check_odd_prime(p)
     num = (1 - Fraction(1, p**4)) * (1 - Fraction(1, p**2))
     den = Fraction(1, p**4) * (1 - Fraction(1, p**2)) * 2 * (p + 1)
     return num / den
@@ -145,7 +146,7 @@ def verify_ratio_identity(T: SymMat, p: int) -> RatioReport:
     complement exponents alone. T's Jordan data is computed once, kept on T,
     and both sides read the complement triple off it.
     """
-    check_odd_prime(p)
+    p = check_odd_prime(p)
     if T.n != 4 or not T.is_nonsingular:
         raise ValueError("ratio identity requires a nonsingular rank-4 target")
     if not T.is_p_integral(p):

@@ -1,5 +1,6 @@
 """Exact solution counting mod p^t and the stabilized density oracle."""
 
+import collections
 import itertools
 import random
 import re
@@ -246,15 +247,15 @@ def test_row_keys_depend_only_on_key_class(p, t, n):
 
 def _literal_mirror_dot(table, tgt, q, k, sign):
     """sum table[key] * table[sign * (tgt - key)] over keys, one key and digit
-    at a time."""
-    cells = table.tolist()
+    at a time; table is an array, or a dict of its nonzero cells."""
+    cells = table if isinstance(table, dict) else dict(enumerate(table.tolist()))
     total = 0
-    for index in range(q**k):
+    for index, value in cells.items():
         rest, partner = index, 0
         for c, t in enumerate(tgt):
             rest, d = divmod(rest, q)
             partner += sign * (t - d) % q * q**c
-        total += cells[index] * cells[partner]
+        total += value * cells.get(partner, 0)
     return total
 
 
@@ -274,6 +275,32 @@ def test_mirror_dot_matches_literal_sum(q, k):
     for tgt, sign in itertools.product(targets, (1, -1)):  # tgt - key, key - tgt
         want = _literal_mirror_dot(table, tgt, q, k, sign)
         assert counting._mirror_dot(table, tgt, q, k, sign) == want, (tgt, sign)
+
+
+# every digit grouping of the partner lookups: one group, equal groups and a
+# short last group; k = 6 stops at 17^6 cells, the table of a rank-3 count
+@pytest.mark.parametrize("q, k", [(q, k) for q in (3, 9, 17, 25, 27) for k in (1, 3, 6)
+                                  if q**k <= 17**6])
+def test_partner_dot_matches_literal_sum(monkeypatch, q, k):
+    rng = random.Random(q * 100 + k)
+    # about one cell in eight nonzero, at most 5000, of up to 2^20 as above
+    cells = {rng.randrange(q**k): rng.choice((1, rng.randrange(1, 2**20)))
+             for _ in range(min(q**k // 8 + 1, 5000))}
+    table = np.zeros(q**k, dtype=np.uint32)
+    table[list(cells)] = list(cells.values())
+    nonzero = counting._nonzero_cells(table, len(cells))
+    assert nonzero.dtype == np.int32 and nonzero.tolist() == sorted(cells)
+    assert len(counting._nonzero_cells(table, len(cells) - 1)) == 0  # one cell too many
+    targets = [(0,) * k, (q - 1,) * k, tuple(rng.randrange(q) for _ in range(k))]
+    for tgt, sign in itertools.product(targets, (1, -1)):  # tgt - key, key - tgt
+        want = _literal_mirror_dot(cells, tgt, q, k, sign)
+        assert counting._partner_dot(table, nonzero, tgt, q, k, sign) == want, (tgt, sign)
+    if q**k <= 20_000:  # index and read in blocks of 7 cells
+        monkeypatch.setattr(counting, "_CHUNK", 7)
+        assert counting._nonzero_cells(table, len(cells)).tolist() == sorted(cells)
+        for sign in (1, -1):
+            want = _literal_mirror_dot(cells, targets[-1], q, k, sign)
+            assert counting._partner_dot(table, nonzero, targets[-1], q, k, sign) == want
 
 
 def test_packed_sums_fit_int64():
@@ -453,14 +480,15 @@ def test_dispatch_modes_match_naive(monkeypatch, cold):
     real = counting._split
 
     def spy(classes, size, neg, cells):
-        table, other, sign = real(classes, size, neg, cells)
+        table, other, sign, stream = real(classes, size, neg, cells)
         m = len(classes)  # neither half passes ceil(m/2) rows, as the budget and uint32 need
         assert sorted(table + other) == sorted(classes) and len(table) in (m // 2, (m + 1) // 2)
-        seen.add(("sign", sign))
+        assert stream or sign  # only paired halves share the table
+        seen.add(("sign", 0 if stream else sign))  # the product a filling count runs
         seen.add(("odd m", len(classes) % 2 == 1))
-        seen.add(("pair streamed", not sign and len(set(other)) < len(other)))
+        seen.add(("pair streamed", stream and len(set(other)) < len(other)))
         seen.add(("pair in table", len(set(table)) < len(table)))
-        return table, other, sign
+        return table, other, sign, stream
 
     monkeypatch.setattr(counting, "_split", spy)
     for s, T, p, t in _dispatch_jobs():
@@ -539,13 +567,71 @@ def test_kept_cells_stay_within_budget(monkeypatch, cold):
 
 
 def test_kept_arrays_are_read_only(cold):
-    count_solutions(CountJob(split_diagonal(4), SymMat.diag(1, 2), 3, 2))
-    count_solutions(CountJob((1, 1, 1, -1), SymMat.diag(1, 2), 3, 2))
-    kept = [a for arrays in counting._RESIDENT.entries.values() for a in arrays]
-    assert len(kept) == 6  # two tables, and digits and counts of two classes
+    # the second target reuses the paired table, so it indexes its nonzero cells
+    count_solutions(CountJob(split_diagonal(4), SymMat.diag(1, 2, 2), 3, 1))
+    count_solutions(CountJob(split_diagonal(4), SymMat.diag(1, 1, 2), 3, 1))
+    count_solutions(CountJob((1, 1, 1, -1), SymMat.diag(1, 2, 2), 3, 1))
+    entries = counting._RESIDENT.entries
+    (index,) = [arrays[1] for key, arrays in entries.items() if key[0] == "table" and len(arrays) == 2]
+    assert index.dtype == np.int32 and len(index)
+    kept = [a for arrays in entries.values() for a in arrays]
+    # two tables, the nonzero index of the paired one, and digits and counts of two classes
+    assert len(kept) == 7 and any(a is index for a in kept)
     for a in kept:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1
+
+
+def test_reused_paired_table_is_read_through_its_nonzero_cells(monkeypatch, cold):
+    calls = collections.Counter()
+
+    def spy(name):
+        real = getattr(counting, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    targets = [SymMat.diag(1, 2, 2), SymMat([[1, 1, 0], [1, 2, 0], [0, 0, 2]]), SymMat.diag(1, 1, 2)]
+    # rank-3 tables of 3^6 and 5^6 cells that a cold count streams against:
+    # the negated classes 1, 1 and -1, -1 at p = 3, one class at p = 5
+    for p in (3, 5):
+        jobs = [CountJob(split_diagonal(4), T, p, 1) for T in targets]
+        wants = []
+        for job in jobs:  # each count cold, as a count that fills its table
+            counting._RESIDENT.clear()
+            wants.append(count_solutions(job))
+        counting._RESIDENT.clear()
+        for name in ("_sums", "_mirror_dot", "_nonzero_cells", "_partner_dot"):
+            monkeypatch.setattr(counting, name, spy(name))
+        for cycle in range(2):  # the second after an eviction
+            calls.clear()
+            before = set(counting._RESIDENT.entries)
+            assert count_solutions(jobs[0]) == wants[0]
+            (key,) = [key for key in set(counting._RESIDENT.entries) - before if key[0] == "table"]
+            assert calls.keys() == {"_sums"}  # streamed, as before the index existed
+            assert len(counting._RESIDENT.entries[key]) == 1
+            calls.clear()
+            assert count_solutions(jobs[1]) == wants[1]  # the first reuse indexes the table
+            assert calls == {"_nonzero_cells": 1, "_partner_dot": 1}
+            table, index = counting._RESIDENT.entries[key]
+            assert index.tolist() == np.flatnonzero(table).tolist()
+            calls.clear()
+            assert [count_solutions(jobs[i]) for i in (2, 0)] == [wants[2], wants[0]]
+            assert calls == {"_partner_dot": 2}
+            assert counting._RESIDENT.cells == sum(
+                a.size for arrays in counting._RESIDENT.entries.values() for a in arrays)
+            # a table of another class (3 is 0 mod 3 and a nonsquare mod 5)
+            # that fits the budget only alone evicts this table and its index
+            monkeypatch.setenv("QFLAB_STATE_BUDGET", str(table.size + 10))
+            count_solutions(CountJob((3, 3, 3, 3), targets[0], p, 1))
+            assert key not in counting._RESIDENT.entries
+            assert counting._RESIDENT.cells == sum(
+                a.size for arrays in counting._RESIDENT.entries.values() for a in arrays)
+            monkeypatch.delenv("QFLAB_STATE_BUDGET")
+        monkeypatch.undo()
+        counting._RESIDENT.clear()
 
 
 def test_kept_table_does_not_bypass_budget(monkeypatch, cold):
