@@ -4,16 +4,20 @@ Covers the block decomposition of a fundamental matrix, the isolation
 criterion, the component-count decision table, the reduced finite-field
 quadratic spaces at a crossing point, incidence constants recomputed by
 enumeration, and the multiplicity-weighted point sum.
-"""
+
+The enumerations run on plain ints. A finite-field form reads each vector's
+value from per-coordinate tables of its square and cross terms, and the
+incidence counts write an element x0 + x1 d of F_{p^2} as x0 + p x1 and
+multiply through log and antilog tables built on each call. Nothing is kept
+between calls but a form's own value set."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .padic import check_odd_prime
+from .padic import _exact, check_odd_prime
 from .quadform import SymMat, least_nonsquare, represents_one_over_Zp
 from .gkmult import e_p_of_form
 
@@ -121,16 +125,35 @@ def classify_component(
     )
 
 
+def _residue(x, p: int, what: str) -> int:
+    """x mod p for an integer, or a Fraction whose denominator p does not divide.
+
+    Floats and strings raise TypeError (padic._exact).
+    """
+    x = _exact(x)
+    if x.denominator % p == 0:
+        raise ValueError(f"{what} {x} has no residue mod {p}: p divides its denominator")
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
 @dataclass(frozen=True)
 class FiniteFieldQuadSpace:
-    """Quadratic form over F_p (p odd) of dimension 1..3, values by enumeration."""
+    """Quadratic form over F_p (p odd) of dimension 1..3, values by enumeration.
+
+    Entries and vector coordinates are integers or Fractions read mod p,
+    a Fraction as numerator times the inverse of its denominator.
+    """
 
     p: int
     gram: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "p", check_odd_prime(self.p))
-        rows = tuple(tuple(int(x) % self.p for x in row) for row in self.gram)
+        p = check_odd_prime(self.p)
+        object.__setattr__(self, "p", p)
+        rows = tuple(
+            tuple(_residue(x, p, f"entry ({i}, {j})") for j, x in enumerate(row))
+            for i, row in enumerate(self.gram)
+        )
         if not 1 <= len(rows) <= 3 or any(len(r) != len(rows) for r in rows):
             raise ValueError("finite-field form must be square of dimension 1..3")
         for i in range(len(rows)):
@@ -143,7 +166,7 @@ class FiniteFieldQuadSpace:
     def diagonal(cls, p: int, entries) -> "FiniteFieldQuadSpace":
         n = len(entries)
         return cls(p, tuple(
-            tuple(entries[i] % p if i == j else 0 for j in range(n)) for i in range(n)
+            tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n)
         ))
 
     @property
@@ -151,23 +174,36 @@ class FiniteFieldQuadSpace:
         return len(self.gram)
 
     def evaluate(self, x) -> int:
+        x = [_residue(c, self.p, f"coordinate {i}") for i, c in enumerate(x)]
         return sum(
             x[i] * self.gram[i][j] * x[j]
             for i in range(self.dim) for j in range(self.dim)
         ) % self.p
 
     def values(self) -> frozenset:
-        """The set of values, enumerated once per instance."""
+        """The set of values over all of F_p^dim, enumerated once per instance.
+
+        Coordinates are added one at a time: Q(head, x) = Q(head) + x (g_kk x
+        + 2 s) with s = sum_i g_ik head_i, so coordinate k reads one table of
+        its square and cross terms, indexed by s mod p and x.
+        """
         values = self.__dict__.get("_values")
         if values is None:
-            values = frozenset(
-                self.evaluate(x) for x in itertools.product(range(self.p), repeat=self.dim)
-            )
+            p, g, field = self.p, self.gram, range(self.p)
+            partial = [((), 0)]  # (head, Q(head)) over the first k coordinates
+            for k in range(self.dim):
+                table = [[(g[k][k] * x + 2 * s) * x % p for x in field] for s in field]
+                grown = []
+                for head, v in partial:
+                    row = table[sum(g[i][k] * h for i, h in enumerate(head)) % p]
+                    grown += [(head + (x,), v + row[x]) for x in field]
+                partial = grown
+            values = frozenset(v % p for _, v in partial)
             object.__setattr__(self, "_values", values)
         return values
 
-    def represents(self, c: int) -> bool:
-        return c % self.p in self.values()
+    def represents(self, c) -> bool:
+        return _residue(c, self.p, "value") in self.values()
 
 
 def reduced_superspecial_space(p: int) -> FiniteFieldQuadSpace:
@@ -187,27 +223,29 @@ class IncidenceCounts(NamedTuple):
     points_per_line: int
 
 
-def _fp2_elements(p: int):
-    return itertools.product(range(p), repeat=2)
+def _fp2_log_tables(p: int, u: int) -> tuple[list[int], list[int]]:
+    """Antilog and log tables of F_{p^2} = F_p(d), d^2 = u a nonsquare.
 
-
-def _fp2_mul(x, y, p: int, u: int):
-    # (x0 + x1 d)(y0 + y1 d) with d^2 = u
-    return (
-        (x[0] * y[0] + u * x[1] * y[1]) % p,
-        (x[0] * y[1] + x[1] * y[0]) % p,
-    )
-
-
-def _fp2_pow(x, e: int, p: int, u: int):
-    out = (1, 0)
-    base = x
-    while e:
-        if e & 1:
-            out = _fp2_mul(out, base, p, u)
-        base = _fp2_mul(base, base, p, u)
-        e >>= 1
-    return out
+    An element x0 + x1 d is the int x0 + p x1. antilog[k] = g^k for
+    k < p^2 - 1, with g the first element outside F_p whose powers run
+    through all of F_{p^2}^*; log inverts it, and log[0] is -1. Products
+    become index sums mod p^2 - 1 (Lidl-Niederreiter, Finite Fields, ch. 2).
+    """
+    order = p * p - 1
+    for g in range(p, p * p):
+        g1, g0 = divmod(g, p)
+        antilog, x0, x1 = [1], 1, 0
+        while len(antilog) < order:
+            x0, x1 = (x0 * g0 + u * x1 * g1) % p, (x0 * g1 + x1 * g0) % p
+            if x1 == 0 and x0 == 1:
+                break  # the cycle closed early: g is not a generator
+            antilog.append(x0 + p * x1)
+        else:
+            log = [-1] * (p * p)
+            for k, x in enumerate(antilog):
+                log[x] = k
+            return antilog, log
+    raise ArithmeticError(f"no generator of F_{p}^2 found")
 
 
 def incidence_counts(p: int) -> IncidenceCounts:
@@ -216,32 +254,26 @@ def incidence_counts(p: int) -> IncidenceCounts:
     Lines through a superspecial point: solutions of norm(mu) = -1, the norm
     taken against the p-power conjugate. Crossing points on a component:
     points of a projective line over the quadratic extension, counted from
-    normalized representatives.
+    normalized representatives. Each element is read through per-call log
+    tables (_fp2_log_tables), so a power or a quotient is an index sum.
     """
     p = check_odd_prime(p)
-    u = least_nonsquare(p)
-    q = p * p
+    antilog, log = _fp2_log_tables(p, least_nonsquare(p))
+    order = len(antilog)
 
-    fiber = 0
-    for mu in _fp2_elements(p):
-        conj = _fp2_pow(mu, p, p, u)
-        norm = _fp2_mul(mu, conj, p, u)
-        if norm[1] != 0:
+    fiber = 0  # mu = 0 has norm 0, never -1
+    for k in range(order):  # mu = g^k: mu * mu^p = g^(k (p + 1))
+        norm = antilog[k * (p + 1) % order]
+        if norm >= p:
             raise ArithmeticError("norm landed outside the prime field")
-        if norm[0] == (p - 1) % p:
-            fiber += 1
+        fiber += norm == p - 1
 
-    inverse = {
-        x: _fp2_pow(x, q - 2, p, u) for x in _fp2_elements(p) if x != (0, 0)
-    }
-    points = set()
-    for a, b in itertools.product(_fp2_elements(p), repeat=2):
-        if a == (0, 0) and b == (0, 0):
-            continue
-        if a != (0, 0):
-            points.add(((1, 0), _fp2_mul(inverse[a], b, p, u)))
-        else:
-            points.add(((0, 0), (1, 0)))
+    # a point (a : b) with a != 0 is (1 : b/a), kept as the int b/a (0 for
+    # b = 0); every (0 : b) is (0 : 1), kept as p^2
+    nonzero_logs = log[1:]  # the logs of a, b = 1, ..., p^2 - 1
+    points = {0, p * p}
+    for la in nonzero_logs:
+        points.update([antilog[(lb - la) % order] for lb in nonzero_logs])
     return IncidenceCounts(fiber, len(points))
 
 

@@ -4,7 +4,11 @@ Unary factors, the ternary closed form over the split complement, the
 density series A(X) assembled from T's Jordan data (kept on its SymMat), its
 derivative at X = 1, and the twisted (ramified-quaternion) density. Every
 value here is cross-checked against the counting oracle in the test suite.
-"""
+
+The closed forms multiply integer polynomials over one power of p: the
+bracket has integer coefficients, p^4 times the ternary series is
+(p^2 - X)(p^2 - X^2) times the bracket, and p^6 A(X) is (p^2 + X) times
+that. Only the finished series is divided into Fractions."""
 
 from __future__ import annotations
 
@@ -22,14 +26,15 @@ from .quadform import (
 from .gkmult import GKTriple, complement_triple
 
 
-def _strip(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+def _strip(coeffs: list) -> tuple:
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
 
 
 def _pmul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    # integer or Fraction coefficients; a coefficient no product reaches stays int 0
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
@@ -102,6 +107,11 @@ def kitaoka_bracket(t: GKTriple) -> tuple[Fraction, ...]:
     Coefficient reversal: X^(a1+a2+a3) * B(1/X) = chi_tilde * B(X); the test
     suite asserts this on the coefficient tuple.
     """
+    return tuple(Fraction(c) for c in _bracket_integers(t))
+
+
+def _bracket_integers(t: GKTriple) -> tuple[int, ...]:
+    # the bracket's coefficients are integers: sums of signed powers of p
     p = t.p
     ct = chi_tilde(t)
     a1, a2, a3 = t.exponents
@@ -121,17 +131,22 @@ def kitaoka_bracket(t: GKTriple) -> tuple[Fraction, ...]:
         for i in range(a1 + 1):
             for j in range(a3 - a2 + 1):
                 acc[a2 + i + j] += lead * eps**j
-    return _strip([Fraction(c) for c in acc])
+    return _strip(acc)
+
+
+def _ternary_numerator(t: GKTriple) -> tuple[int, ...]:
+    """p^4 times the ternary series: (p^2 - X)(p^2 - X^2) times the bracket."""
+    q = t.p * t.p
+    return _pmul(_pmul((q, -1), (q, 0, -1)), _bracket_integers(t))
+
+
+def _over(numerator, den: int) -> DensityPolynomial:
+    return DensityPolynomial([Fraction(c, den) for c in numerator])
 
 
 def kitaoka_ternary_poly(t: GKTriple) -> DensityPolynomial:
     """Density series of the ternary complement against the rank-4 split form."""
-    p = t.p
-    pre = _pmul(
-        (Fraction(1), Fraction(-1, p * p)),
-        (Fraction(1), Fraction(0), Fraction(-1, p * p)),
-    )
-    return DensityPolynomial(_pmul(pre, kitaoka_bracket(t)))
+    return _over(_ternary_numerator(t), t.p**4)
 
 
 def assemble_A(T: SymMat, p: int) -> DensityPolynomial:
@@ -144,7 +159,9 @@ def assemble_A(T: SymMat, p: int) -> DensityPolynomial:
         raise ValueError("reduction formula requires a unimodular entry")
     if not represents_one_over_Zp(T, p):
         raise ValueError("Kitaoka closed form requires represented 1")
-    return unary_density_factor(1, p) * kitaoka_ternary_poly(complement_triple(T, p))
+    t = complement_triple(T, p)
+    # the unary factor 1 + X/p^2 is (p^2 + X) / p^2
+    return _over(_pmul((t.p * t.p, 1), _ternary_numerator(t)), t.p**6)
 
 
 def twisted_density(T: SymMat, p: int) -> Fraction:

@@ -6,9 +6,10 @@ used elsewhere, and the set of places where an incoherent collection fails
 to represent a target form.
 
 One congruence elimination (`_eliminate`) serves every invariant. A SymMat
-keeps its diagonal over Q, which gives the determinant (its product: the
-moves have determinant +-1), the signature and the local tests, and its
-Jordan data per prime: the same loop with a valuation-first pivot rank.
+keeps its diagonal over Q beside its product, the determinant (the moves
+have determinant +-1); the signature and the local tests read them. It also
+keeps its Jordan data per prime: the same loop with a valuation-first pivot
+rank.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ from .padic import (
     INFINITE_PLACE,
     Place,
     Rational,
+    _eps2,
     _exact,
+    _omega2,
     _prime_integer,
     _split,
     _square_class,
@@ -61,7 +64,8 @@ class SymMat:
                     raise ValueError("matrix must be symmetric")
         self.entries = rows
         self.n = n
-        self._diagonal = None
+        self._diagonal = None  # with _det, set by rational_diagonalization
+        self._det = None
         self._jordan = {}  # prime -> JordanDiagonal
 
     @classmethod
@@ -87,7 +91,9 @@ class SymMat:
 
     @property
     def det(self) -> Fraction:
-        return math.prod(rational_diagonalization(self), start=Fraction(1))
+        if self._det is None:
+            rational_diagonalization(self)
+        return self._det
 
     @property
     def is_nonsingular(self) -> bool:
@@ -166,10 +172,12 @@ def rational_diagonalization(T: SymMat) -> tuple[Fraction, ...]:
     """Diagonal entries of a congruent diagonal form over Q (zeros for the radical).
 
     Pivots on a nonzero diagonal entry if there is one, else on the first
-    nonzero off-diagonal entry. Computed once per matrix and kept on it.
+    nonzero off-diagonal entry. Computed once per matrix and kept on it, with
+    its product, the determinant.
     """
     if T._diagonal is None:
         T._diagonal = tuple(_eliminate(T.entries, lambda x, i, j: (i != j, i, j)))
+        T._det = math.prod(T._diagonal, start=Fraction(1))
     return T._diagonal
 
 
@@ -293,9 +301,13 @@ class QuadSpace:
 def hasse_of_diagonal(diag, v: Place) -> int:
     """Product of Hilbert symbols (d_i, d_j)_v over i < j.
 
-    At an odd prime p each entry is read once as d_i = p^a_i * u_i, and with
-    (d_i, d_j)_p = chi(-1)^(a_i a_j) chi(u_i)^a_j chi(u_j)^a_i the product is
-    chi(-1)^#{i < j : a_i, a_j odd} * prod_i chi(u_i)^(A - a_i), A = sum a_i.
+    At a finite prime each entry is read once, as d_i = p^a_i * u_i, and
+    the pairs are summed in closed form; A = sum a_i.
+    - Odd p: with (d_i, d_j)_p = chi(-1)^(a_i a_j) chi(u_i)^a_j chi(u_j)^a_i
+      the product is chi(-1)^#{i < j : a_i, a_j odd} * prod_i chi(u_i)^(A - a_i).
+    - p = 2: with (d_i, d_j)_2 = (-1)^(e_i e_j + a_i w_j + a_j w_i), e and w
+      the eps and omega of u mod 8, the exponent is
+      E(E - 1)/2 + A W - sum_i a_i w_i, E = sum e_i and W = sum w_i.
     """
     if v.is_finite and v.prime != 2:
         p = v.prime
@@ -307,6 +319,14 @@ def hasse_of_diagonal(diag, v: Place) -> int:
             if c == -1 and (total - a) % 2:
                 s = -s
         return s
+    if v.is_finite:
+        E = A = W = AW = 0
+        for d in diag:
+            a, num, den = _split(d, 2)
+            u = num * den % 8  # an odd den is its own inverse mod 8
+            e, w = _eps2(u), _omega2(u)
+            E, A, W, AW = E + e, A + a, W + w, AW + a * w
+        return -1 if (E * (E - 1) // 2 + A * W - AW) % 2 else 1
     diag = [_exact(d) for d in diag]
     s = 1
     for i in range(len(diag)):

@@ -1,6 +1,8 @@
 """Component classification, reduced special fibers, and intersection bookkeeping."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from qflab import (
     reduced_distinguished_space,
     reduced_superspecial_space,
 )
+from qflab.cycles import _fp2_log_tables
+from qflab.quadform import least_nonsquare
 
 
 # ---------------------------------------------------------------- block extraction
@@ -124,6 +128,39 @@ def test_finite_field_space_construction():
     assert 0 in space.values()
 
 
+def test_finite_field_space_reads_fractions_mod_p():
+    assert FiniteFieldQuadSpace.diagonal(3, (Fraction(1, 2),)).gram == ((2,),)
+    assert FiniteFieldQuadSpace(5, ((Fraction(-1, 3), 1), (1, 0))).gram == ((3, 1), (1, 0))
+    assert FiniteFieldQuadSpace.diagonal(3, (Fraction(7, 1),)).gram == ((1,),)
+    space = FiniteFieldQuadSpace.diagonal(5, (1,))
+    assert space.evaluate((Fraction(1, 2),)) == 4  # (1/2)^2 = 3^2 mod 5
+    assert space.represents(Fraction(1, 4)) and not space.represents(Fraction(1, 2))
+
+
+def test_finite_field_evaluate_refuses_unreadable_coordinates():
+    space = FiniteFieldQuadSpace.diagonal(3, (1, 1))
+    with pytest.raises(ValueError, match=r"^coordinate 1 2/3 has no residue mod 3"):
+        space.evaluate((1, Fraction(2, 3)))
+    with pytest.raises(TypeError):
+        space.evaluate((0.5, 1))
+    with pytest.raises(ValueError, match=r"^value 1/3 has no residue mod 3"):
+        space.represents(Fraction(1, 3))
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11))
+def test_values_match_brute_force_on_dense_forms(p):
+    rng = random.Random(p)
+    for dim in (1, 2, 3):
+        for _ in range(12):
+            gram = [[0] * dim for _ in range(dim)]
+            for i in range(dim):
+                for j in range(i + 1):
+                    gram[i][j] = gram[j][i] = rng.randrange(-2 * p, 2 * p)
+            space = FiniteFieldQuadSpace(p, gram)
+            brute = {space.evaluate(x) for x in itertools.product(range(p), repeat=dim)}
+            assert space.values() == brute
+
+
 def test_superspecial_space_is_universal():
     for p in (3, 5, 7, 11):
         space = reduced_superspecial_space(p)
@@ -149,8 +186,32 @@ def test_distinguished_space_never_represents_one():
 # ---------------------------------------------------------------- incidence
 
 
+def _fp2_product(x, y, p, u):
+    # (x0 + x1 d)(y0 + y1 d) with d^2 = u, on the int encoding x0 + p x1
+    (x1, x0), (y1, y0) = divmod(x, p), divmod(y, p)
+    return (x0 * y0 + u * x1 * y1) % p + p * ((x0 * y1 + x1 * y0) % p)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 17, 19, 23))
+def test_fp2_log_tables(p):
+    u = least_nonsquare(p)
+    antilog, log = _fp2_log_tables(p, u)
+    order = p * p - 1
+    assert len(antilog) == order and sorted(antilog) == list(range(1, p * p))
+    assert log[0] == -1 and all(antilog[log[x]] == x for x in range(1, p * p))
+    assert all(log[antilog[k]] == k for k in range(order))
+    # antilog[k + 1] = g * antilog[k] for the one generator g = antilog[1]
+    g = antilog[1]
+    assert all(antilog[(k + 1) % order] == _fp2_product(antilog[k], g, p, u)
+               for k in range(order))
+    rng = random.Random(p)
+    for _ in range(300):
+        x, y = rng.randrange(1, p * p), rng.randrange(1, p * p)
+        assert antilog[(log[x] + log[y]) % order] == _fp2_product(x, y, p, u)
+
+
 def test_incidence_counts_small_primes():
-    for p in (3, 5, 7, 11, 13):
+    for p in (3, 5, 7, 11, 13, 17, 19, 23):  # the full `components` sweep
         got = incidence_counts(p)
         assert got.lines_through_superspecial == p + 1
         assert got.points_per_line == p * p + 1

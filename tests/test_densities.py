@@ -129,6 +129,68 @@ def test_bracket_coefficient_reversal():
                 assert reversed_ == expected
 
 
+def _ref_pmul(a, b):
+    # the Fraction product the closed forms used before they ran on integers
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _ref_padd(a, b):
+    n = max(len(a), len(b))
+    return tuple(
+        (a[i] if i < len(a) else F(0)) + (b[i] if i < len(b) else F(0)) for i in range(n)
+    )
+
+
+def _ref_monomial(c, k):
+    return (F(0),) * k + (F(c),)
+
+
+def _ref_bracket(t):
+    """The bracket term by term in Fractions (Kitaoka, Arithmetic of Quadratic Forms, 5.6)."""
+    p, (a1, a2, a3) = t.p, t.exponents
+    asum, even = a1 + a2 + a3, (a1 - a2) % 2 == 0
+    top = (a1 + a2) // 2 - 1 if even else (a1 + a2 - 1) // 2
+    out = (F(0),)
+    for el in range(top + 1):
+        for k in range(min(a1, el) + 1):
+            out = _ref_padd(out, _ref_monomial(p**el, 2 * el - k))
+            out = _ref_padd(out, _ref_monomial(chi_tilde(t) * p**el, asum + k - 2 * el))
+    if even:
+        eps = chi(-1, p) * t.eps1 * t.eps2
+        run = tuple(F(1) for _ in range(a1 + 1))
+        geometric = tuple(F(eps) ** j for j in range(a3 - a2 + 1))
+        out = _ref_padd(out, _ref_pmul(_ref_monomial(p ** ((a1 + a2) // 2), a2),
+                                       _ref_pmul(run, geometric)))
+    while len(out) > 1 and out[-1] == 0:
+        out = out[:-1]
+    return out
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_integer_closed_forms_match_fraction_products(p):
+    # every triple with exponents <= 4 and every sign pattern; assemble_A on
+    # <1> + diag(u_i p^a_i), u_i = 1 or the least nonsquare by sign
+    u = next(x for x in range(2, p) if chi(x, p) == -1)
+    pre = _ref_pmul((F(1), F(-1, p * p)), (F(1), F(0), F(-1, p * p)))
+    unary = (F(1), F(1, p * p))
+    for a in itertools.combinations_with_replacement(range(5), 3):
+        for signs in itertools.product((1, -1), repeat=3):
+            t = GKTriple(*a, *signs, p)
+            bracket = kitaoka_bracket(t)
+            assert bracket == _ref_bracket(t)
+            assert all(type(c) is Fraction and c.denominator == 1 for c in bracket)
+            ternary = _ref_pmul(pre, bracket)
+            assert kitaoka_ternary_poly(t) == DensityPolynomial(ternary)
+            T = SymMat.diag(1, *((1 if s == 1 else u) * p**e for e, s in zip(a, signs)))
+            assert assemble_A(T, p) == DensityPolynomial(_ref_pmul(unary, ternary))
+
+
 # ---------------------------------------------------------------- assembly
 
 

@@ -21,6 +21,7 @@ from qflab import (
     count_solutions,
     diff_set,
     frac_str,
+    hilbert,
     is_local_square,
     jordan_diagonalize,
     least_nonsquare,
@@ -32,6 +33,7 @@ from qflab import (
     twisted_space,
     vb_space,
 )
+from qflab.quadform import hasse_of_diagonal
 
 
 def _random_symmetric(rng, n, bound=9):
@@ -123,6 +125,29 @@ def test_rational_diagonalization_is_congruent():
         assert T.is_nonsingular == (det != 0) == (0 not in d)
         singular += det == 0
     assert singular >= 20
+
+
+def test_det_is_kept_beside_the_diagonal():
+    rng = random.Random(32)
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        T = _random_symmetric(rng, n, rng.choice((1, 2, 9)))
+        det = T.det  # read before anything else diagonalizes T
+        assert det == _leibniz_det(T)
+        assert T.det is det
+        assert rational_diagonalization(T) and T.det is det
+
+
+def test_hasse_at_2_is_the_pairwise_hilbert_product():
+    rng = random.Random(33)
+    two = Place(2)
+    for _ in range(400):
+        diag = [
+            Fraction(rng.choice((1, -1)) * rng.randint(1, 200), rng.randint(1, 200))
+            for _ in range(rng.randint(1, 5))
+        ]
+        pairwise = math.prod(hilbert(a, b, two) for a, b in itertools.combinations(diag, 2))
+        assert hasse_of_diagonal(diag, two) == pairwise
 
 
 @pytest.mark.parametrize("entries, diagonal", [

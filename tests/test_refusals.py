@@ -1,8 +1,9 @@
-"""The refusal table of the closed-form entry points.
+"""The refusal tables of the closed-form entry points.
 
 Every entry point that reads T's Jordan data at p refuses the same seven
 kinds of input. Each cell pins the exact exception type and message, so a
-check that moves between functions or changes order shows up here.
+check that moves between functions or changes order shows up here. The
+finite-field forms have their own row: an entry they cannot read mod p.
 """
 
 from fractions import Fraction
@@ -10,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from qflab import (
+    FiniteFieldQuadSpace,
     SymMat,
     assemble_A,
     e_p_of_form,
@@ -105,3 +107,17 @@ def test_whittaker_derivative_refuses_missing_closed_form_in_diff():
     with pytest.raises(ValueError) as info:
         whittaker_derivative(SymMat.diag(3, 3, 3, 6), 3)
     assert str(info.value) == "reduction formula requires a unimodular entry"
+
+
+@pytest.mark.parametrize("gram, p, error, message", [
+    (((1.7,),), 3, TypeError, "expected an integer or Fraction, got 1.7"),
+    ((("1/2",),), 3, TypeError, "expected an integer or Fraction, got '1/2'"),
+    (((Fraction(1, 3),),), 3, ValueError,
+     "entry (0, 0) 1/3 has no residue mod 3: p divides its denominator"),
+    (((1, Fraction(2, 5)), (Fraction(2, 5), 1)), 5, ValueError,
+     "entry (0, 1) 2/5 has no residue mod 5: p divides its denominator"),
+])
+def test_finite_field_space_refusals(gram, p, error, message):
+    with pytest.raises(error) as info:
+        FiniteFieldQuadSpace(p, gram)
+    assert str(info.value) == message
