@@ -25,15 +25,17 @@ table depends only on q, n and its half's class multiset, and a class's row
 keys only on the class, q and n, so both are kept read-only for later
 counts in the process under those keys; a count whose table is kept does
 only its target-dependent pass. When such a count has paired halves, the
-first one indexes the table's nonzero cells, at most as many as the other
-half's key combinations, and keeps the index with the table; while the
-table has fewer than one nonzero cell in _CELLS_PER_KEY, every such count
-sums A[key] * A[partner] over the indexed cells alone, and otherwise reads
-the whole table as before. The state budget bounds the larger half's
+first one keeps the table's nonzero cells beside it, at most as many as
+the other half's key combinations: each cell's digits packed in base 2q
+as an int64 key and its uint32 value, 12 bytes a cell. While the table
+has fewer than one nonzero cell in _CELLS_PER_KEY, every such count is a
+streamed pass over those cells: a cell's value is its weight, and its
+partner's index is read from a packed sum as a streamed key's is. A
+denser table is read whole. The state budget bounds the larger half's
 q^(n*ceil(m/2)) states and the q^k table cells of a count, and the cells
-kept resident, indices included: before a new table is filled, the least
-recently used tables and keys are dropped until the resident cells and the
-new q^k fit it.
+kept resident, a nonzero key and value two cells each: before a new table
+is filled, the least recently used tables and keys are dropped until the
+resident cells and the new q^k fit it.
 This module is the independent auditor for every closed form in the
 package; it must never call into the closed-form code.
 """
@@ -49,7 +51,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .padic import check_odd_prime, valuation
+from .padic import _plain_int, check_odd_prime, residue, valuation
 from .quadform import SymMat, frac_str, jordan_diagonalize
 
 DEFAULT_STATE_BUDGET = 2**29
@@ -65,9 +67,10 @@ _LOOKUP_CELLS = 2**14
 
 # table cells the mirrored MITM product reads in the time the streamed pass
 # takes per key combination (about 5 ns and 30 ns on a 2-core x86 VM), and
-# so also per indexed nonzero cell, whose partner is a random gather too: a
-# kept paired table is read through its nonzero cells while it has fewer
-# than one in _CELLS_PER_KEY, and by the mirrored product otherwise
+# so also per kept nonzero cell, which the same pass reads: a kept paired
+# table is read through its nonzero cells (a packed int64 key and a uint32
+# value, 12 bytes each) while it has fewer than one in _CELLS_PER_KEY, and
+# by the mirrored product otherwise
 _CELLS_PER_KEY = 6
 
 
@@ -96,6 +99,7 @@ class CountJob:
     def __post_init__(self):
         object.__setattr__(self, "s_diag", tuple(Fraction(s) for s in self.s_diag))
         object.__setattr__(self, "p", check_odd_prime(self.p))
+        object.__setattr__(self, "t", _plain_int(self.t, "an integer modulus exponent t"))
         if self.t < 1:
             raise ValueError("modulus exponent t must be >= 1")
         if self.strategy not in ("naive", "mitm"):
@@ -163,16 +167,12 @@ class OracleError(RuntimeError):
         self.partial_table = tuple(partial_table)
 
 
-def _residue(x: Fraction, q: int) -> int:
-    return x.numerator % q * pow(x.denominator % q, -1, q) % q
-
-
 def _pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
 def _target_digits(T: SymMat, q: int) -> tuple[int, ...]:
-    return tuple(_residue(T[i, j], q) for (i, j) in _pairs(T.n))
+    return tuple(residue(T[i, j], q) for (i, j) in _pairs(T.n))
 
 
 def _naive_count(job: CountJob) -> int:
@@ -180,7 +180,7 @@ def _naive_count(job: CountJob) -> int:
     index, _CHUNK matrices per block, with x_ri the digit r*n + i. Every
     product is reduced mod q, so no intermediate value reaches q^2."""
     q, m, n = job.modulus, job.m, job.n
-    res = [_residue(s, q) for s in job.s_diag]
+    res = [residue(s, q) for s in job.s_diag]
     tgt = _target_digits(job.T, q)
     total = q ** (m * n)
     count = 0
@@ -217,10 +217,6 @@ def _radix(block: np.ndarray, q: int) -> np.ndarray:
         idx *= q
         idx += block[c]
     return idx
-
-
-def _stream_rows(job: CountJob) -> int:
-    return (job.m + 1) // 2
 
 
 def _key_class(r: int, p: int, q: int) -> tuple[int, int]:
@@ -366,65 +362,50 @@ def _mirror_dot(table: np.ndarray, tgt: tuple[int, ...], q: int, k: int, sign: i
     return total
 
 
-def _nonzero_cells(table: np.ndarray, most: int) -> np.ndarray:
-    """Ascending indices of the nonzero cells of table, as int32 (q^k <=
-    budget <= 2^31), or an empty index if there are more than most. The
-    nonzero cells are counted first, so the index is allocated at its size
-    and filled in one pass over the table in slices of _CHUNK cells."""
+def _nonzero_cells(table: np.ndarray, q: int, k: int, most: int):
+    """The nonzero cells of table as (keys, values), or two empty arrays if
+    there are more than most: each cell's radix-q digits packed in base 2q
+    (_digit_lookup) as an int64 key, and its uint32 value, 12 bytes per
+    cell. The cells are counted first, so both arrays are allocated at their
+    size and filled in one pass over the table in slices of _CHUNK cells."""
     found = np.count_nonzero(table)
     if found > most:
-        return np.empty(0, dtype=np.int32)
-    index, at = np.empty(found, dtype=np.int32), 0
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint32)
+    places = _digit_lookup(q, k, 2 * q)[0]
+    keys, values, at = np.zeros(found, dtype=np.int64), np.empty(found, dtype=np.uint32), 0
     for lo in range(0, table.size, _CHUNK):
-        cells = np.flatnonzero(table[lo:lo + _CHUNK])
-        index[at:at + len(cells)] = cells
-        index[at:at + len(cells)] += lo
-        at += len(cells)
-    return index
+        rest = np.flatnonzero(table[lo:lo + _CHUNK])
+        end = at + len(rest)
+        values[at:end] = table[lo:lo + _CHUNK][rest]
+        rest += lo
+        for place in places:
+            rest, digit = np.divmod(rest, q)
+            keys[at:end] += digit * place
+        at = end
+    return keys, values
 
 
-@functools.lru_cache(maxsize=8)
-def _group_digits(q: int, g: int) -> np.ndarray:
-    """Radix-q digits of 0 .. q^g - 1, one row per digit, least first."""
-    rest, digits = np.arange(q**g, dtype=np.int32), np.empty((g, q**g), dtype=np.int32)
-    for c in range(g):
-        rest, digits[c] = np.divmod(rest, q)
-    return digits
+def _partner_sums(keys: np.ndarray, values: np.ndarray, tgt: tuple[int, ...], q: int, k: int,
+                  sign: int):
+    """Yield (sums, values) over blocks of _CHUNK nonzero cells (_nonzero_cells),
+    each sum packing in base 2q the partner of a cell d in the sum of
+    A[d] * A[sign * (tgt - d)]. For sign 1 it is t + q - d digitwise, packed
+    (t + q) minus the key; for sign -1 it is d + t, the key plus packed t,
+    since the sum of A[d] * A[d - t] is the sum of A[d] * A[d + t]. No digit
+    reaches 2q or goes below 0, so nothing carries or borrows."""
+    start = sum(int(place) * (t + q * (sign == 1))
+                for place, t in zip(_digit_lookup(q, k, 2 * q)[0], tgt))
+    for lo in range(0, len(keys), _CHUNK):
+        yield start - sign * keys[lo:lo + _CHUNK], values[lo:lo + _CHUNK]
 
 
-def _partner_dot(table: np.ndarray, nonzero: np.ndarray, tgt: tuple[int, ...], q: int,
-                 k: int, sign: int = 1) -> int:
-    """_mirror_dot over the nonzero cells of table alone (_nonzero_cells).
-
-    A cell index splits into groups of g radix-q digits, g the most with
-    q^g <= _LOOKUP_CELLS (as in _digit_lookup). For the target, a lookup per
-    group maps the group's value to its digits' share of the partner index
-    sign * (tgt - key) mod q, so a partner index is one divmod and one
-    gather per group; for k = 1 it is the partner digit itself. The index
-    is read in blocks of _CHUNK cells, so nothing of the table's or the
-    index's size is allocated.
-    """
-    g = 1
-    while g < k and q ** (g + 1) <= _LOOKUP_CELLS:
-        g += 1
-    lookups = []  # none for k = 1, where the partner is computed directly
-    for lo in range(0, k if k > 1 else 0, g):
-        lookup = np.zeros(q ** min(g, k - lo), dtype=np.int32)
-        for c, digit in enumerate(_group_digits(q, min(g, k - lo))):
-            lookup += sign * (tgt[lo + c] - digit) % q * q ** (lo + c)
-        lookups.append(lookup)
+def _dot(table: np.ndarray, blocks, q: int, k: int, base: int) -> int:
+    """Sum of table[index] * weight over blocks of (packed sums, weights),
+    where index holds a sum's digits mod q (_table_index)."""
     total = 0
-    for lo in range(0, len(nonzero), _CHUNK):
-        cells = nonzero[lo:lo + _CHUNK]
-        if k == 1:
-            partner = sign * (tgt[0] - cells) % q
-        else:  # the last group is what is left once the others are divided out
-            partner, rest = 0, cells
-            for lookup in lookups[:-1]:
-                rest, group = np.divmod(rest, q**g)
-                partner += lookup.take(group)
-            partner += lookups[-1].take(rest)
-        total += int(np.einsum("i,i->", table.take(cells), table.take(partner), dtype=np.uint64))
+    for sums, weights in blocks:
+        cells = table.take(_table_index(sums, q, k, base))
+        total += int(np.einsum("i,i->", cells, weights, dtype=np.uint64))
     return total
 
 
@@ -441,9 +422,9 @@ def _split(classes: list, size: dict, neg: dict, cells: int) -> tuple[tuple, tup
     when the other half is streamed instead, at its own cost: always for
     sign 0, and for paired halves if that costs no more than the mirrored
     product. The least work wins, then the cheaper table. A later count
-    that finds the table kept reads paired halves through the table's
-    nonzero cells, which are no more than the other half's key
-    combinations, whenever that is cheaper still (_mitm_count).
+    that finds the table kept streams the table's own nonzero cells, no
+    more than the other half's key combinations, as packed keys and values
+    whenever that is cheaper still (_mitm_count).
     """
     m, kinds = len(classes), sorted(set(classes))
     have = [classes.count(c) for c in kinds]
@@ -555,13 +536,15 @@ def _mitm_count(job: CountJob) -> int:
     sum of A[key] * A[T - key]; when it has the negated classes its table is
     A[-key] and the count is the sum of A[key] * A[key - T]. A count that
     fills A sums over all its cells (_mirror_dot), or streams the other half
-    when that costs no more (_split). A later count that finds A kept reads
-    it through its nonzero cells (_partner_dot): the first one indexes them
-    (_nonzero_cells) and keeps the index in A's resident entry, so the two
-    are evicted together. The index holds A's nonzero cells, no more than
-    the other half's key combinations, only if there are fewer than
-    q^k / _CELLS_PER_KEY of them and it fits the budget beside A; otherwise
-    it is empty and such counts decide as the filling one did. With
+    when that costs no more (_split). A later count that finds A kept runs
+    the streamed pass (_dot) over A's nonzero cells: the first one packs
+    them in base 2q (_nonzero_cells), an int64 key and a uint32 value per
+    cell, and keeps both in A's resident entry, so the three are evicted
+    together; each block of cells gives its partners' packed sums
+    (_partner_sums) and its values as weights. The keys and values are kept
+    only if there are fewer than q^k / _CELLS_PER_KEY cells and their two
+    cells each fit the budget beside A; otherwise both are empty and such
+    counts decide as the filling one did. With
     unpaired halves the other half is always streamed: its rows carry the
     negated keys and start at the target's digits, so each streamed sum is
     the key it needs. Keys are packed (_digit_lookup) so that a combination
@@ -579,7 +562,7 @@ def _mitm_count(job: CountJob) -> int:
     """
     p, q, n = job.p, job.modulus, job.n
     k = n * (n + 1) // 2
-    res = [_residue(s, q) for s in job.s_diag]
+    res = [residue(s, q) for s in job.s_diag]
     classes = [_key_class(r, p, q) for r in res]
     rep = dict(zip(classes, res))
     neg = {c: _key_class(-r % q, p, q) for c, r in rep.items()}
@@ -602,10 +585,11 @@ def _mitm_count(job: CountJob) -> int:
     if kept is not None and sign:
         if len(kept) == 1:  # the first paired count to find the table kept
             table = kept[0]
-            most = min((q**k - 1) // _CELLS_PER_KEY, state_budget() - q**k)
-            kept = _RESIDENT.remember(key, table, _nonzero_cells(table, most))
-        if len(kept[1]):
-            return _partner_dot(*kept, tgt, q, k, sign)
+            most = min((q**k - 1) // _CELLS_PER_KEY, (state_budget() - q**k) // 2)
+            kept = _RESIDENT.remember(key, table, *_nonzero_cells(table, q, k, most))
+        table, cells, values = kept
+        if len(cells):
+            return _dot(table, _partner_sums(cells, values, tgt, q, k, sign), q, k, 2 * q)
 
     # a base is 1 + the most a digit of a sum can reach; both halves' lookups
     # are built before a table is filled, so their scratch is freed by then
@@ -625,11 +609,7 @@ def _mitm_count(job: CountJob) -> int:
     table = kept[0]
     if not stream:
         return _mirror_dot(table, tgt, q, k, sign)
-    total = 0
-    for sums, weights in _sums(start, streamed):
-        cells = table.take(_table_index(sums, q, k, other_base))
-        total += int(np.einsum("i,i->", cells, weights, dtype=np.uint64))
-    return total
+    return _dot(table, _sums(start, streamed), q, k, other_base)
 
 
 def count_solutions(job: CountJob) -> int:
@@ -643,7 +623,7 @@ def count_solutions(job: CountJob) -> int:
                 f"state budget exceeded: naive enumeration needs {est} states, budget {budget}"
             )
         return _naive_count(job)
-    states = q ** (job.n * _stream_rows(job))
+    states = q ** (job.n * ((job.m + 1) // 2))
     cells = q ** (job.n * (job.n + 1) // 2)
     if max(states, cells) > budget:
         raise RuntimeError(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .padic import _exact, check_odd_prime
+from .padic import check_odd_prime, residue
 from .quadform import SymMat, least_nonsquare, represents_one_over_Zp
 from .gkmult import e_p_of_form
 
@@ -125,17 +125,6 @@ def classify_component(
     )
 
 
-def _residue(x, p: int, what: str) -> int:
-    """x mod p for an integer, or a Fraction whose denominator p does not divide.
-
-    Floats and strings raise TypeError (padic._exact).
-    """
-    x = _exact(x)
-    if x.denominator % p == 0:
-        raise ValueError(f"{what} {x} has no residue mod {p}: p divides its denominator")
-    return x.numerator * pow(x.denominator, -1, p) % p
-
-
 @dataclass(frozen=True)
 class FiniteFieldQuadSpace:
     """Quadratic form over F_p (p odd) of dimension 1..3, values by enumeration.
@@ -151,7 +140,7 @@ class FiniteFieldQuadSpace:
         p = check_odd_prime(self.p)
         object.__setattr__(self, "p", p)
         rows = tuple(
-            tuple(_residue(x, p, f"entry ({i}, {j})") for j, x in enumerate(row))
+            tuple(residue(x, p, f"entry ({i}, {j})") for j, x in enumerate(row))
             for i, row in enumerate(self.gram)
         )
         if not 1 <= len(rows) <= 3 or any(len(r) != len(rows) for r in rows):
@@ -174,7 +163,7 @@ class FiniteFieldQuadSpace:
         return len(self.gram)
 
     def evaluate(self, x) -> int:
-        x = [_residue(c, self.p, f"coordinate {i}") for i, c in enumerate(x)]
+        x = [residue(c, self.p, f"coordinate {i}") for i, c in enumerate(x)]
         return sum(
             x[i] * self.gram[i][j] * x[j]
             for i in range(self.dim) for j in range(self.dim)
@@ -203,7 +192,7 @@ class FiniteFieldQuadSpace:
         return values
 
     def represents(self, c) -> bool:
-        return _residue(c, self.p, "value") in self.values()
+        return residue(c, self.p) in self.values()
 
 
 def reduced_superspecial_space(p: int) -> FiniteFieldQuadSpace:

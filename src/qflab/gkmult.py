@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import check_odd_prime, chi, valuation
+from .padic import check_odd_prime, chi, residue, valuation
 from .quadform import SymMat, jordan_diagonalize, represents_one_over_Zp
 
 
@@ -56,7 +56,7 @@ class GKNormalForm:
 def _sqrt_mod_p_power(s: Fraction, p: int, depth: int) -> int:
     """Integer y with y^2 = s mod p^depth, for a square-class unit s."""
     q = p**depth
-    s_res = s.numerator % q * pow(s.denominator % q, -1, q) % q
+    s_res = residue(s, q)
     y = next(y for y in range(1, p) if (y * y - s_res) % p == 0)
     inv2 = pow(2, -1, q)
     for _ in range(depth.bit_length() + 1):

@@ -6,6 +6,7 @@ fractions.Fraction; floats raise TypeError.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +30,7 @@ class Place:
 
     def __post_init__(self):
         if self.prime is not None:
-            object.__setattr__(self, "prime", _prime_integer(self.prime))
+            object.__setattr__(self, "prime", _plain_int(self.prime))
             if not _is_prime(self.prime):
                 raise ValueError(f"not a prime: {self.prime}")
 
@@ -47,20 +48,21 @@ class Place:
 INFINITE_PLACE = Place()
 
 
-def _prime_integer(p) -> int:
-    """p as a plain int, from any integer with __index__ but a bool, so that
-    no numpy scalar reaches three-argument pow or a cache key."""
-    if not isinstance(p, bool):
+def _plain_int(x, what: str = "an integer prime") -> int:
+    """x as a plain int, from any integer with __index__ but a bool, so that
+    no numpy scalar reaches three-argument pow or a cache key; TypeError
+    naming what otherwise."""
+    if not isinstance(x, bool):
         try:
-            return operator.index(p)
+            return operator.index(x)
         except TypeError:
             pass
-    raise TypeError(f"expected an integer prime, got {p!r}")
+    raise TypeError(f"expected {what}, got {x!r}")
 
 
 def check_odd_prime(p: int) -> int:
-    """p as a plain int (_prime_integer); ValueError unless it is an odd prime."""
-    p = _prime_integer(p)
+    """p as a plain int (_plain_int); ValueError unless it is an odd prime."""
+    p = _plain_int(p)
     if p == 2 or not _is_prime(p):
         raise ValueError(f"expected an odd prime, got {p}")
     return p
@@ -73,6 +75,18 @@ def _exact(x: Rational) -> Fraction:
     return Fraction(_integer(x))
 
 
+def residue(x: Rational, q: int, what: str = "value") -> int:
+    """x mod q, num * den^-1 for x = num/den, with q a power of a prime p.
+
+    Floats and strings raise TypeError (_exact); a denominator that p
+    divides raises ValueError naming what.
+    """
+    x = _exact(x)
+    if math.gcd(x.denominator, q) != 1:
+        raise ValueError(f"{what} {x} has no residue mod {q}: p divides its denominator")
+    return x.numerator * pow(x.denominator, -1, q) % q
+
+
 def _integer(x) -> int:
     try:
         return operator.index(x)
@@ -83,7 +97,7 @@ def _integer(x) -> int:
 def _split(x: Rational, p: int) -> tuple[int, int, int]:
     """(v, num, den) with x = p^v * num / den and p dividing neither num nor den."""
     if type(p) is not int:  # the common int skips the conversion
-        p = _prime_integer(p)
+        p = _plain_int(p)
     if p < 2:
         raise ValueError(f"expected a prime, got {p}")
     if isinstance(x, Fraction):

@@ -29,7 +29,7 @@ from .padic import (
     _eps2,
     _exact,
     _omega2,
-    _prime_integer,
+    _plain_int,
     _split,
     _square_class,
     check_odd_prime,
@@ -100,7 +100,7 @@ class SymMat:
         return 0 not in rational_diagonalization(self)
 
     def is_p_integral(self, p: int) -> bool:
-        p = _prime_integer(p)
+        p = _plain_int(p)
         return all(x.denominator % p for row in self.entries for x in row)
 
     def principal_block(self, start: int, size: int) -> "SymMat":
@@ -353,7 +353,9 @@ def is_local_square(x: Rational, v: Place) -> bool:
 # Canonical rank-5 spaces and their oracle-ready diagonals.
 
 def base_diagonal(r: int = 0) -> tuple[int, ...]:
-    """Diagonalized base space, with r extra split planes appended."""
+    """Diagonalized base space, with r >= 0 extra split planes appended."""
+    if r < 0:
+        raise ValueError(f"the number r of extra split planes must be >= 0, got r = {r}")
     return (1, 1, -1, 1, -1) + (1, -1) * r
 
 
@@ -364,6 +366,8 @@ def base_space() -> QuadSpace:
 
 
 def split_diagonal(rank: int) -> tuple[int, ...]:
+    if rank < 0:
+        raise ValueError(f"split form rank must be >= 0, got {rank}")
     if rank % 2:
         raise ValueError("split form has even rank")
     return (1, -1) * (rank // 2)

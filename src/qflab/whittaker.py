@@ -70,8 +70,11 @@ def whittaker_value(T: SymMat, p: int, r: int = 0) -> Fraction:
 
     Non-p-integral targets give 0. Uses the closed form when the reduction
     applies (unimodular entry representing 1), otherwise the counting oracle.
+    r must be >= 0.
     """
     p = check_odd_prime(p)
+    if r < 0:
+        raise ValueError(f"the number r of extra split planes must be >= 0, got r = {r}")
     if not T.is_nonsingular:
         raise ValueError("Whittaker value requires a nonsingular target")
     if not T.is_p_integral(p):

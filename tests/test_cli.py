@@ -307,6 +307,13 @@ def test_density_non_integral_exits_2(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("mode", [[], ["--oracle"]])
+def test_density_negative_r_exits_2(capsys, mode):
+    code, out, err = run(capsys, "density", "--p", "3", "--T", "d:3,3", "--r", "-1", *mode)
+    assert (code, out) == (2, "")
+    assert err == "error: the number r of extra split planes must be >= 0, got r = -1\n"
+
+
 def test_ratio_on_represented_target_exits_2(capsys):
     code, _, err = run(capsys, "ratio", "--p", "3", "--T", "d:1,1,1,1")
     assert code == 2

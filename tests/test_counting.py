@@ -277,7 +277,13 @@ def test_mirror_dot_matches_literal_sum(q, k):
         assert counting._mirror_dot(table, tgt, q, k, sign) == want, (tgt, sign)
 
 
-# every digit grouping of the partner lookups: one group, equal groups and a
+def _nonzero_read(table, keys, values, tgt, q, k, sign):
+    """The read a count runs on a kept paired table with nonzero keys."""
+    partners = counting._partner_sums(keys, values, tgt, q, k, sign)
+    return counting._dot(table, partners, q, k, 2 * q)
+
+
+# every digit grouping of the base-2q lookups: one group, equal groups and a
 # short last group; k = 6 stops at 17^6 cells, the table of a rank-3 count
 @pytest.mark.parametrize("q, k", [(q, k) for q in (3, 9, 17, 25, 27) for k in (1, 3, 6)
                                   if q**k <= 17**6])
@@ -288,38 +294,48 @@ def test_partner_dot_matches_literal_sum(monkeypatch, q, k):
              for _ in range(min(q**k // 8 + 1, 5000))}
     table = np.zeros(q**k, dtype=np.uint32)
     table[list(cells)] = list(cells.values())
-    nonzero = counting._nonzero_cells(table, len(cells))
-    assert nonzero.dtype == np.int32 and nonzero.tolist() == sorted(cells)
-    assert len(counting._nonzero_cells(table, len(cells) - 1)) == 0  # one cell too many
+    keys, values = counting._nonzero_cells(table, q, k, len(cells))
+    assert keys.dtype == np.int64 and values.dtype == np.uint32
+    # ascending cells, each key packing its cell's digits and each value its count
+    assert counting._table_index(keys, q, k, 2 * q).tolist() == sorted(cells)
+    assert values.tolist() == [cells[c] for c in sorted(cells)]
+    too_many = counting._nonzero_cells(table, q, k, len(cells) - 1)  # one cell too many
+    assert [len(a) for a in too_many] == [0, 0]
     targets = [(0,) * k, (q - 1,) * k, tuple(rng.randrange(q) for _ in range(k))]
+    if k > 1:  # a 0 and a q - 1 digit in one target
+        targets.append((0, q - 1) + targets[-1][2:])
     for tgt, sign in itertools.product(targets, (1, -1)):  # tgt - key, key - tgt
         want = _literal_mirror_dot(cells, tgt, q, k, sign)
-        assert counting._partner_dot(table, nonzero, tgt, q, k, sign) == want, (tgt, sign)
+        assert _nonzero_read(table, keys, values, tgt, q, k, sign) == want, (tgt, sign)
     if q**k <= 20_000:  # index and read in blocks of 7 cells
         monkeypatch.setattr(counting, "_CHUNK", 7)
-        assert counting._nonzero_cells(table, len(cells)).tolist() == sorted(cells)
+        blocked = counting._nonzero_cells(table, q, k, len(cells))
+        assert [a.tolist() for a in blocked] == [keys.tolist(), values.tolist()]
         for sign in (1, -1):
             want = _literal_mirror_dot(cells, targets[-1], q, k, sign)
-            assert counting._partner_dot(table, nonzero, targets[-1], q, k, sign) == want
+            assert _nonzero_read(table, keys, values, targets[-1], q, k, sign) == want
 
 
 def test_packed_sums_fit_int64():
     # q = p^t for the small primes and the largest prime a rank-2 table
     # admits, every rank n >= 2 and half of h rows a 2^31 budget admits, and
-    # the streamed half's extra target summand; the widest sum is at q = 3
+    # the streamed half's extra target summand; base 2q packs a kept table's
+    # nonzero keys and their partners; the widest sum is at q = 3
     widest = 0
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 1289):
         for t in range(1, 20):
             q = p**t
             for n in range(2, 6):
                 k = n * (n + 1) // 2
+                bases = [2 * q] if q**k <= 2**31 else []
                 h = 1
                 while max(q**k, q ** (n * h)) <= 2**31:
-                    base = (h + 1) * (q - 1) + 1
+                    bases.append((h + 1) * (q - 1) + 1)
+                    h += 1
+                for base in bases:
                     places, width, g, lookup = counting._digit_lookup(q, k, base)
                     assert len(lookup) <= counting._LOOKUP_CELLS
                     widest = max(widest, int(sum(int(c) * (base - 1) for c in places)).bit_length())
-                    h += 1
     assert widest == 49
 
 
@@ -572,66 +588,97 @@ def test_kept_arrays_are_read_only(cold):
     count_solutions(CountJob(split_diagonal(4), SymMat.diag(1, 1, 2), 3, 1))
     count_solutions(CountJob((1, 1, 1, -1), SymMat.diag(1, 2, 2), 3, 1))
     entries = counting._RESIDENT.entries
-    (index,) = [arrays[1] for key, arrays in entries.items() if key[0] == "table" and len(arrays) == 2]
-    assert index.dtype == np.int32 and len(index)
+    ((keys, values),) = [arrays[1:] for key, arrays in entries.items()
+                         if key[0] == "table" and len(arrays) == 3]
+    assert keys.dtype == np.int64 and values.dtype == np.uint32 and len(keys) == len(values) > 0
     kept = [a for arrays in entries.values() for a in arrays]
-    # two tables, the nonzero index of the paired one, and digits and counts of two classes
-    assert len(kept) == 7 and any(a is index for a in kept)
+    # two tables, the nonzero keys and values of the paired one, and digits
+    # and counts of two classes
+    assert len(kept) == 8 and any(a is keys for a in kept) and any(a is values for a in kept)
     for a in kept:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1
 
 
-def test_reused_paired_table_is_read_through_its_nonzero_cells(monkeypatch, cold):
-    calls = collections.Counter()
-
-    def spy(name):
+def _spy_on(monkeypatch, calls, names):
+    for name in names:
         real = getattr(counting, name)
 
-        def call(*args):
+        def call(*args, name=name, real=real):
             calls[name] += 1
             return real(*args)
-        return call
+        monkeypatch.setattr(counting, name, call)
 
-    targets = [SymMat.diag(1, 2, 2), SymMat([[1, 1, 0], [1, 2, 0], [0, 0, 2]]), SymMat.diag(1, 1, 2)]
+
+_RANK3_TARGETS = [SymMat.diag(1, 2, 2), SymMat([[1, 1, 0], [1, 2, 0], [0, 0, 2]]),
+                  SymMat.diag(1, 1, 2)]
+
+
+def test_reused_paired_table_is_read_through_its_nonzero_cells(monkeypatch, cold):
+    calls = collections.Counter()
     # rank-3 tables of 3^6 and 5^6 cells that a cold count streams against:
     # the negated classes 1, 1 and -1, -1 at p = 3, one class at p = 5
     for p in (3, 5):
-        jobs = [CountJob(split_diagonal(4), T, p, 1) for T in targets]
+        jobs = [CountJob(split_diagonal(4), T, p, 1) for T in _RANK3_TARGETS]
         wants = []
         for job in jobs:  # each count cold, as a count that fills its table
             counting._RESIDENT.clear()
             wants.append(count_solutions(job))
         counting._RESIDENT.clear()
-        for name in ("_sums", "_mirror_dot", "_nonzero_cells", "_partner_dot"):
-            monkeypatch.setattr(counting, name, spy(name))
+        _spy_on(monkeypatch, calls, ("_sums", "_mirror_dot", "_nonzero_cells", "_partner_sums",
+                                     "_dot"))
         for cycle in range(2):  # the second after an eviction
             calls.clear()
             before = set(counting._RESIDENT.entries)
             assert count_solutions(jobs[0]) == wants[0]
             (key,) = [key for key in set(counting._RESIDENT.entries) - before if key[0] == "table"]
-            assert calls.keys() == {"_sums"}  # streamed, as before the index existed
+            # filled and streamed, as before the index existed
+            assert calls.keys() == {"_sums", "_dot"} and calls["_dot"] == 1
             assert len(counting._RESIDENT.entries[key]) == 1
             calls.clear()
             assert count_solutions(jobs[1]) == wants[1]  # the first reuse indexes the table
-            assert calls == {"_nonzero_cells": 1, "_partner_dot": 1}
-            table, index = counting._RESIDENT.entries[key]
-            assert index.tolist() == np.flatnonzero(table).tolist()
+            assert calls == {"_nonzero_cells": 1, "_partner_sums": 1, "_dot": 1}
+            table, keys, values = counting._RESIDENT.entries[key]
+            nonzero = np.flatnonzero(table)
+            assert counting._table_index(keys, p, 6, 2 * p).tolist() == nonzero.tolist()
+            assert values.tolist() == table[nonzero].tolist()
             calls.clear()
             assert [count_solutions(jobs[i]) for i in (2, 0)] == [wants[2], wants[0]]
-            assert calls == {"_partner_dot": 2}
+            assert calls == {"_partner_sums": 2, "_dot": 2}
             assert counting._RESIDENT.cells == sum(
                 a.size for arrays in counting._RESIDENT.entries.values() for a in arrays)
             # a table of another class (3 is 0 mod 3 and a nonsquare mod 5)
-            # that fits the budget only alone evicts this table and its index
+            # that fits the budget only alone evicts this table and its nonzero cells
             monkeypatch.setenv("QFLAB_STATE_BUDGET", str(table.size + 10))
-            count_solutions(CountJob((3, 3, 3, 3), targets[0], p, 1))
+            count_solutions(CountJob((3, 3, 3, 3), _RANK3_TARGETS[0], p, 1))
             assert key not in counting._RESIDENT.entries
             assert counting._RESIDENT.cells == sum(
                 a.size for arrays in counting._RESIDENT.entries.values() for a in arrays)
             monkeypatch.delenv("QFLAB_STATE_BUDGET")
         monkeypatch.undo()
         counting._RESIDENT.clear()
+
+
+def test_nonzero_keys_that_do_not_fit_beside_the_table_are_not_kept(monkeypatch, cold):
+    # each nonzero cell keeps a key and a value: with room for one of them
+    # per cell beside the table, but not both, the table stays unindexed
+    jobs = [CountJob(split_diagonal(4), T, 3, 1) for T in _RANK3_TARGETS]
+    wants = [count_solutions(CountJob(j.s_diag, j.T, j.p, j.t, "naive")) for j in jobs]
+    assert count_solutions(jobs[0]) == wants[0]
+    ((key, (table,)),) = [(key, a) for key, a in counting._RESIDENT.entries.items()
+                          if key[0] == "table"]
+    found = np.count_nonzero(table)
+    assert 0 < found <= (table.size - 1) // counting._CELLS_PER_KEY
+    monkeypatch.setenv("QFLAB_STATE_BUDGET", str(table.size + 2 * found - 1))
+    calls = collections.Counter()
+    _spy_on(monkeypatch, calls, ("_nonzero_cells", "_partner_sums"))
+    for job, want in zip(jobs[1:] + jobs, wants[1:] + wants):
+        assert count_solutions(job) == want, job
+        kept = counting._RESIDENT.entries[key]
+        assert kept[0] is table and [len(a) for a in kept[1:]] == [0, 0]
+        assert counting._RESIDENT.cells == sum(
+            a.size for arrays in counting._RESIDENT.entries.values() for a in arrays)
+    assert calls == {"_nonzero_cells": 1}
 
 
 def test_kept_table_does_not_bypass_budget(monkeypatch, cold):
@@ -657,6 +704,12 @@ def test_job_validation():
         CountJob((Fraction(1, 3),), SymMat.diag(1), 3, 1)
     with pytest.raises(ValueError, match="odd prime"):
         CountJob((1,), SymMat.diag(1), 4, 1)
+    for t in (2.0, True, Fraction(2), "2"):  # t reaches three-argument pow
+        with pytest.raises(TypeError, match=re.escape(f"expected an integer modulus exponent t, got {t!r}")):
+            CountJob((1, -1, 1), SymMat.diag(1), 3, t)
+    job = CountJob((1, -1, 1), SymMat.diag(1), 3, np.int64(2))
+    assert type(job.t) is int
+    assert count_solutions(job) == count_solutions(CountJob((1, -1, 1), SymMat.diag(1), 3, 2, "naive"))
 
 
 def test_job_json_round_trip():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qflab import INFINITE_PLACE, Place, chi, hilbert, unit_part, valuation
+from qflab.padic import residue
 
 
 def test_valuation_examples():
@@ -42,6 +43,20 @@ def test_integral_types_and_fractions_accepted():
         assert unit_part(x, 3) == 2
     assert chi(np.int32(2), 3) == chi(2, 3) == -1
     assert hilbert(np.int64(3), Fraction(2), Place(3)) == hilbert(3, 2, Place(3))
+
+
+def test_residue_mod_prime_powers():
+    assert [residue(x, 9) for x in (7, -1, 18, Fraction(1, 2))] == [7, 8, 0, 5]
+    assert residue(Fraction(-3, 4), 25) == 18 and residue(Fraction(2, 3), 5, "entry") == 4
+    rng = random.Random(3)
+    for _ in range(200):
+        p, t = rng.choice((3, 5, 7)), rng.randint(1, 4)
+        x = Fraction(rng.randint(-99, 99), rng.choice([d for d in range(1, 60) if d % p]))
+        assert (residue(x, p**t) * x.denominator - x.numerator) % p**t == 0
+    with pytest.raises(TypeError, match="0.5"):
+        residue(0.5, 3)
+    with pytest.raises(ValueError, match=r"^value 1/3 has no residue mod 9: p divides its denominator$"):
+        residue(Fraction(1, 3), 9)
 
 
 def test_unit_part_reconstructs():

@@ -278,6 +278,14 @@ def test_fixed_diagonals():
     assert base_space().gram.n == 5
 
 
+def test_fixed_diagonals_refuse_negative_sizes():
+    # (1, -1) * -1 is empty: a negative size was read as 0
+    with pytest.raises(ValueError, match=r"^the number r of extra split planes must be >= 0, got r = -1$"):
+        base_diagonal(-1)
+    with pytest.raises(ValueError, match=r"^split form rank must be >= 0, got -2$"):
+        split_diagonal(-2)
+
+
 def test_twisted_space_is_the_other_class_at_p():
     # the local isometry class at p is (dim, det class, Hasse); only Hasse flips
     for p in (3, 5, 7):
