@@ -4,7 +4,7 @@ intersection multiplicities, and the supporting quaternion/Clifford checks.
 Everything is exact rational arithmetic; no floats anywhere.
 """
 
-from .padic import INFINITE_PLACE, Place, chi, hilbert, unit_part, valuation
+from .padic import INFINITE_PLACE, Place, chi, hilbert, is_local_square, unit_part, valuation
 from .quadform import (
     JordanDiagonal,
     QuadSpace,
@@ -13,7 +13,6 @@ from .quadform import (
     base_space,
     diff_set,
     frac_str,
-    is_local_square,
     jordan_diagonalize,
     least_nonsquare,
     rational_diagonalization,

@@ -45,7 +45,7 @@ from .densities import (
     kitaoka_ternary_poly,
     twisted_density,
 )
-from .gkmult import GKTriple, e_p, gk_table_csv, transversal
+from .gkmult import GKTriple, _e_text, e_p, gk_table_csv, transversal
 from .whittaker import _sorted_places, verify_ratio_identity, whittaker_value
 from .cycles import (
     classify_component,
@@ -103,7 +103,9 @@ def _cmd_density(args) -> int:
     if not T.is_p_integral(args.p):
         raise ValueError(f"density requires a {args.p}-integral target")
     if args.closed:
-        value = assemble_A(T, args.p).evaluate(Fraction(1, args.p**args.r))
+        series = assemble_A(T, args.p)
+        base_diagonal(args.r)  # refuses r < 0 as the other two modes do
+        value = series.evaluate(Fraction(1, args.p**args.r))
     elif args.oracle:
         value = density_oracle(base_diagonal(args.r), T, args.p).value
     else:
@@ -151,8 +153,7 @@ def _cmd_gk(args) -> int:
         return 0
     if args.a is None:
         raise ValueError("gk needs --a A1,A2,A3 or --table")
-    e = e_p(*_parse_triple(args.a), args.p)
-    print(str(e.numerator) if e.denominator == 1 else frac_str(e))
+    print(_e_text(e_p(*_parse_triple(args.a), args.p)))
     return 0
 
 

@@ -8,14 +8,15 @@ inside the 4x4 matrix image or at the level of quadratic-space invariants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .padic import INFINITE_PLACE, Place, Rational, hilbert
-from .quadform import QuadSpace, _candidate_primes
+from .padic import INFINITE_PLACE, Place, Rational, _candidate_primes, _exact, hilbert
+from .quadform import QuadSpace
 
 
 @dataclass(frozen=True)
@@ -26,8 +27,8 @@ class QuaternionAlgebra:
     b: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        object.__setattr__(self, "a", _exact(self.a))
+        object.__setattr__(self, "b", _exact(self.b))
         if self.a == 0 or self.b == 0:
             raise ValueError("quaternion structure constants must be nonzero")
 
@@ -53,7 +54,7 @@ class Quaternion:
     def __post_init__(self):
         if len(self.coeffs) != 4:
             raise ValueError("quaternion needs four coefficients")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(_exact, self.coeffs)))
 
     def _check(self, other: "Quaternion"):
         if self.algebra != other.algebra:
@@ -111,11 +112,7 @@ def ramified_places(B: QuaternionAlgebra) -> frozenset:
 
 def discriminant(B: QuaternionAlgebra) -> int:
     """Product of the finite ramified primes."""
-    out = 1
-    for v in ramified_places(B):
-        if v.is_finite:
-            out *= v.prime
-    return out
+    return math.prod(v.prime for v in ramified_places(B) if v.is_finite)
 
 
 def quaternion_with_discriminant(d: int) -> QuaternionAlgebra:
@@ -155,7 +152,7 @@ class IncoherentCollection:
         self.b = B.b
         self.space = vb_space(B)
         self.finite_ramified = tuple(sorted(v.prime for v in ramified))
-        self.finite_discriminant = discriminant(B)
+        self.finite_discriminant = math.prod(self.finite_ramified)
 
     @classmethod
     @lru_cache(maxsize=None)
@@ -277,10 +274,7 @@ def witt_index_rank5(space: QuadSpace) -> int:
     npos, nneg = space.signature
     if npos == 5 or nneg == 5:
         return 0
-    delta = Fraction(1)
-    for x in space.diagonal:
-        delta *= x
-    model = QuadSpace.from_diagonal((1, -1, 1, -1, delta))
+    model = QuadSpace.from_diagonal((1, -1, 1, -1, space.det))
     if space.signature != model.signature:
         return 1
     for q in _candidate_primes(*space.diagonal):

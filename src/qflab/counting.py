@@ -51,7 +51,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .padic import _plain_int, check_odd_prime, residue, valuation
+from .padic import _exact, _plain_int, _read_exact, check_odd_prime, residue, valuation
 from .quadform import SymMat, frac_str, jordan_diagonalize
 
 DEFAULT_STATE_BUDGET = 2**29
@@ -97,7 +97,7 @@ class CountJob:
     strategy: str = "mitm"
 
     def __post_init__(self):
-        object.__setattr__(self, "s_diag", tuple(Fraction(s) for s in self.s_diag))
+        object.__setattr__(self, "s_diag", tuple(map(_exact, self.s_diag)))
         object.__setattr__(self, "p", check_odd_prime(self.p))
         object.__setattr__(self, "t", _plain_int(self.t, "an integer modulus exponent t"))
         if self.t < 1:
@@ -140,7 +140,7 @@ class CountJob:
             if Fraction(data[key]).denominator != 1:
                 raise ValueError(f"job field {key!r} must be an integer, got {data[key]}")
         return cls(
-            tuple(Fraction(s) for s in data["s"]),
+            tuple(map(_read_exact, data["s"])),
             SymMat.from_json(data["T"]),
             int(data["p"]),
             int(data["t"]),
@@ -665,7 +665,7 @@ def density_oracle(
     table = []
     prev = None
     for t in range(t_start, t_max + 1):
-        job = CountJob(tuple(Fraction(s) for s in s_diag), T, p, t)
+        job = CountJob(s_diag, T, p, t)
         raw = count_solutions(job)
         value = density_value(job, raw)
         table.append((t, raw, value))

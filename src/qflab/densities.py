@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .padic import Place, Rational, check_odd_prime, chi
+from .padic import Place, Rational, _exact, _read_exact, check_odd_prime, chi
 from .quadform import (
     SymMat,
     frac_str,
@@ -53,10 +53,10 @@ class DensityPolynomial:
     """Polynomial in X with exact rational coefficients, constant term first."""
 
     def __init__(self, coeffs):
-        self.coeffs = _strip([Fraction(c) for c in coeffs] or [Fraction(0)])
+        self.coeffs = _strip([_exact(c) for c in coeffs] or [Fraction(0)])
 
     def evaluate(self, x: Rational) -> Fraction:
-        return _peval(self.coeffs, Fraction(x))
+        return _peval(self.coeffs, _exact(x))
 
     def __mul__(self, other: "DensityPolynomial") -> "DensityPolynomial":
         return DensityPolynomial(_pmul(self.coeffs, other.coeffs))
@@ -72,7 +72,7 @@ class DensityPolynomial:
 
     @classmethod
     def from_json(cls, data: dict) -> "DensityPolynomial":
-        return cls(data["coeffs"])
+        return cls(map(_read_exact, data["coeffs"]))
 
 
 def derivative_at_1(A: DensityPolynomial) -> Fraction:

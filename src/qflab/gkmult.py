@@ -144,11 +144,14 @@ def transversal(T: SymMat, p: int) -> bool:
     return by_mult
 
 
+def _e_text(e: Fraction) -> str:
+    """e_p as printed: an integer plainly, else num/den."""
+    return str(e.numerator) if e.denominator == 1 else f"{e.numerator}/{e.denominator}"
+
+
 def gk_table_csv(p: int, a_max: int) -> str:
     """CSV of e_p over all ordered exponent triples up to a_max."""
     lines = ["a1,a2,a3,p,e"]
     for a1, a2, a3 in itertools.combinations_with_replacement(range(a_max + 1), 3):
-        e = e_p(a1, a2, a3, p)
-        text = str(e.numerator) if e.denominator == 1 else f"{e.numerator}/{e.denominator}"
-        lines.append(f"{a1},{a2},{a3},{p},{text}")
+        lines.append(f"{a1},{a2},{a3},{p},{_e_text(e_p(a1, a2, a3, p))}")
     return "\n".join(lines) + "\n"

@@ -1,4 +1,10 @@
-"""Scalar p-adic arithmetic: valuations, unit square classes, Hilbert symbols.
+"""Scalar local arithmetic: valuations, unit square classes, local squares,
+and Hasse invariants of diagonals, with the Hilbert symbol as their
+two-entry case; also the candidate primes of a search over places.
+
+The Hasse invariant has one closed form at each place (`hasse_of_diagonal`),
+so the 2-adic unit arithmetic lives only here. This is the one module that
+imports sympy (`isprime`, `factorint`).
 
 Everything is exact. Inputs are integers (any type with `__index__`) or
 fractions.Fraction; floats raise TypeError.
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from sympy import isprime
+from sympy import factorint, isprime
 
 Rational = Fraction | int
 
@@ -73,6 +79,12 @@ def _exact(x: Rational) -> Fraction:
     if isinstance(x, Fraction):
         return x
     return Fraction(_integer(x))
+
+
+def _read_exact(x) -> Fraction:
+    """x as _exact reads it, except that a string such as "1/3" (the JSON
+    form) parses exactly."""
+    return Fraction(x) if isinstance(x, str) else _exact(x)
 
 
 def residue(x: Rational, q: int, what: str = "value") -> int:
@@ -150,36 +162,71 @@ def chi(u: Rational, p: int) -> int:
     return c
 
 
-def _eps2(r: int) -> int:
-    # (u-1)/2 mod 2 for a 2-adic unit u with residue r mod 8
-    return (r - 1) // 2 % 2
-
-
-def _omega2(r: int) -> int:
-    # (u^2-1)/8 mod 2 for a 2-adic unit u with residue r mod 8
-    return (r * r - 1) // 8 % 2
-
-
 def hilbert(a: Rational, b: Rational, v: Place) -> int:
-    """Local Hilbert symbol (a,b)_v in {+1,-1}."""
+    """Local Hilbert symbol (a,b)_v in {+1,-1}: the Hasse invariant of <a, b>."""
     a, b = _exact(a), _exact(b)
     if a == 0 or b == 0:
         raise ValueError("hilbert symbol requires nonzero arguments")
+    return hasse_of_diagonal((a, b), v)
+
+
+def hasse_of_diagonal(diag, v: Place) -> int:
+    """Product of Hilbert symbols (d_i, d_j)_v over i < j, in closed form.
+
+    Each entry is read once, as d_i = p^a_i * u_i at a finite prime; A = sum a_i.
+    - Odd p: with (d_i, d_j)_p = chi(-1)^(a_i a_j) chi(u_i)^a_j chi(u_j)^a_i
+      the product is chi(-1)^#{i < j : a_i, a_j odd} * prod_i chi(u_i)^(A - a_i).
+    - p = 2: with (d_i, d_j)_2 = (-1)^(e_i e_j + a_i w_j + a_j w_i), e and w
+      the eps and omega of u mod 8, the exponent is
+      E(E - 1)/2 + A W - sum_i a_i w_i, E = sum e_i and W = sum w_i.
+    - The real place: (-1)^(N(N - 1)/2), N the number of negative entries.
+    """
     if not v.is_finite:
-        return -1 if a < 0 and b < 0 else 1
+        diag = [_exact(d) for d in diag]
+        if len(diag) > 1 and 0 in diag:  # a lone entry has no symbol to refuse
+            raise ValueError("hilbert symbol requires nonzero arguments")
+        N = sum(d < 0 for d in diag)
+        return -1 if N * (N - 1) // 2 % 2 else 1
     p = v.prime
-    alpha, ua, da = _split(a, p)
-    beta, ub, db = _split(b, p)
-    if p == 2:
-        # an odd den is its own inverse mod 8, so num*den is the residue of num/den
-        u, w = ua * da % 8, ub * db % 8
-        e = _eps2(u) * _eps2(w) + alpha * _omega2(w) + beta * _omega2(u)
-        return -1 if e % 2 else 1
-    s = 1
-    if alpha * beta % 2 and p % 4 == 3:  # chi(-1) = -1
-        s = -s
-    if beta % 2 and _legendre(ua * da, p) == -1:
-        s = -s
-    if alpha % 2 and _legendre(ub * db, p) == -1:
-        s = -s
-    return s
+    if p != 2:
+        classes = [_square_class(d, p) for d in diag]
+        total = sum(a for a, _ in classes)
+        odd = sum(a % 2 for a, _ in classes)
+        s = -1 if p % 4 == 3 and odd * (odd - 1) // 2 % 2 else 1
+        for a, c in classes:
+            if c == -1 and (total - a) % 2:
+                s = -s
+        return s
+    E = A = W = AW = 0
+    for d in diag:
+        a, num, den = _split(d, 2)
+        u = num * den % 8  # an odd den is its own inverse mod 8
+        e, w = (u - 1) // 2 % 2, (u * u - 1) // 8 % 2
+        E, A, W, AW = E + e, A + a, W + w, AW + a * w
+    return -1 if (E * (E - 1) // 2 + A * W - AW) % 2 else 1
+
+
+def is_local_square(x: Rational, v: Place) -> bool:
+    x = _exact(x)
+    if x == 0:
+        raise ValueError("square class of zero undefined")
+    if not v.is_finite:
+        return x > 0
+    a, num, den = _split(x, v.prime)
+    # den and 1/den share a square class; an odd den is its own inverse mod 8
+    u = num * den
+    return a % 2 == 0 and (u % 8 == 1 if v.prime == 2 else _legendre(u, v.prime) == 1)
+
+
+def _candidate_primes(*values: Rational) -> list[int]:
+    """2 and every prime dividing a numerator or denominator of the values.
+
+    Each value is factored on its own: a prime can cancel out of a product,
+    like 3 out of (1/3) * 3, and still change a local invariant. Each
+    distinct integer is factored once.
+    """
+    parts = {abs(n) for x in map(_exact, values) for n in (x.numerator, x.denominator)}
+    primes = {2}
+    for n in parts:
+        primes.update(factorint(n))
+    return sorted(primes)

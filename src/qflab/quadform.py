@@ -1,9 +1,10 @@
 """Symmetric bilinear forms over Q and Z_p (p odd).
 
 Covers exact symmetric matrices, class-canonical Jordan diagonalization,
-Hasse invariants, local representation decisions, the specific rank-5 spaces
-used elsewhere, and the set of places where an incoherent collection fails
-to represent a target form.
+quadratic spaces that cache their Hasse invariants (computed by
+padic.hasse_of_diagonal), local representation decisions, the specific
+rank-5 spaces used elsewhere, and the set of places where an incoherent
+collection fails to represent a target form.
 
 One congruence elimination (`_eliminate`) serves every invariant. A SymMat
 keeps its diagonal over Q beside its product, the determinant (the moves
@@ -20,21 +21,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from sympy import factorint
-
 from .padic import (
     INFINITE_PLACE,
     Place,
     Rational,
-    _eps2,
+    _candidate_primes,
     _exact,
-    _omega2,
     _plain_int,
-    _split,
+    _read_exact,
     _square_class,
     check_odd_prime,
     chi,
-    hilbert,
+    hasse_of_diagonal,
+    is_local_square,
     valuation,
 )
 
@@ -44,17 +43,12 @@ def frac_str(x: Rational) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _entry(x) -> Fraction:
-    # strings such as "1/3" (the JSON form) parse exactly; floats raise TypeError
-    return Fraction(x) if isinstance(x, str) else _exact(x)
-
-
 class SymMat:
     """Symmetric matrix with exact rational entries: integers, Fractions or
     strings like "1/3"; floats raise TypeError."""
 
     def __init__(self, entries):
-        rows = tuple(tuple(_entry(x) for x in row) for row in entries)
+        rows = tuple(tuple(map(_read_exact, row)) for row in entries)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
@@ -298,58 +292,6 @@ class QuadSpace:
         return f"QuadSpace({self.gram!r})"
 
 
-def hasse_of_diagonal(diag, v: Place) -> int:
-    """Product of Hilbert symbols (d_i, d_j)_v over i < j.
-
-    At a finite prime each entry is read once, as d_i = p^a_i * u_i, and
-    the pairs are summed in closed form; A = sum a_i.
-    - Odd p: with (d_i, d_j)_p = chi(-1)^(a_i a_j) chi(u_i)^a_j chi(u_j)^a_i
-      the product is chi(-1)^#{i < j : a_i, a_j odd} * prod_i chi(u_i)^(A - a_i).
-    - p = 2: with (d_i, d_j)_2 = (-1)^(e_i e_j + a_i w_j + a_j w_i), e and w
-      the eps and omega of u mod 8, the exponent is
-      E(E - 1)/2 + A W - sum_i a_i w_i, E = sum e_i and W = sum w_i.
-    """
-    if v.is_finite and v.prime != 2:
-        p = v.prime
-        classes = [_square_class(d, p) for d in diag]
-        total = sum(a for a, _ in classes)
-        odd = sum(a % 2 for a, _ in classes)
-        s = -1 if p % 4 == 3 and odd * (odd - 1) // 2 % 2 else 1
-        for a, c in classes:
-            if c == -1 and (total - a) % 2:
-                s = -s
-        return s
-    if v.is_finite:
-        E = A = W = AW = 0
-        for d in diag:
-            a, num, den = _split(d, 2)
-            u = num * den % 8  # an odd den is its own inverse mod 8
-            e, w = _eps2(u), _omega2(u)
-            E, A, W, AW = E + e, A + a, W + w, AW + a * w
-        return -1 if (E * (E - 1) // 2 + A * W - AW) % 2 else 1
-    diag = [_exact(d) for d in diag]
-    s = 1
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            s *= hilbert(diag[i], diag[j], v)
-    return s
-
-
-def is_local_square(x: Rational, v: Place) -> bool:
-    x = _exact(x)
-    if x == 0:
-        raise ValueError("square class of zero undefined")
-    if not v.is_finite:
-        return x > 0
-    p = v.prime
-    a, num, den = _split(x, p)
-    if a % 2:
-        return False
-    if p == 2:
-        return num * den % 8 == 1  # an odd den is its own inverse mod 8
-    return _square_class(num * den, p)[1] == 1
-
-
 # Canonical rank-5 spaces and their oracle-ready diagonals.
 
 def base_diagonal(r: int = 0) -> tuple[int, ...]:
@@ -422,8 +364,9 @@ def represents_local(S: QuadSpace, T: SymMat, v: Place) -> bool:
     diag_t = rational_diagonalization(T)
     if T.n == 4:
         return hasse_of_diagonal(diag_t + (det_t * S.det,), v) == S.hasse(v)
+    # R's forced Hasse is S.hasse * hasse(T) * (det T, det R), and (det T, x) = prod_i (d_i, x)
     det_r = S.det * det_t
-    required = S.hasse(v) * hasse_of_diagonal(diag_t, v) * hilbert(det_t, det_r, v)
+    required = S.hasse(v) * hasse_of_diagonal(diag_t + (det_r,), v)
     return not (is_local_square(-det_r, v) and required == -1)
 
 
@@ -436,20 +379,6 @@ def represents_one_over_Zp(T: SymMat, p: int) -> bool:
     """
     uni = jordan_diagonalize(T, p).unimodular_terms
     return len(uni) >= 2 or (len(uni) == 1 and uni[0][1] == 1)
-
-
-def _candidate_primes(*values: Rational) -> list[int]:
-    """2 and every prime dividing a numerator or denominator of the values.
-
-    Each value is factored on its own: a prime can cancel out of a product,
-    like 3 out of (1/3) * 3, and still change a local invariant. Each
-    distinct integer is factored once.
-    """
-    parts = {abs(n) for x in map(Fraction, values) for n in (x.numerator, x.denominator)}
-    primes = {2}
-    for n in parts:
-        primes.update(factorint(n))
-    return sorted(primes)
 
 
 def diff_set(T: SymMat, C) -> set[Place]:

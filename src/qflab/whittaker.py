@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import Place, Rational, check_odd_prime
+from .padic import Place, Rational, _exact, check_odd_prime
 from .quadform import (
     SymMat,
     base_diagonal,
@@ -36,7 +36,7 @@ class LogPMultiple:
     p: int
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
+        object.__setattr__(self, "coeff", _exact(self.coeff))
         object.__setattr__(self, "p", check_odd_prime(self.p))
 
     def _check(self, other: "LogPMultiple"):
@@ -51,12 +51,12 @@ class LogPMultiple:
         return LogPMultiple(-self.coeff, self.p)
 
     def __mul__(self, scalar: Rational) -> "LogPMultiple":
-        return LogPMultiple(self.coeff * Fraction(scalar), self.p)
+        return LogPMultiple(self.coeff * _exact(scalar), self.p)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: Rational) -> "LogPMultiple":
-        scalar = Fraction(scalar)
+        scalar = _exact(scalar)
         if scalar == 0:
             raise ZeroDivisionError("division of a log-p multiple by zero")
         return LogPMultiple(self.coeff / scalar, self.p)

@@ -307,9 +307,10 @@ def test_density_non_integral_exits_2(capsys):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("mode", [[], ["--oracle"]])
+@pytest.mark.parametrize("mode", [[], ["--oracle"], ["--closed"]])
 def test_density_negative_r_exits_2(capsys, mode):
-    code, out, err = run(capsys, "density", "--p", "3", "--T", "d:3,3", "--r", "-1", *mode)
+    target = "d:1,1,1,3" if mode == ["--closed"] else "d:3,3"  # the closed form takes rank 4
+    code, out, err = run(capsys, "density", "--p", "3", "--T", target, "--r", "-1", *mode)
     assert (code, out) == (2, "")
     assert err == "error: the number r of extra split planes must be >= 0, got r = -1\n"
 

@@ -7,6 +7,7 @@ under integral changes of basis with det g prime to p. The Hilbert symbol and
 Hasse invariant kernels are checked against the textbook pairwise formulas.
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import assume, given, settings
@@ -201,6 +202,14 @@ def test_hilbert_matches_definition(a, b, v):
 @given(st.lists(nonzero_rational, min_size=1, max_size=6), kernel_place)
 def test_hasse_of_diagonal_matches_definition(diag, v):
     assert hasse_of_diagonal(diag, v) == _reference_hasse(diag, v)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(nonzero_rational, min_size=1, max_size=5), nonzero_rational, kernel_place)
+def test_one_more_entry_adds_the_determinant_symbol(diag, x, v):
+    # represents_local's rank-3 step: prod_i (d_i, x)_v = (d_1 ... d_n, x)_v
+    want = _reference_hasse(diag, v) * _reference_hilbert(math.prod(diag), x, v)
+    assert hasse_of_diagonal(diag + [x], v) == want
 
 
 @SETTINGS

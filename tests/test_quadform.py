@@ -150,6 +150,16 @@ def test_hasse_at_2_is_the_pairwise_hilbert_product():
         assert hasse_of_diagonal(diag, two) == pairwise
 
 
+@pytest.mark.parametrize("v, message", [
+    (INFINITE_PLACE, "hilbert symbol requires nonzero arguments"),
+    (Place(2), "valuation of zero undefined"),
+    (Place(3), "valuation of zero undefined"),
+])
+def test_hasse_of_a_diagonal_with_a_zero_entry_is_refused(v, message):
+    with pytest.raises(ValueError, match=message):
+        hasse_of_diagonal((1, -2, 0, 3), v)
+
+
 @pytest.mark.parametrize("entries, diagonal", [
     ([[1, 1], [1, 1]], (1, 0)),
     ([[0, 0], [0, 0]], (0, 0)),
