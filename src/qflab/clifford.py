@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .padic import INFINITE_PLACE, Place, Rational, _candidate_primes, _exact, hilbert
+from .padic import INFINITE_PLACE, Place, Rational, _candidate_primes, _exact, _plain_int, hilbert
 from .quadform import QuadSpace
 
 
@@ -117,6 +117,7 @@ def discriminant(B: QuaternionAlgebra) -> int:
 
 def quaternion_with_discriminant(d: int) -> QuaternionAlgebra:
     """Deterministic small-coefficient algebra with the given discriminant."""
+    d = _plain_int(d, "an integer discriminant d")
     if d < 1:
         raise ValueError("discriminant must be a positive integer")
     candidates = sorted(

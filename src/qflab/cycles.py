@@ -17,14 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .padic import check_odd_prime, residue
+from .padic import _plain_int, check_odd_prime, residue
 from .quadform import SymMat, least_nonsquare, represents_one_over_Zp
 from .gkmult import e_p_of_form
 
 
 def extract_blocks(T: SymMat, sizes) -> list[SymMat]:
     """Principal diagonal blocks of the given sizes, in order."""
-    sizes = tuple(int(s) for s in sizes)
+    sizes = tuple(_plain_int(s, "an integer block size") for s in sizes)
     if T.n != 4:
         raise ValueError("block extraction expects a rank-4 fundamental matrix")
     if any(not 1 <= s <= 4 for s in sizes) or sum(sizes) != 4:
@@ -69,8 +69,10 @@ def classify_component(
 
     Inputs describe the mod-p reduction: the rank of the fundamental matrix,
     the dimension of the reduced endomorphism form m, and two flags of m
-    (whether it represents 1, whether it carries a radical line). The form m
-    is extra data, not derivable from the matrix alone.
+    (whether it represents 1, whether it carries a radical line), given as
+    the bools m_data["represents_one"] and m_data["has_radical_line"], each
+    False when absent. The form m is extra data, not derivable from the
+    matrix alone.
     """
     p = check_odd_prime(p)
     if not 0 <= rank_t_mod_p <= 3:
@@ -81,8 +83,13 @@ def classify_component(
         raise ValueError(
             "inconsistent case: the rank of the reduction cannot exceed its dimension"
         )
-    represents_one = bool(m_data.get("represents_one", False))
-    has_radical = bool(m_data.get("has_radical_line", False))
+    for key, flag in m_data.items():
+        if key not in ("represents_one", "has_radical_line"):
+            raise ValueError(f"unknown m_data flag {key!r}")
+        if not isinstance(flag, bool):
+            raise TypeError(f"m_data flag {key!r} must be a bool, got {flag!r}")
+    represents_one = m_data.get("represents_one", False)
+    has_radical = m_data.get("has_radical_line", False)
     if rank_t_mod_p == 0 and represents_one:
         raise ValueError("inconsistent case: a reduction divisible by p cannot represent 1")
     if rank_t_mod_p == dim_m and has_radical:
@@ -271,6 +278,7 @@ def proper_intersection_sum(entries, p: int) -> Fraction:
     p = check_odd_prime(p)
     total = Fraction(0)
     for idx, (T, count) in enumerate(entries):
+        count = _plain_int(count, f"an integer point count in entry {idx}")
         if count < 0:
             raise ValueError(f"entry {idx} has a negative point count")
         if not (T.is_p_integral(p) and is_isolated(T, p)):

@@ -15,14 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .padic import Place, Rational, _exact, _read_exact, check_odd_prime, chi
-from .quadform import (
-    SymMat,
-    frac_str,
-    jordan_diagonalize,
-    represents_local,
-    represents_one_over_Zp,
-    twisted_space,
-)
+from .quadform import SymMat, frac_str, represents_local, twisted_space
 from .gkmult import GKTriple, complement_triple
 
 
@@ -153,27 +146,20 @@ def assemble_A(T: SymMat, p: int) -> DensityPolynomial:
     """Density series A(X) of a rank-4 target with a represented 1.
 
     Splits off <1> and multiplies the unary factor with the ternary closed
-    form of the complement, whose triple complement_triple reads and checks.
+    form of the complement, whose triple complement_triple reads; its gate
+    is the only check.
     """
-    if jordan_diagonalize(T, p).exponents[0] > 0:
-        raise ValueError("reduction formula requires a unimodular entry")
-    if not represents_one_over_Zp(T, p):
-        raise ValueError("Kitaoka closed form requires represented 1")
     t = complement_triple(T, p)
     # the unary factor 1 + X/p^2 is (p^2 + X) / p^2
     return _over(_pmul((t.p * t.p, 1), _ternary_numerator(t)), t.p**6)
 
 
 def twisted_density(T: SymMat, p: int) -> Fraction:
-    """Density of a rank-4 target against the rank-5 ramified-quaternion space."""
-    p = check_odd_prime(p)
-    if T.n != 4 or not T.is_nonsingular:
-        raise ValueError("twisted density requires a nonsingular rank-4 target")
-    if not represents_one_over_Zp(T, p):
-        raise ValueError(
-            "twisted closed form requires a target representing 1; "
-            "use the counting oracle for other targets"
-        )
+    """Density of a rank-4 target against the rank-5 ramified-quaternion space.
+
+    T passes complement_triple's gate; it is 0 off the represented side.
+    """
+    p = complement_triple(T, p).p
     if not represents_local(twisted_space(p), T, Place(p)):
         return Fraction(0)
     return 2 * (1 - Fraction(1, p * p)) * (p + 1)

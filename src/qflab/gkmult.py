@@ -3,7 +3,9 @@
 Reads the triple of the ternary complement of <1> in a rank-4 form that
 represents 1 from the form's Jordan data (kept on its SymMat), evaluates the
 closed-form multiplicity e_p on its exponents, and decides transversality.
-Only gross_keating_exponents searches for a witness.
+complement_triple is the one input gate of every rank-4 closed form, here
+and in densities and whittaker. Only gross_keating_exponents searches for a
+witness.
 """
 
 from __future__ import annotations
@@ -12,8 +14,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import check_odd_prime, chi, residue, valuation
+from .padic import _plain_int, check_odd_prime, chi, residue, valuation
 from .quadform import SymMat, jordan_diagonalize, represents_one_over_Zp
+
+
+_INTEGER_FIELDS = tuple((f, f"an integer {f}") for f in ("a1", "a2", "a3", "eps1", "eps2", "eps3"))
 
 
 @dataclass(frozen=True)
@@ -29,6 +34,9 @@ class GKTriple:
     p: int
 
     def __post_init__(self):
+        for name, what in _INTEGER_FIELDS:
+            if type(x := getattr(self, name)) is not int:  # the common int skips the reader
+                object.__setattr__(self, name, _plain_int(x, what))
         if not 0 <= self.a1 <= self.a2 <= self.a3:
             raise ValueError("exponents must satisfy 0 <= a1 <= a2 <= a3")
         if any(e not in (1, -1) for e in (self.eps1, self.eps2, self.eps3)):
@@ -69,6 +77,10 @@ def _sqrt_mod_p_power(s: Fraction, p: int, depth: int) -> int:
 def complement_triple(T: SymMat, p: int) -> GKTriple:
     """Triple of the ternary C in T = <1> + C, for a rank-4 T that represents 1 over Z_p.
 
+    The one gate of the rank-4 closed forms; it refuses, in this order, an
+    even or composite p, a rank other than 4, a T that is not p-integral or
+    is singular (jordan_diagonalize's refusals), and a T that misses 1.
+
     For odd p a Z_p-class is fixed by each Jordan block's rank and determinant
     square class (Kitaoka, Arithmetic of Quadratic Forms, 5.2; O'Meara 92:2)
     and <1> cancels (Witt), so C's class-canonical data is T's Jordan terms
@@ -76,13 +88,9 @@ def complement_triple(T: SymMat, p: int) -> GKTriple:
     """
     p = check_odd_prime(p)
     if T.n != 4:
-        raise ValueError("normal form requires a rank-4 input")
-    if not T.is_p_integral(p):
-        raise ValueError("normal form requires p-integral entries")
-    if not T.is_nonsingular:
-        raise ValueError("normal form requires nonsingular input")
+        raise ValueError(f"T must have rank 4, got rank {T.n}")
     if not represents_one_over_Zp(T, p):
-        raise ValueError("normal form requires a form that represents 1 over Z_p")
+        raise ValueError(f"T must represent 1 over Z_{p}")
     (a1, s1), (a2, s2), (a3, s3) = jordan_diagonalize(T, p).terms[1:]
     return GKTriple(a1, a2, a3, s1, s2, s3, p)
 
@@ -114,6 +122,9 @@ def e_p(a1: int, a2: int, a3: int, p: int) -> Fraction:
     exactly when the caller is in the vanishing regime, so the exact rational
     is returned and never rounded.
     """
+    a1 = _plain_int(a1, "an integer a1")
+    a2 = _plain_int(a2, "an integer a2")
+    a3 = _plain_int(a3, "an integer a3")
     if not 0 <= a1 <= a2 <= a3:
         raise ValueError("exponents must satisfy 0 <= a1 <= a2 <= a3")
     p = check_odd_prime(p)

@@ -183,7 +183,7 @@ def hasse_of_diagonal(diag, v: Place) -> int:
     """
     if not v.is_finite:
         diag = [_exact(d) for d in diag]
-        if len(diag) > 1 and 0 in diag:  # a lone entry has no symbol to refuse
+        if 0 in diag:
             raise ValueError("hilbert symbol requires nonzero arguments")
         N = sum(d < 0 for d in diag)
         return -1 if N * (N - 1) // 2 % 2 else 1

@@ -39,7 +39,7 @@ from .padic import (
 
 
 def frac_str(x: Rational) -> str:
-    x = Fraction(x)
+    x = _exact(x)
     return f"{x.numerator}/{x.denominator}"
 
 

@@ -13,18 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .padic import Place, Rational, _exact, check_odd_prime
-from .quadform import (
-    SymMat,
-    base_diagonal,
-    base_space,
-    diff_set,
-    frac_str,
-    represents_local,
-    represents_one_over_Zp,
-)
+from .quadform import SymMat, base_diagonal, base_space, diff_set, frac_str, represents_local
 from .counting import density_oracle
 from .densities import assemble_A, derivative_at_1, twisted_density
-from .gkmult import e_p_of_form
+from .gkmult import complement_triple, e_p
 from .clifford import IncoherentCollection
 
 
@@ -68,9 +60,9 @@ class LogPMultiple:
 def whittaker_value(T: SymMat, p: int, r: int = 0) -> Fraction:
     """Central value: the density of T against the base space with r extra planes.
 
-    Non-p-integral targets give 0. Uses the closed form when the reduction
-    applies (unimodular entry representing 1), otherwise the counting oracle.
-    r must be >= 0.
+    Non-p-integral targets give 0. Uses the closed form when T passes
+    complement_triple's gate (rank 4, representing 1), otherwise the
+    counting oracle. r must be >= 0.
     """
     p = check_odd_prime(p)
     if r < 0:
@@ -91,12 +83,11 @@ def whittaker_value(T: SymMat, p: int, r: int = 0) -> Fraction:
 
 
 def whittaker_derivative(T: SymMat, p: int) -> LogPMultiple:
-    """Leading derivative term at a place where the value vanishes."""
-    p = check_odd_prime(p)
-    if not T.is_nonsingular:
-        raise ValueError("Whittaker derivative requires a nonsingular target")
-    if not T.is_p_integral(p):
-        raise ValueError("Whittaker derivative requires a p-integral target")
+    """Leading derivative term at a place where the value vanishes.
+
+    T passes complement_triple's gate, and p must lie in Diff(T).
+    """
+    p = complement_triple(T, p).p
     if represents_local(base_space(), T, Place(p)):
         raise ValueError("derivative identity requires Diff(T) ∋ p")
     return LogPMultiple(-derivative_at_1(assemble_A(T, p)), p)
@@ -104,6 +95,7 @@ def whittaker_derivative(T: SymMat, p: int) -> LogPMultiple:
 
 def whittaker_twisted_value(T: SymMat, p: int) -> Fraction:
     """Value against the ramified twin, with its p^-4 volume normalization."""
+    p = check_odd_prime(p)  # a plain int, so no numpy scalar reaches the Fraction
     return Fraction(1, p**4) * twisted_density(T, p)
 
 
@@ -147,26 +139,21 @@ def verify_ratio_identity(T: SymMat, p: int) -> RatioReport:
     Both sides are computed by independent pipelines: the left from the
     assembled density series and the twisted value, the right from the
     complement exponents alone. T's Jordan data is computed once, kept on T,
-    and both sides read the complement triple off it.
+    and both sides read the complement triple off it. T passes
+    complement_triple's gate, and p must lie in Diff(T).
     """
-    p = check_odd_prime(p)
-    if T.n != 4 or not T.is_nonsingular:
-        raise ValueError("ratio identity requires a nonsingular rank-4 target")
-    if not T.is_p_integral(p):
-        raise ValueError("ratio identity requires a p-integral target")
-    if not represents_one_over_Zp(T, p):
-        raise ValueError("ratio identity requires a target representing 1 over Z_p")
+    triple = complement_triple(T, p)
+    p = triple.p
     if represents_local(base_space(), T, Place(p)):
         raise ValueError(
             "ratio identity requires p in Diff(T): the target is represented "
             "by the base space at p"
         )
-    deriv = LogPMultiple(-derivative_at_1(assemble_A(T, p)), p)
     value = whittaker_twisted_value(T, p)
     if value == 0:
         raise ArithmeticError("twisted value vanished on the twisted side of the dichotomy")
-    lhs = deriv / value
-    mult = e_p_of_form(T, p)
+    lhs = whittaker_derivative(T, p) / value
+    mult = e_p(*triple.exponents, p)
     if mult.denominator != 1:
         raise ArithmeticError("non-integral multiplicity inside the vanishing regime")
     rhs = ratio_audit_constant(p) * mult

@@ -61,7 +61,7 @@ def test_density_closed_refuses_without_closed_form(capsys):
     # no represented 1 at 3: the closed form does not apply, and --closed says so
     code, out, err = run(capsys, "density", "--p", "3", "--T", "d:2,6,3,9", "--closed")
     assert (code, out) == (2, "")
-    assert err == "error: Kitaoka closed form requires represented 1\n"
+    assert err == "error: T must represent 1 over Z_3\n"
 
 
 def test_oracle_inline(capsys):

@@ -117,6 +117,18 @@ def test_classification_inconsistencies():
         classify_component(0, 2, {"represents_one": False, "has_radical_line": True}, 3)
 
 
+@pytest.mark.parametrize("m_data, error, message", [
+    ({"represents_one": "no"}, TypeError, "m_data flag 'represents_one' must be a bool, got 'no'"),
+    ({"has_radical_line": 1}, TypeError, "m_data flag 'has_radical_line' must be a bool, got 1"),
+    ({"has_radical": True}, ValueError, "unknown m_data flag 'has_radical'"),
+])
+def test_classification_flags_are_bools_under_known_keys(m_data, error, message):
+    # before, "no" read as True (so "isolated") and an unknown key was ignored
+    with pytest.raises(error) as info:
+        classify_component(0, 0, m_data, 3)
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------- reduced fibers
 
 

@@ -209,12 +209,12 @@ def test_assemble_derivative_matches_multiplicity_bridge():
 
 
 def test_assemble_rejects_without_unimodular_entry():
-    with pytest.raises(ValueError, match="reduction formula requires a unimodular entry"):
+    with pytest.raises(ValueError, match="T must represent 1 over Z_3"):
         assemble_A(SymMat.diag(3, 3, 3, 3), 3)
 
 
 def test_assemble_rejects_unrepresented_one():
-    with pytest.raises(ValueError, match="Kitaoka closed form requires represented 1"):
+    with pytest.raises(ValueError, match="T must represent 1 over Z_3"):
         assemble_A(SymMat.diag(2, 6, 3, 9), 3)
 
 
@@ -254,7 +254,7 @@ def test_twisted_density_closed_value_is_character_free():
 
 
 def test_twisted_density_validation():
-    with pytest.raises(ValueError, match="nonsingular rank-4 target"):
+    with pytest.raises(ValueError, match="T must have rank 4, got rank 3"):
         twisted_density(SymMat.diag(1, 1, 3), 3)
-    with pytest.raises(ValueError, match="counting oracle"):
+    with pytest.raises(ValueError, match="T must represent 1 over Z_3"):
         twisted_density(SymMat.diag(2, 6, 3, 9), 3)

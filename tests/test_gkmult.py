@@ -97,13 +97,13 @@ def test_normal_form_preserves_counts():
 
 
 def test_normal_form_validation():
-    with pytest.raises(ValueError, match="rank-4 input"):
+    with pytest.raises(ValueError, match="T must have rank 4, got rank 3"):
         gross_keating_exponents(SymMat.diag(1, 1, 1), 3)
-    with pytest.raises(ValueError, match="p-integral entries"):
+    with pytest.raises(ValueError, match="Jordan form requires p-integral entries"):
         gross_keating_exponents(SymMat.diag(F(1, 3), 1, 1, 1), 3)
-    with pytest.raises(ValueError, match="nonsingular input"):
+    with pytest.raises(ValueError, match="Jordan form requires nonsingular input"):
         gross_keating_exponents(SymMat.diag(1, 1, 1, 0), 3)
-    with pytest.raises(ValueError, match="represents 1 over Z_p"):
+    with pytest.raises(ValueError, match="T must represent 1 over Z_3"):
         gross_keating_exponents(SymMat.diag(2, 6, 3, 9), 3)
 
 

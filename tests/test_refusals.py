@@ -1,9 +1,13 @@
 """The refusal tables of the closed-form entry points.
 
-Every entry point that reads T's Jordan data at p refuses the same seven
-kinds of input. Each cell pins the exact exception type and message, so a
-check that moves between functions or changes order shows up here. The
-finite-field forms have their own row: an entry they cannot read mod p.
+Every entry point that reads T's Jordan data at p passes T through one gate,
+gkmult.complement_triple, so each refuses the same nine inputs with the same
+messages, in the gate's order: p, rank, p-integral and nonsingular (the
+Jordan form's own checks), represents 1. Each cell pins the exact exception
+type and message, so a check that moves between functions or changes order
+shows up here. Past the gate, the two Diff-side entry points refuse a
+target represented at p, each in its own words. The finite-field forms
+have their own row: an entry they cannot read mod p.
 """
 
 from fractions import Fraction
@@ -16,9 +20,11 @@ from qflab import (
     assemble_A,
     e_p_of_form,
     gross_keating_exponents,
+    transversal,
     twisted_density,
     verify_ratio_identity,
     whittaker_derivative,
+    whittaker_twisted_value,
 )
 from qflab.gkmult import complement_triple
 
@@ -30,65 +36,33 @@ INPUTS = {
     "no unimodular entry": (SymMat.diag(3, 3, 3, 9), 3),
     "does not represent 1": (SymMat.diag(2, 6, 3, 9), 3),
     "p = 2": (SymMat.diag(1, 1, 1, 3), 2),
-    # two faults at once: the first check in each function's order wins
+    # two faults at once: the first check in the gate's order wins
     "singular, not p-integral": (SymMat.diag(Fraction(1, 3), 1, 1, 0), 3),
     "rank 3, not p-integral": (SymMat.diag(Fraction(1, 3), 1, 3), 3),
 }
 
-RANK4 = "normal form requires a rank-4 input"
-JORDAN_INTEGRAL = "Jordan form requires p-integral entries"
-NORMAL_INTEGRAL = "normal form requires p-integral entries"
-NORMAL_ONE = "normal form requires a form that represents 1 over Z_p"
-TWISTED = "twisted density requires a nonsingular rank-4 target"
-TWISTED_ONE = ("twisted closed form requires a target representing 1; "
-               "use the counting oracle for other targets")
-RATIO = "ratio identity requires a nonsingular rank-4 target"
-RATIO_ONE = "ratio identity requires a target representing 1 over Z_p"
-IN_DIFF = "derivative identity requires Diff(T) ∋ p"
-ODD = "expected an odd prime, got 2"
-DERIV_INTEGRAL = "Whittaker derivative requires a p-integral target"
-DERIV_SINGULAR = "Whittaker derivative requires a nonsingular target"
+RANK3 = "T must have rank 4, got rank 3"
+ONE = "T must represent 1 over Z_3"
+INTEGRAL = "Jordan form requires p-integral entries"
 
 # one message per input, in the order of INPUTS
-REFUSALS = {
-    assemble_A: (
-        RANK4, RANK4, JORDAN_INTEGRAL,
-        "Jordan form requires nonsingular input",
-        "reduction formula requires a unimodular entry",
-        "Kitaoka closed form requires represented 1",
-        ODD, JORDAN_INTEGRAL, JORDAN_INTEGRAL,
-    ),
-    complement_triple: (
-        RANK4, RANK4, NORMAL_INTEGRAL,
-        "normal form requires nonsingular input",
-        NORMAL_ONE, NORMAL_ONE, ODD, NORMAL_INTEGRAL, RANK4,
-    ),
-    gross_keating_exponents: (
-        RANK4, RANK4, NORMAL_INTEGRAL,
-        "normal form requires nonsingular input",
-        NORMAL_ONE, NORMAL_ONE, ODD, NORMAL_INTEGRAL, RANK4,
-    ),
-    e_p_of_form: (
-        RANK4, RANK4, NORMAL_INTEGRAL,
-        "normal form requires nonsingular input",
-        NORMAL_ONE, NORMAL_ONE, ODD, NORMAL_INTEGRAL, RANK4,
-    ),
-    twisted_density: (
-        TWISTED, TWISTED, JORDAN_INTEGRAL,
-        TWISTED, TWISTED_ONE, TWISTED_ONE, ODD, TWISTED, TWISTED,
-    ),
-    verify_ratio_identity: (
-        RATIO, RATIO,
-        "ratio identity requires a p-integral target",
-        RATIO, RATIO_ONE, RATIO_ONE, ODD, RATIO, RATIO,
-    ),
-    whittaker_derivative: (
-        IN_DIFF,
-        "target rank must be between 1 and 4",
-        DERIV_INTEGRAL, DERIV_SINGULAR,
-        IN_DIFF, IN_DIFF, ODD, DERIV_SINGULAR, DERIV_INTEGRAL,
-    ),
-}
+GATE = (
+    RANK3, "T must have rank 4, got rank 5", INTEGRAL,
+    "Jordan form requires nonsingular input",
+    ONE, ONE, "expected an odd prime, got 2", INTEGRAL, RANK3,
+)
+
+REFUSALS = {fn: GATE for fn in (
+    assemble_A,
+    complement_triple,
+    e_p_of_form,
+    gross_keating_exponents,
+    transversal,
+    twisted_density,
+    verify_ratio_identity,
+    whittaker_derivative,
+    whittaker_twisted_value,
+)}
 
 
 @pytest.mark.parametrize("kind", INPUTS)
@@ -102,11 +76,23 @@ def test_refusal_table(fn, kind):
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("fn, message", [
+    (whittaker_derivative, "derivative identity requires Diff(T) ∋ p"),
+    (verify_ratio_identity, "ratio identity requires p in Diff(T): the target is "
+                            "represented by the base space at p"),
+], ids=["whittaker_derivative", "verify_ratio_identity"])
+def test_diff_side_refusals(fn, message):
+    # diag(1,1,1,1) passes the gate but is represented by the base space at 3
+    with pytest.raises(ValueError) as info:
+        fn(SymMat.diag(1, 1, 1, 1), 3)
+    assert str(info.value) == message
+
+
 def test_whittaker_derivative_refuses_missing_closed_form_in_diff():
-    # 3 is in Diff(T), but T has no unimodular entry, so the series refuses
+    # 3 is in Diff(T), but T has no unimodular entry, so the gate refuses it
     with pytest.raises(ValueError) as info:
         whittaker_derivative(SymMat.diag(3, 3, 3, 6), 3)
-    assert str(info.value) == "reduction formula requires a unimodular entry"
+    assert str(info.value) == ONE
 
 
 @pytest.mark.parametrize("gram, p, error, message", [

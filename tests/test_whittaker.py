@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qflab import (
@@ -98,6 +99,12 @@ def test_twisted_value_examples():
     assert whittaker_twisted_value(SymMat.diag(1, 1, 1, 1), 3) == 0
 
 
+def test_twisted_value_of_a_numpy_prime_is_plain():
+    # before, p**4 of a numpy p left a numpy denominator inside the Fraction
+    value = whittaker_twisted_value(SymMat.diag(1, 1, 1, 3), np.int64(3))
+    assert value == F(64, 729) and type(value.denominator) is int
+
+
 # ---------------------------------------------------------------- log-p arithmetic
 
 
@@ -160,11 +167,11 @@ def test_ratio_identity_indefinite_target():
 
 
 def test_ratio_identity_validation():
-    with pytest.raises(ValueError, match="nonsingular rank-4 target"):
+    with pytest.raises(ValueError, match="T must have rank 4, got rank 3"):
         verify_ratio_identity(SymMat.diag(1, 1, 3), 3)
-    with pytest.raises(ValueError, match="p-integral target"):
+    with pytest.raises(ValueError, match="Jordan form requires p-integral entries"):
         verify_ratio_identity(SymMat.diag(F(1, 3), 1, 1, 3), 3)
-    with pytest.raises(ValueError, match="representing 1 over Z_p"):
+    with pytest.raises(ValueError, match="T must represent 1 over Z_3"):
         verify_ratio_identity(SymMat.diag(2, 6, 3, 9), 3)
 
 
