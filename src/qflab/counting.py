@@ -26,16 +26,18 @@ keys only on the class, q and n, so both are kept read-only for later
 counts in the process under those keys; a count whose table is kept does
 only its target-dependent pass. When such a count has paired halves, the
 first one keeps the table's nonzero cells beside it, at most as many as
-the other half's key combinations: each cell's digits packed in base 2q
-as an int64 key and its uint32 value, 12 bytes a cell. While the table
-has fewer than one nonzero cell in _CELLS_PER_KEY, every such count is a
-streamed pass over those cells: a cell's value is its weight, and its
-partner's index is read from a packed sum as a streamed key's is. A
-denser table is read whole. The state budget bounds the larger half's
-q^(n*ceil(m/2)) states and the q^k table cells of a count, and the cells
-kept resident, a nonzero key and value two cells each: before a new table
-is filled, the least recently used tables and keys are dropped until the
-resident cells and the new q^k fit it.
+the other half's key combinations: each cell's radix-q digits as codes of
+a few digits each (two uint16 codes at 17^6 cells) and its uint32 value,
+and the table's occupancy as a bitmap of one bit per cell. While the table
+has fewer than one nonzero cell in _CELLS_PER_KEY, every such count reads
+those cells: per target, one small lookup per code group maps a code to
+its partner digits' share of the partner's index, and only the partners
+whose bit is set are read from the table. A denser table is read whole.
+The state budget bounds the larger half's q^(n*ceil(m/2)) states and the
+q^k table cells of a count, and the cells kept resident, each code, value
+and bitmap byte one cell: before a new table is filled, the least recently
+used tables and keys are dropped until the resident cells and the new q^k
+fit it.
 This module is the independent auditor for every closed form in the
 package; it must never call into the closed-form code.
 """
@@ -60,17 +62,18 @@ DEFAULT_STATE_BUDGET = 2**29
 # ones per-block overhead (2^15 makes the MITM engine about 15% slower)
 _CHUNK = 2**16
 
-# entries of one digit-group lookup table of the MITM engine (int64): small
-# enough to stay in cache; 2^12 to 2^17 time alike, more groups making up
-# for fewer misses
+# entries of one digit-group lookup table of the MITM engine (int64), and so
+# also the most a kept table's cell code can take: small enough to stay in
+# cache; 2^12 to 2^17 time alike, more groups making up for fewer misses
 _LOOKUP_CELLS = 2**14
 
 # table cells the mirrored MITM product reads in the time the streamed pass
-# takes per key combination (about 5 ns and 30 ns on a 2-core x86 VM), and
-# so also per kept nonzero cell, which the same pass reads: a kept paired
-# table is read through its nonzero cells (a packed int64 key and a uint32
-# value, 12 bytes each) while it has fewer than one in _CELLS_PER_KEY, and
-# by the mirrored product otherwise
+# takes per key combination (about 5 ns and 30 ns on a 2-core x86 VM); a
+# kept paired table is read through its nonzero cells (_cells_dot) while it
+# has fewer than one in _CELLS_PER_KEY, and by the mirrored product
+# otherwise. At 81^3 cells, 27% of them nonzero (the m4n2q81 benchmark
+# shape), the mirrored product takes 0.7-1.0 ms and the cell read
+# 1.7-3.0 ms; at 17^6 cells, 3.1% nonzero, 120-130 ms and 7-9 ms
 _CELLS_PER_KEY = 6
 
 
@@ -233,6 +236,14 @@ def _key_class(r: int, p: int, q: int) -> tuple[int, int]:
     return (v, pow(r, (p - 1) // 2, p))
 
 
+def _group_digits(base: int, k: int) -> int:
+    """Digits per group of k: the most, at least 1, with base^g <= _LOOKUP_CELLS."""
+    g = 1
+    while g < k and base ** (g + 1) <= _LOOKUP_CELLS:
+        g += 1
+    return g
+
+
 @functools.lru_cache(maxsize=32)
 def _digit_lookup(q: int, k: int, base: int):
     """How to pack k-digit keys whose sums stay below base in every digit.
@@ -245,9 +256,7 @@ def _digit_lookup(q: int, k: int, base: int):
     value of its digits mod q. For k = 1 there is no lookup: the packed sum
     mod q is the index.
     """
-    g = 1
-    while g < k and base ** (g + 1) <= _LOOKUP_CELLS:
-        g += 1
+    g = _group_digits(base, k)
     width = (base**g - 1).bit_length()
     places = np.array([base ** (c % g) << width * (c // g) for c in range(k)], dtype=np.int64)
     if k == 1:
@@ -363,40 +372,85 @@ def _mirror_dot(table: np.ndarray, tgt: tuple[int, ...], q: int, k: int, sign: i
 
 
 def _nonzero_cells(table: np.ndarray, q: int, k: int, most: int):
-    """The nonzero cells of table as (keys, values), or two empty arrays if
-    there are more than most: each cell's radix-q digits packed in base 2q
-    (_digit_lookup) as an int64 key, and its uint32 value, 12 bytes per
-    cell. The cells are counted first, so both arrays are allocated at their
-    size and filled in one pass over the table in slices of _CHUNK cells."""
+    """The nonzero cells of table as (codes, values, bits), or three empty
+    arrays if there are more than most. Row i of codes holds each cell's
+    radix-q digits i*g to i*g + g - 1 (g = _group_digits(q, k)) as one
+    code; values holds its uint32 value, and bits the table's occupancy,
+    np.packbits(table != 0, bitorder="little"). At 17^6 cells that is two
+    uint16 codes and a value, 8 bytes a cell, and a 2.9 MB bitmap. The cells
+    are counted first, so every array is allocated at its size and filled in
+    one pass over the table in slices of _CHUNK cells, rounded up to whole
+    bytes of bits."""
+    g = _group_digits(q, k)
+    groups, code = -(-k // g), np.min_scalar_type(q**g - 1)
     found = np.count_nonzero(table)
     if found > most:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint32)
-    places = _digit_lookup(q, k, 2 * q)[0]
-    keys, values, at = np.zeros(found, dtype=np.int64), np.empty(found, dtype=np.uint32), 0
-    for lo in range(0, table.size, _CHUNK):
-        rest = np.flatnonzero(table[lo:lo + _CHUNK])
+        return (np.empty((groups, 0), dtype=code), np.empty(0, dtype=np.uint32),
+                np.empty(0, dtype=np.uint8))
+    codes, values = np.empty((groups, found), dtype=code), np.empty(found, dtype=np.uint32)
+    bits, at, step = np.empty(-(-table.size // 8), dtype=np.uint8), 0, -(-_CHUNK // 8) * 8
+    for lo in range(0, table.size, step):
+        part = table[lo:lo + step]
+        bits[lo // 8:(lo + len(part) + 7) // 8] = np.packbits(part != 0, bitorder="little")
+        rest = np.flatnonzero(part)
         end = at + len(rest)
-        values[at:end] = table[lo:lo + _CHUNK][rest]
+        values[at:end] = part[rest]
         rest += lo
-        for place in places:
-            rest, digit = np.divmod(rest, q)
-            keys[at:end] += digit * place
+        for i in range(groups):
+            rest, codes[i, at:end] = np.divmod(rest, q**g)
         at = end
-    return keys, values
+    return codes, values, bits
 
 
-def _partner_sums(keys: np.ndarray, values: np.ndarray, tgt: tuple[int, ...], q: int, k: int,
-                  sign: int):
-    """Yield (sums, values) over blocks of _CHUNK nonzero cells (_nonzero_cells),
-    each sum packing in base 2q the partner of a cell d in the sum of
-    A[d] * A[sign * (tgt - d)]. For sign 1 it is t + q - d digitwise, packed
-    (t + q) minus the key; for sign -1 it is d + t, the key plus packed t,
-    since the sum of A[d] * A[d - t] is the sum of A[d] * A[d + t]. No digit
-    reaches 2q or goes below 0, so nothing carries or borrows."""
-    start = sum(int(place) * (t + q * (sign == 1))
-                for place, t in zip(_digit_lookup(q, k, 2 * q)[0], tgt))
-    for lo in range(0, len(keys), _CHUNK):
-        yield start - sign * keys[lo:lo + _CHUNK], values[lo:lo + _CHUNK]
+def _partner_lookups(tgt: tuple[int, ...], q: int, k: int, sign: int) -> list[np.ndarray]:
+    """One lookup per code group of _nonzero_cells, mapping a code to the
+    radix-q value of its partner digits in the sum of A[d] * A[sign * (tgt - d)],
+    sign * (t_c - d) mod q each. Row c of partner holds digit c's q values,
+    and a group's lookup is the outer sum of its rows, most significant first."""
+    g = _group_digits(q, k)
+    d, t = np.arange(q, dtype=np.int64), np.array(tgt, dtype=np.int64)[:, None]
+    partner = sign * (t - d) % q * (q ** np.arange(k, dtype=np.int64))[:, None]
+    lookups = []
+    for lo in range(0, k, g):
+        hi = min(lo + g, k)
+        lookup = partner[hi - 1]
+        for c in range(hi - 2, lo - 1, -1):
+            lookup = np.add.outer(lookup, partner[c]).ravel()
+        lookups.append(lookup)
+    return lookups
+
+
+def _cells_dot(table: np.ndarray, codes: np.ndarray, values: np.ndarray, bits: np.ndarray,
+               tgt: tuple[int, ...], q: int, k: int, sign: int) -> int:
+    """Sum of A[d] * A[sign * (tgt - d)] over the nonzero cells d of the table
+    A (_nonzero_cells), in blocks of _CHUNK cells: a cell's partner index is
+    one take per code group (_partner_lookups) and their sum, or for k = 1,
+    where a lookup would be as long as the table, the digit's partner itself.
+    Only the partners whose bit is set are gathered from the table."""
+    lookups = _partner_lookups(tgt, q, k, sign) if k > 1 else None
+    total, size = 0, min(_CHUNK, len(values))
+    index, spare = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    for lo in range(0, len(values), _CHUNK):
+        block = codes[:, lo:lo + _CHUNK]
+        idx, part = index[:block.shape[1]], spare[:block.shape[1]]
+        if lookups is None:  # the code is the digit d
+            np.subtract(tgt[0], block[0], out=idx, dtype=np.int64)
+            idx *= sign
+            idx %= q
+        else:  # "clip" writes out unbuffered
+            lookups[0].take(block[0], out=idx, mode="clip")
+            for lookup, group in zip(lookups[1:], block[1:]):
+                lookup.take(group, out=part, mode="clip")
+                idx += part
+        np.right_shift(idx, 3, out=part)
+        byte = bits.take(part)
+        np.bitwise_and(idx, 7, out=part)
+        byte >>= part.astype(np.uint8)
+        byte &= 1
+        hit = np.flatnonzero(byte.view(bool))
+        cells = table.take(idx.take(hit))
+        total += int(np.einsum("i,i->", cells, values[lo:lo + _CHUNK].take(hit), dtype=np.uint64))
+    return total
 
 
 def _dot(table: np.ndarray, blocks, q: int, k: int, base: int) -> int:
@@ -422,9 +476,9 @@ def _split(classes: list, size: dict, neg: dict, cells: int) -> tuple[tuple, tup
     when the other half is streamed instead, at its own cost: always for
     sign 0, and for paired halves if that costs no more than the mirrored
     product. The least work wins, then the cheaper table. A later count
-    that finds the table kept streams the table's own nonzero cells, no
-    more than the other half's key combinations, as packed keys and values
-    whenever that is cheaper still (_mitm_count).
+    that finds the table kept reads the table's own nonzero cells, no
+    more than the other half's key combinations, whenever that is cheaper
+    still (_mitm_count).
     """
     m, kinds = len(classes), sorted(set(classes))
     have = [classes.count(c) for c in kinds]
@@ -536,15 +590,17 @@ def _mitm_count(job: CountJob) -> int:
     sum of A[key] * A[T - key]; when it has the negated classes its table is
     A[-key] and the count is the sum of A[key] * A[key - T]. A count that
     fills A sums over all its cells (_mirror_dot), or streams the other half
-    when that costs no more (_split). A later count that finds A kept runs
-    the streamed pass (_dot) over A's nonzero cells: the first one packs
-    them in base 2q (_nonzero_cells), an int64 key and a uint32 value per
-    cell, and keeps both in A's resident entry, so the three are evicted
-    together; each block of cells gives its partners' packed sums
-    (_partner_sums) and its values as weights. The keys and values are kept
-    only if there are fewer than q^k / _CELLS_PER_KEY cells and their two
-    cells each fit the budget beside A; otherwise both are empty and such
-    counts decide as the filling one did. With
+    when that costs no more (_split). A later count that finds A kept reads
+    A's nonzero cells (_cells_dot): the first one indexes them
+    (_nonzero_cells) as ceil(k/g) digit-group codes and a uint32 value per
+    cell, with A's occupancy bitmap of ceil(q^k/8) bytes, and keeps the
+    three in A's resident entry, so the four are evicted together; each
+    count builds one lookup per group from its target, takes a cell's
+    partner index as the sum of its groups' lookups, and gathers from A only
+    the partners whose bit is set. The codes and values are kept only if
+    there are fewer than q^k / _CELLS_PER_KEY cells and their ceil(k/g) + 1
+    cells each fit the budget beside A and its bitmap; otherwise all three
+    are empty and such counts decide as the filling one did. With
     unpaired halves the other half is always streamed: its rows carry the
     negated keys and start at the target's digits, so each streamed sum is
     the key it needs. Keys are packed (_digit_lookup) so that a combination
@@ -584,12 +640,12 @@ def _mitm_count(job: CountJob) -> int:
     kept = _RESIDENT.recall(key)
     if kept is not None and sign:
         if len(kept) == 1:  # the first paired count to find the table kept
-            table = kept[0]
-            most = min((q**k - 1) // _CELLS_PER_KEY, (state_budget() - q**k) // 2)
+            table, groups = kept[0], -(-k // _group_digits(q, k))
+            most = min((q**k - 1) // _CELLS_PER_KEY,
+                       (state_budget() - q**k - -(-q**k // 8)) // (groups + 1))
             kept = _RESIDENT.remember(key, table, *_nonzero_cells(table, q, k, most))
-        table, cells, values = kept
-        if len(cells):
-            return _dot(table, _partner_sums(cells, values, tgt, q, k, sign), q, k, 2 * q)
+        if kept[2].size:  # the values of the nonzero cells
+            return _cells_dot(*kept, tgt, q, k, sign)
 
     # a base is 1 + the most a digit of a sum can reach; both halves' lookups
     # are built before a table is filled, so their scratch is freed by then

@@ -75,6 +75,8 @@ def classify_component(
     matrix alone.
     """
     p = check_odd_prime(p)
+    rank_t_mod_p = _plain_int(rank_t_mod_p, "an integer rank_t_mod_p")
+    dim_m = _plain_int(dim_m, "an integer dim_m")
     if not 0 <= rank_t_mod_p <= 3:
         raise ValueError("inconsistent case: the rank of the reduction is at most 3")
     if not 0 <= dim_m <= 3:

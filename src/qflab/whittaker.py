@@ -90,6 +90,11 @@ def whittaker_derivative(T: SymMat, p: int) -> LogPMultiple:
     p = complement_triple(T, p).p
     if represents_local(base_space(), T, Place(p)):
         raise ValueError("derivative identity requires Diff(T) ∋ p")
+    return _derivative(T, p)
+
+
+def _derivative(T: SymMat, p: int) -> LogPMultiple:
+    """whittaker_derivative past its checks: T passed the gate, p in Diff(T)."""
     return LogPMultiple(-derivative_at_1(assemble_A(T, p)), p)
 
 
@@ -152,7 +157,7 @@ def verify_ratio_identity(T: SymMat, p: int) -> RatioReport:
     value = whittaker_twisted_value(T, p)
     if value == 0:
         raise ArithmeticError("twisted value vanished on the twisted side of the dichotomy")
-    lhs = whittaker_derivative(T, p) / value
+    lhs = _derivative(T, p) / value
     mult = e_p(*triple.exponents, p)
     if mult.denominator != 1:
         raise ArithmeticError("non-integral multiplicity inside the vanishing regime")

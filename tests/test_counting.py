@@ -277,58 +277,63 @@ def test_mirror_dot_matches_literal_sum(q, k):
         assert counting._mirror_dot(table, tgt, q, k, sign) == want, (tgt, sign)
 
 
-def _nonzero_read(table, keys, values, tgt, q, k, sign):
-    """The read a count runs on a kept paired table with nonzero keys."""
-    partners = counting._partner_sums(keys, values, tgt, q, k, sign)
-    return counting._dot(table, partners, q, k, 2 * q)
+def _decoded(codes, q, k):
+    """The radix-q cell indices that _nonzero_cells' digit-group codes hold."""
+    g = counting._group_digits(q, k)
+    return sum(row.astype(np.int64) * q ** (g * i) for i, row in enumerate(codes)).tolist()
 
 
-# every digit grouping of the base-2q lookups: one group, equal groups and a
-# short last group; k = 6 stops at 17^6 cells, the table of a rank-3 count
+# every digit grouping of the codes: one group, equal groups and a short
+# last group; k = 6 stops at 17^6 cells, the table of a rank-3 count
 @pytest.mark.parametrize("q, k", [(q, k) for q in (3, 9, 17, 25, 27) for k in (1, 3, 6)
                                   if q**k <= 17**6])
 def test_partner_dot_matches_literal_sum(monkeypatch, q, k):
     rng = random.Random(q * 100 + k)
-    # about one cell in eight nonzero, at most 5000, of up to 2^20 as above
+    # about one cell in eight nonzero, at most 5000, of up to 2^20 as above;
+    # q^k is odd, so the last byte of the bitmap is partly filled, and the
+    # last cell is set so that a partner lands there
     cells = {rng.randrange(q**k): rng.choice((1, rng.randrange(1, 2**20)))
              for _ in range(min(q**k // 8 + 1, 5000))}
+    cells[q**k - 1] = 3
     table = np.zeros(q**k, dtype=np.uint32)
     table[list(cells)] = list(cells.values())
-    keys, values = counting._nonzero_cells(table, q, k, len(cells))
-    assert keys.dtype == np.int64 and values.dtype == np.uint32
-    # ascending cells, each key packing its cell's digits and each value its count
-    assert counting._table_index(keys, q, k, 2 * q).tolist() == sorted(cells)
+    kept = counting._nonzero_cells(table, q, k, len(cells))
+    codes, values, bits = kept
+    g = counting._group_digits(q, k)
+    assert codes.shape == (-(-k // g), len(cells)) and codes.dtype.kind == "u"
+    assert values.dtype == np.uint32 and bits.dtype == np.uint8
+    # ascending cells, each code its cell's digits and each value its count
+    assert _decoded(codes, q, k) == sorted(cells)
     assert values.tolist() == [cells[c] for c in sorted(cells)]
+    assert bits.tolist() == np.packbits(table != 0, bitorder="little").tolist()
     too_many = counting._nonzero_cells(table, q, k, len(cells) - 1)  # one cell too many
-    assert [len(a) for a in too_many] == [0, 0]
+    assert [a.size for a in too_many] == [0, 0, 0]
     targets = [(0,) * k, (q - 1,) * k, tuple(rng.randrange(q) for _ in range(k))]
     if k > 1:  # a 0 and a q - 1 digit in one target
         targets.append((0, q - 1) + targets[-1][2:])
     for tgt, sign in itertools.product(targets, (1, -1)):  # tgt - key, key - tgt
         want = _literal_mirror_dot(cells, tgt, q, k, sign)
-        assert _nonzero_read(table, keys, values, tgt, q, k, sign) == want, (tgt, sign)
+        assert counting._cells_dot(table, *kept, tgt, q, k, sign) == want, (tgt, sign)
     if q**k <= 20_000:  # index and read in blocks of 7 cells
         monkeypatch.setattr(counting, "_CHUNK", 7)
         blocked = counting._nonzero_cells(table, q, k, len(cells))
-        assert [a.tolist() for a in blocked] == [keys.tolist(), values.tolist()]
+        assert [a.tolist() for a in blocked] == [a.tolist() for a in kept]
         for sign in (1, -1):
             want = _literal_mirror_dot(cells, targets[-1], q, k, sign)
-            assert _nonzero_read(table, keys, values, targets[-1], q, k, sign) == want
+            assert counting._cells_dot(table, *kept, targets[-1], q, k, sign) == want
 
 
 def test_packed_sums_fit_int64():
     # q = p^t for the small primes and the largest prime a rank-2 table
     # admits, every rank n >= 2 and half of h rows a 2^31 budget admits, and
-    # the streamed half's extra target summand; base 2q packs a kept table's
-    # nonzero keys and their partners; the widest sum is at q = 3
+    # the streamed half's extra target summand; the widest sum is at q = 3
     widest = 0
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 1289):
         for t in range(1, 20):
             q = p**t
             for n in range(2, 6):
                 k = n * (n + 1) // 2
-                bases = [2 * q] if q**k <= 2**31 else []
-                h = 1
+                bases, h = [], 1
                 while max(q**k, q ** (n * h)) <= 2**31:
                     bases.append((h + 1) * (q - 1) + 1)
                     h += 1
@@ -588,13 +593,14 @@ def test_kept_arrays_are_read_only(cold):
     count_solutions(CountJob(split_diagonal(4), SymMat.diag(1, 1, 2), 3, 1))
     count_solutions(CountJob((1, 1, 1, -1), SymMat.diag(1, 2, 2), 3, 1))
     entries = counting._RESIDENT.entries
-    ((keys, values),) = [arrays[1:] for key, arrays in entries.items()
-                         if key[0] == "table" and len(arrays) == 3]
-    assert keys.dtype == np.int64 and values.dtype == np.uint32 and len(keys) == len(values) > 0
+    ((codes, values, bits),) = [arrays[1:] for key, arrays in entries.items()
+                                if key[0] == "table" and len(arrays) == 4]
+    assert codes.dtype.kind == "u" and values.dtype == np.uint32 and bits.dtype == np.uint8
+    assert codes.shape[1] == len(values) > 0 and len(bits) == -(-3**6 // 8)
     kept = [a for arrays in entries.values() for a in arrays]
-    # two tables, the nonzero keys and values of the paired one, and digits
-    # and counts of two classes
-    assert len(kept) == 8 and any(a is keys for a in kept) and any(a is values for a in kept)
+    # two tables, the nonzero codes and values and the bitmap of the paired
+    # one, and digits and counts of two classes
+    assert len(kept) == 9 and all(any(a is b for a in kept) for b in (codes, values, bits))
     for a in kept:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1
@@ -625,7 +631,7 @@ def test_reused_paired_table_is_read_through_its_nonzero_cells(monkeypatch, cold
             counting._RESIDENT.clear()
             wants.append(count_solutions(job))
         counting._RESIDENT.clear()
-        _spy_on(monkeypatch, calls, ("_sums", "_mirror_dot", "_nonzero_cells", "_partner_sums",
+        _spy_on(monkeypatch, calls, ("_sums", "_mirror_dot", "_nonzero_cells", "_cells_dot",
                                      "_dot"))
         for cycle in range(2):  # the second after an eviction
             calls.clear()
@@ -637,14 +643,15 @@ def test_reused_paired_table_is_read_through_its_nonzero_cells(monkeypatch, cold
             assert len(counting._RESIDENT.entries[key]) == 1
             calls.clear()
             assert count_solutions(jobs[1]) == wants[1]  # the first reuse indexes the table
-            assert calls == {"_nonzero_cells": 1, "_partner_sums": 1, "_dot": 1}
-            table, keys, values = counting._RESIDENT.entries[key]
+            assert calls == {"_nonzero_cells": 1, "_cells_dot": 1}
+            table, codes, values, bits = counting._RESIDENT.entries[key]
             nonzero = np.flatnonzero(table)
-            assert counting._table_index(keys, p, 6, 2 * p).tolist() == nonzero.tolist()
+            assert _decoded(codes, p, 6) == nonzero.tolist()
             assert values.tolist() == table[nonzero].tolist()
+            assert bits.tolist() == np.packbits(table != 0, bitorder="little").tolist()
             calls.clear()
             assert [count_solutions(jobs[i]) for i in (2, 0)] == [wants[2], wants[0]]
-            assert calls == {"_partner_sums": 2, "_dot": 2}
+            assert calls == {"_cells_dot": 2}
             assert counting._RESIDENT.cells == sum(
                 a.size for arrays in counting._RESIDENT.entries.values() for a in arrays)
             # a table of another class (3 is 0 mod 3 and a nonsquare mod 5)
@@ -660,8 +667,10 @@ def test_reused_paired_table_is_read_through_its_nonzero_cells(monkeypatch, cold
 
 
 def test_nonzero_keys_that_do_not_fit_beside_the_table_are_not_kept(monkeypatch, cold):
-    # each nonzero cell keeps a key and a value: with room for one of them
-    # per cell beside the table, but not both, the table stays unindexed
+    # each nonzero cell keeps a code per digit group and a value, beside the
+    # table and its bitmap of one cell per 8 table cells: one cell short of
+    # room for them all, the table stays unindexed; with exactly enough room
+    # it is indexed
     jobs = [CountJob(split_diagonal(4), T, 3, 1) for T in _RANK3_TARGETS]
     wants = [count_solutions(CountJob(j.s_diag, j.T, j.p, j.t, "naive")) for j in jobs]
     assert count_solutions(jobs[0]) == wants[0]
@@ -669,16 +678,23 @@ def test_nonzero_keys_that_do_not_fit_beside_the_table_are_not_kept(monkeypatch,
                           if key[0] == "table"]
     found = np.count_nonzero(table)
     assert 0 < found <= (table.size - 1) // counting._CELLS_PER_KEY
-    monkeypatch.setenv("QFLAB_STATE_BUDGET", str(table.size + 2 * found - 1))
+    per_cell = -(-6 // counting._group_digits(3, 6)) + 1
+    room = table.size + -(-table.size // 8) + per_cell * found
+    monkeypatch.setenv("QFLAB_STATE_BUDGET", str(room - 1))
     calls = collections.Counter()
-    _spy_on(monkeypatch, calls, ("_nonzero_cells", "_partner_sums"))
+    _spy_on(monkeypatch, calls, ("_nonzero_cells", "_cells_dot"))
     for job, want in zip(jobs[1:] + jobs, wants[1:] + wants):
         assert count_solutions(job) == want, job
         kept = counting._RESIDENT.entries[key]
-        assert kept[0] is table and [len(a) for a in kept[1:]] == [0, 0]
+        assert kept[0] is table and [a.size for a in kept[1:]] == [0, 0, 0]
         assert counting._RESIDENT.cells == sum(
             a.size for arrays in counting._RESIDENT.entries.values() for a in arrays)
     assert calls == {"_nonzero_cells": 1}
+    monkeypatch.setenv("QFLAB_STATE_BUDGET", str(room))
+    counting._RESIDENT.remember(key, table)  # unindexed again
+    assert count_solutions(jobs[1]) == wants[1]
+    assert sum(a.size for a in counting._RESIDENT.entries[key]) == room
+    assert counting._RESIDENT.cells == room and calls == {"_nonzero_cells": 2, "_cells_dot": 1}
 
 
 def test_kept_table_does_not_bypass_budget(monkeypatch, cold):

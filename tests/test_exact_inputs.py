@@ -23,6 +23,7 @@ from qflab import (
     QuaternionAlgebra,
     GKTriple,
     SymMat,
+    classify_component,
     density_oracle,
     e_p,
     extract_blocks,
@@ -75,6 +76,9 @@ INTEGER_CALLS = {
     "e_p a1": ("a1", 1, lambda n: e_p(n, 1, 1, 3)),
     "e_p a3": ("a3", 2, lambda n: e_p(1, 1, n, 3)),
     "quaternion_with_discriminant": ("discriminant d", 6, quaternion_with_discriminant),
+    "classify_component rank_t_mod_p": (
+        "rank_t_mod_p", 1, lambda n: classify_component(n, 1, {}, 3)),
+    "classify_component dim_m": ("dim_m", 1, lambda n: classify_component(1, n, {}, 3)),
 }
 
 
