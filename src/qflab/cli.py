@@ -98,8 +98,6 @@ def _parse_triple(text: str) -> tuple[int, int, int]:
 
 def _cmd_density(args) -> int:
     T = parse_matrix(args.T)
-    if not T.is_nonsingular:
-        raise ValueError("density requires a nonsingular target")
     if not T.is_p_integral(args.p):
         raise ValueError(f"density requires a {args.p}-integral target")
     if args.closed:

@@ -15,7 +15,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .padic import INFINITE_PLACE, Place, Rational, _candidate_primes, _exact, _plain_int, hilbert
+from .padic import (
+    INFINITE_PLACE, Place, Rational, _candidate_primes, _exact, _plain_int, _sign, hilbert,
+)
 from .quadform import QuadSpace
 
 
@@ -117,9 +119,7 @@ def discriminant(B: QuaternionAlgebra) -> int:
 
 def quaternion_with_discriminant(d: int) -> QuaternionAlgebra:
     """Deterministic small-coefficient algebra with the given discriminant."""
-    d = _plain_int(d, "an integer discriminant d")
-    if d < 1:
-        raise ValueError("discriminant must be a positive integer")
+    d = _plain_int(d, "an integer discriminant d", 1)
     candidates = sorted(
         ((a, b) for a in range(-12, 13) for b in range(-12, 13) if a and b),
         key=lambda ab: (abs(ab[0]) + abs(ab[1]), abs(ab[0]), ab[0], ab[1]),
@@ -254,17 +254,16 @@ def positive_involution_criterion(b_type: str, conj_sign: int,
     """
     if b_type not in ("split", "division"):
         raise ValueError(f"algebra type must be 'split' or 'division': {b_type!r}")
-    if conj_sign not in (1, -1):
-        raise ValueError("conjugation sign must be +1 or -1")
+    conj_sign = _sign(conj_sign, "an integer conj_sign")
     if b_type == "division":
         return conj_sign == 1
     if conj_sign == 1:
         return False
-    if square_sign not in (1, -1):
+    if square_sign is None:
         raise ValueError(
             "split case with reversed conjugation needs the sign of the square"
         )
-    return square_sign == -1
+    return _sign(square_sign, "an integer square_sign") == -1
 
 
 def witt_index_rank5(space: QuadSpace) -> int:

@@ -102,9 +102,7 @@ class CountJob:
     def __post_init__(self):
         object.__setattr__(self, "s_diag", tuple(map(_exact, self.s_diag)))
         object.__setattr__(self, "p", check_odd_prime(self.p))
-        object.__setattr__(self, "t", _plain_int(self.t, "an integer modulus exponent t"))
-        if self.t < 1:
-            raise ValueError("modulus exponent t must be >= 1")
+        object.__setattr__(self, "t", _plain_int(self.t, "an integer modulus exponent t", 1))
         if self.strategy not in ("naive", "mitm"):
             raise ValueError(f"unknown strategy: {self.strategy}")
         m, n = len(self.s_diag), self.T.n
@@ -690,7 +688,8 @@ def count_solutions(job: CountJob) -> int:
 
 
 def normalization_exponent(m: int, n: int, t: int) -> int:
-    return t * (m * n - n * (n + 1) // 2)
+    m, n = _plain_int(m, "an integer m"), _plain_int(n, "an integer n")
+    return _plain_int(t, "an integer t") * (m * n - n * (n + 1) // 2)
 
 
 def density_value(job: CountJob, raw: int) -> Fraction:
@@ -714,10 +713,8 @@ def density_oracle(
         raise ValueError("density oracle requires a nonsingular target")
     if t_start is None:
         t_start = max(jordan_diagonalize(T, p).exponents) + 1
-    if t_max is None:
-        t_max = t_start + 2
-    if t_max < t_start:
-        raise ValueError(f"t_max = {t_max} is below t_start = {t_start}: no modulus to count")
+    t_start = _plain_int(t_start, "an integer t_start", 1)
+    t_max = t_start + 2 if t_max is None else _plain_int(t_max, "an integer t_max", t_start)
     table = []
     prev = None
     for t in range(t_start, t_max + 1):

@@ -24,10 +24,10 @@ from .gkmult import e_p_of_form
 
 def extract_blocks(T: SymMat, sizes) -> list[SymMat]:
     """Principal diagonal blocks of the given sizes, in order."""
-    sizes = tuple(_plain_int(s, "an integer block size") for s in sizes)
+    sizes = tuple(_plain_int(s, "an integer block size", 1) for s in sizes)
     if T.n != 4:
         raise ValueError("block extraction expects a rank-4 fundamental matrix")
-    if any(not 1 <= s <= 4 for s in sizes) or sum(sizes) != 4:
+    if sum(sizes) != 4:
         raise ValueError("block sizes must lie in 1..4 and sum to 4")
     out, start = [], 0
     for s in sizes:
@@ -75,11 +75,11 @@ def classify_component(
     matrix alone.
     """
     p = check_odd_prime(p)
-    rank_t_mod_p = _plain_int(rank_t_mod_p, "an integer rank_t_mod_p")
-    dim_m = _plain_int(dim_m, "an integer dim_m")
-    if not 0 <= rank_t_mod_p <= 3:
+    rank_t_mod_p = _plain_int(rank_t_mod_p, "an integer rank_t_mod_p", 0)
+    dim_m = _plain_int(dim_m, "an integer dim_m", 0)
+    if rank_t_mod_p > 3:
         raise ValueError("inconsistent case: the rank of the reduction is at most 3")
-    if not 0 <= dim_m <= 3:
+    if dim_m > 3:
         raise ValueError("inconsistent case: the reduced form has dimension at most 3")
     if rank_t_mod_p > dim_m:
         raise ValueError(
@@ -280,9 +280,7 @@ def proper_intersection_sum(entries, p: int) -> Fraction:
     p = check_odd_prime(p)
     total = Fraction(0)
     for idx, (T, count) in enumerate(entries):
-        count = _plain_int(count, f"an integer point count in entry {idx}")
-        if count < 0:
-            raise ValueError(f"entry {idx} has a negative point count")
+        count = _plain_int(count, f"an integer point count in entry {idx}", 0)
         if not (T.is_p_integral(p) and is_isolated(T, p)):
             raise ValueError(f"entry {idx} fails the isolation criterion: {T!r}")
         total += e_p_of_form(T, p) * count

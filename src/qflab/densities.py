@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .padic import Place, Rational, _exact, _read_exact, check_odd_prime, chi
+from .padic import Place, Rational, _exact, _read_exact, _sign, check_odd_prime, chi
 from .quadform import SymMat, frac_str, represents_local, twisted_space
 from .gkmult import GKTriple, complement_triple
 
@@ -76,9 +76,7 @@ def derivative_at_1(A: DensityPolynomial) -> Fraction:
 def unary_density_factor(eps0: int, p: int) -> DensityPolynomial:
     """Density of a unit square class against the base space: 1 + chi * X / p^2."""
     p = check_odd_prime(p)
-    if eps0 not in (1, -1):
-        raise ValueError("unit class must be +1 or -1")
-    return DensityPolynomial((1, Fraction(eps0, p * p)))
+    return DensityPolynomial((1, Fraction(_sign(eps0, "an integer eps0"), p * p)))
 
 
 def chi_tilde(t: GKTriple) -> int:

@@ -14,11 +14,22 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import _plain_int, check_odd_prime, chi, residue, valuation
+from .padic import _plain_int, _sign, check_odd_prime, chi, residue, valuation
 from .quadform import SymMat, jordan_diagonalize, represents_one_over_Zp
 
 
-_INTEGER_FIELDS = tuple((f, f"an integer {f}") for f in ("a1", "a2", "a3", "eps1", "eps2", "eps3"))
+def _exponents(a1, a2, a3) -> tuple[int, int, int]:
+    """The exponents as plain ints, a1 >= 0 (_plain_int); ValueError unless a1 <= a2 <= a3."""
+    a1 = _plain_int(a1, "an integer a1", 0)
+    a2 = _plain_int(a2, "an integer a2")
+    a3 = _plain_int(a3, "an integer a3")
+    if not a1 <= a2 <= a3:
+        raise ValueError("exponents must satisfy 0 <= a1 <= a2 <= a3")
+    return a1, a2, a3
+
+
+_FIELDS = ("a1", "a2", "a3", "eps1", "eps2", "eps3")
+_SIGN_NAMES = ("an integer eps1", "an integer eps2", "an integer eps3")
 
 
 @dataclass(frozen=True)
@@ -34,13 +45,9 @@ class GKTriple:
     p: int
 
     def __post_init__(self):
-        for name, what in _INTEGER_FIELDS:
-            if type(x := getattr(self, name)) is not int:  # the common int skips the reader
-                object.__setattr__(self, name, _plain_int(x, what))
-        if not 0 <= self.a1 <= self.a2 <= self.a3:
-            raise ValueError("exponents must satisfy 0 <= a1 <= a2 <= a3")
-        if any(e not in (1, -1) for e in (self.eps1, self.eps2, self.eps3)):
-            raise ValueError("unit classes must be +1 or -1")
+        values = (*_exponents(*self.exponents), *map(_sign, self.signs, _SIGN_NAMES))
+        for name, x in zip(_FIELDS, values):
+            object.__setattr__(self, name, x)
         object.__setattr__(self, "p", check_odd_prime(self.p))
 
     @property
@@ -122,11 +129,7 @@ def e_p(a1: int, a2: int, a3: int, p: int) -> Fraction:
     exactly when the caller is in the vanishing regime, so the exact rational
     is returned and never rounded.
     """
-    a1 = _plain_int(a1, "an integer a1")
-    a2 = _plain_int(a2, "an integer a2")
-    a3 = _plain_int(a3, "an integer a3")
-    if not 0 <= a1 <= a2 <= a3:
-        raise ValueError("exponents must satisfy 0 <= a1 <= a2 <= a3")
+    a1, a2, a3 = _exponents(a1, a2, a3)
     p = check_odd_prime(p)
     total = Fraction(sum((i + 1) * (a1 + a2 + a3 - 3 * i) * p**i for i in range(a1)))
     if (a1 + a2) % 2 == 0:
@@ -162,6 +165,7 @@ def _e_text(e: Fraction) -> str:
 
 def gk_table_csv(p: int, a_max: int) -> str:
     """CSV of e_p over all ordered exponent triples up to a_max."""
+    a_max = _plain_int(a_max, "an integer a_max", 0)
     lines = ["a1,a2,a3,p,e"]
     for a1, a2, a3 in itertools.combinations_with_replacement(range(a_max + 1), 3):
         lines.append(f"{a1},{a2},{a3},{p},{_e_text(e_p(a1, a2, a3, p))}")

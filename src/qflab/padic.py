@@ -6,8 +6,10 @@ The Hasse invariant has one closed form at each place (`hasse_of_diagonal`),
 so the 2-adic unit arithmetic lives only here. This is the one module that
 imports sympy (`isprime`, `factorint`).
 
-Everything is exact. Inputs are integers (any type with `__index__`) or
-fractions.Fraction; floats raise TypeError.
+Everything is exact. Inputs are integers (any type with `__index__` but a
+bool) or fractions.Fraction; floats raise TypeError. Every integer parameter
+of the package, with its lower bound, is read by `_plain_int`, and every
++-1 sign by `_sign`, so each refusal names its parameter.
 """
 
 from __future__ import annotations
@@ -54,16 +56,25 @@ class Place:
 INFINITE_PLACE = Place()
 
 
-def _plain_int(x, what: str = "an integer prime") -> int:
+def _plain_int(x, what: str = "an integer prime", least: int | None = None) -> int:
     """x as a plain int, from any integer with __index__ but a bool, so that
-    no numpy scalar reaches three-argument pow or a cache key; TypeError
-    naming what otherwise."""
-    if not isinstance(x, bool):
-        try:
-            return operator.index(x)
-        except TypeError:
-            pass
-    raise TypeError(f"expected {what}, got {x!r}")
+    no numpy scalar reaches three-argument pow or a cache key: the one reader
+    of integer parameters. TypeError naming what otherwise, and ValueError
+    naming it if x < least."""
+    if type(x) is not int:  # the common plain int skips the conversion
+        if isinstance(x, bool) or not hasattr(type(x), "__index__"):
+            raise TypeError(f"expected {what}, got {x!r}")
+        x = operator.index(x)
+    if least is not None and x < least:
+        raise ValueError(f"expected {what} >= {least}, got {x}")
+    return x
+
+
+def _sign(x, what: str) -> int:
+    """x as _plain_int reads it; ValueError naming what unless it is +1 or -1."""
+    if (x := _plain_int(x, what)) not in (1, -1):
+        raise ValueError(f"expected {what} of +1 or -1, got {x}")
+    return x
 
 
 def check_odd_prime(p: int) -> int:
@@ -78,7 +89,7 @@ def _exact(x: Rational) -> Fraction:
     """x as a Fraction; anything but an integer or a Fraction raises TypeError."""
     if isinstance(x, Fraction):
         return x
-    return Fraction(_integer(x))
+    return Fraction(_plain_int(x, "an integer or Fraction"))
 
 
 def _read_exact(x) -> Fraction:
@@ -99,23 +110,13 @@ def residue(x: Rational, q: int, what: str = "value") -> int:
     return x.numerator * pow(x.denominator, -1, q) % q
 
 
-def _integer(x) -> int:
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise TypeError(f"expected an integer or Fraction, got {x!r}") from None
-
-
 def _split(x: Rational, p: int) -> tuple[int, int, int]:
     """(v, num, den) with x = p^v * num / den and p dividing neither num nor den."""
-    if type(p) is not int:  # the common int skips the conversion
-        p = _plain_int(p)
-    if p < 2:
-        raise ValueError(f"expected a prime, got {p}")
+    p = _plain_int(p, least=2)
     if isinstance(x, Fraction):
         num, den = x.numerator, x.denominator
     else:
-        num, den = _integer(x), 1
+        num, den = _plain_int(x, "an integer or Fraction"), 1
     if num == 0:
         raise ValueError("valuation of zero undefined")
     v = 0

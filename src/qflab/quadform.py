@@ -29,6 +29,7 @@ from .padic import (
     _exact,
     _plain_int,
     _read_exact,
+    _sign,
     _square_class,
     check_odd_prime,
     chi,
@@ -94,7 +95,7 @@ class SymMat:
         return 0 not in rational_diagonalization(self)
 
     def is_p_integral(self, p: int) -> bool:
-        p = _plain_int(p)
+        p = _plain_int(p, least=2)
         return all(x.denominator % p for row in self.entries for x in row)
 
     def principal_block(self, start: int, size: int) -> "SymMat":
@@ -205,13 +206,12 @@ class JordanDiagonal:
 
     def __post_init__(self):
         object.__setattr__(self, "p", check_odd_prime(self.p))
-        exps = [a for a, _ in self.terms]
-        if exps != sorted(exps) or any(a < 0 for a in exps):
-            raise ValueError("exponents must be nondecreasing and nonnegative")
-        if any(s not in (1, -1) for _, s in self.terms):
-            raise ValueError("unit classes must be +1 or -1")
+        read = [(_plain_int(a, "an integer term exponent", 0), _sign(s, "an integer term sign"))
+                for a, s in self.terms]
+        if read != sorted(read, key=lambda t: t[0]):
+            raise ValueError("exponents must be nondecreasing")
         terms = []
-        for a, block in itertools.groupby(self.terms, key=lambda t: t[0]):
+        for a, block in itertools.groupby(read, key=lambda t: t[0]):
             signs = [s for _, s in block]
             terms += [(a, 1)] * (len(signs) - 1) + [(a, math.prod(signs))]
         object.__setattr__(self, "terms", tuple(terms))
@@ -296,9 +296,7 @@ class QuadSpace:
 
 def base_diagonal(r: int = 0) -> tuple[int, ...]:
     """Diagonalized base space, with r >= 0 extra split planes appended."""
-    if r < 0:
-        raise ValueError(f"the number r of extra split planes must be >= 0, got r = {r}")
-    return (1, 1, -1, 1, -1) + (1, -1) * r
+    return (1, 1, -1, 1, -1) + (1, -1) * _plain_int(r, "an integer r", 0)
 
 
 @lru_cache(maxsize=None)
@@ -308,8 +306,7 @@ def base_space() -> QuadSpace:
 
 
 def split_diagonal(rank: int) -> tuple[int, ...]:
-    if rank < 0:
-        raise ValueError(f"split form rank must be >= 0, got {rank}")
+    rank = _plain_int(rank, "an integer split form rank", 0)
     if rank % 2:
         raise ValueError("split form has even rank")
     return (1, -1) * (rank // 2)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import Place, Rational, _exact, check_odd_prime
+from .padic import Place, Rational, _exact, _plain_int, check_odd_prime
 from .quadform import SymMat, base_diagonal, base_space, diff_set, frac_str, represents_local
 from .counting import density_oracle
 from .densities import assemble_A, derivative_at_1, twisted_density
@@ -65,8 +65,7 @@ def whittaker_value(T: SymMat, p: int, r: int = 0) -> Fraction:
     counting oracle. r must be >= 0.
     """
     p = check_odd_prime(p)
-    if r < 0:
-        raise ValueError(f"the number r of extra split planes must be >= 0, got r = {r}")
+    r = _plain_int(r, "an integer r", 0)
     if not T.is_nonsingular:
         raise ValueError("Whittaker value requires a nonsingular target")
     if not T.is_p_integral(p):

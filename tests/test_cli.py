@@ -312,7 +312,18 @@ def test_density_negative_r_exits_2(capsys, mode):
     target = "d:1,1,1,3" if mode == ["--closed"] else "d:3,3"  # the closed form takes rank 4
     code, out, err = run(capsys, "density", "--p", "3", "--T", target, "--r", "-1", *mode)
     assert (code, out) == (2, "")
-    assert err == "error: the number r of extra split planes must be >= 0, got r = -1\n"
+    assert err == "error: expected an integer r >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("mode, message", [
+    ([], "Whittaker value requires a nonsingular target"),
+    (["--closed"], "Jordan form requires nonsingular input"),
+    (["--oracle"], "density oracle requires a nonsingular target"),
+])
+def test_density_singular_target_exits_2(capsys, mode, message):
+    # the library refuses a singular T in each mode
+    code, out, err = run(capsys, "density", "--p", "3", "--T", "d:1,1,1,0", *mode)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_ratio_on_represented_target_exits_2(capsys):
@@ -356,7 +367,7 @@ def test_oracle_job_non_integral_field_exits_2(tmp_path, capsys):
 def test_oracle_inline_reports_job_error(capsys):
     code, _, err = run(capsys, "oracle", "--s", "1,-1", "--T", "d:1", "--p", "3", "--t", "0")
     assert code == 2
-    assert "modulus exponent t must be >= 1" in err
+    assert err == "error: expected an integer modulus exponent t >= 1, got 0\n"
 
 
 @pytest.mark.parametrize("raw", ["abc", "-5"])

@@ -84,6 +84,13 @@ def test_multiplication_is_associative():
             assert (x * y) * z == x * (y * z)
 
 
+def test_addition_and_subtraction_are_coefficientwise():
+    B = QuaternionAlgebra(-1, 3)
+    x, y = B.quaternion(1, 2, 3, 4), B.quaternion(0, 1, -1, F(1, 2))
+    assert (x + y).coeffs == (1, 3, 2, F(9, 2))
+    assert (x - y).coeffs == (1, 1, 4, F(7, 2))
+
+
 def test_mismatched_algebras_rejected():
     x = QuaternionAlgebra(-1, -1).quaternion(1, 0, 0, 0)
     y = QuaternionAlgebra(-1, 3).quaternion(1, 0, 0, 0)

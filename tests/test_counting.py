@@ -708,7 +708,7 @@ def test_kept_table_does_not_bypass_budget(monkeypatch, cold):
 
 
 def test_job_validation():
-    with pytest.raises(ValueError, match="t must be >= 1"):
+    with pytest.raises(ValueError, match=r"^expected an integer modulus exponent t >= 1, got 0$"):
         CountJob((1,), SymMat.diag(1), 3, 0)
     with pytest.raises(ValueError, match="source rows"):
         CountJob((1,), SymMat.diag(1, 1), 3, 1)
@@ -772,5 +772,5 @@ def test_density_oracle_reports_non_stabilization():
 
 
 def test_density_oracle_refuses_empty_range():
-    with pytest.raises(ValueError, match=r"t_max = 1 is below t_start = 3"):
+    with pytest.raises(ValueError, match=r"^expected an integer t_max >= 3, got 1$"):
         density_oracle(base_diagonal(), SymMat.diag(1), 3, t_start=3, t_max=1)

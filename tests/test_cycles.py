@@ -242,7 +242,8 @@ def test_proper_intersection_sum_examples():
 
 def test_proper_intersection_sum_validation():
     T = SymMat.diag(1, 1, 1, 3)
-    with pytest.raises(ValueError, match="entry 0 has a negative point count"):
+    with pytest.raises(ValueError,
+                       match=r"^expected an integer point count in entry 0 >= 0, got -1$"):
         proper_intersection_sum(((T, -1),), 3)
     with pytest.raises(ValueError, match="entry 1 fails the isolation criterion"):
         proper_intersection_sum(((T, 2), (SymMat.diag(2, 6, 3, 9), 1)), 3)

@@ -6,9 +6,11 @@ int32 or int64 and a Fraction as it answers the plain int, and refuses a
 float or a str with TypeError: no float ever becomes a binary fraction such
 as 3602879701896397/36028797018963968. Every integer parameter answers a
 numpy integer as the plain int and refuses a float, a bool or a str with
-TypeError naming the parameter. The repr is compared as well as the value,
-so a numpy scalar that leaks into an output shows up. The JSON readers
-still parse text such as "1/3".
+TypeError naming the parameter; a bool is neither an integer nor a
+rational. An integer parameter with a lower bound refuses a value below it,
+and a +-1 sign anything else, with ValueError naming the parameter. The repr
+is compared as well as the value, so a numpy scalar that leaks into an
+output shows up. The JSON readers still parse text such as "1/3".
 """
 
 from fractions import Fraction
@@ -22,15 +24,24 @@ from qflab import (
     LogPMultiple,
     QuaternionAlgebra,
     GKTriple,
+    JordanDiagonal,
     SymMat,
+    base_diagonal,
     classify_component,
     density_oracle,
     e_p,
     extract_blocks,
     frac_str,
+    gk_table_csv,
+    normalization_exponent,
+    positive_involution_criterion,
     proper_intersection_sum,
     quaternion_with_discriminant,
     ramified_places,
+    split_diagonal,
+    unary_density_factor,
+    valuation,
+    whittaker_value,
 )
 
 # one call per constructor or method that takes the rational x, from fresh inputs
@@ -55,37 +66,70 @@ def test_exact_rational_answers_as_int(name, kind):
     assert got == want and repr(got) == repr(want)
 
 
-@pytest.mark.parametrize("x", [0.5, 2.0, np.float64(2.0), "2", "1/2"],
-                         ids=["float", "integral float", "numpy float", "str", "fraction str"])
+@pytest.mark.parametrize("x", [0.5, 2.0, np.float64(2.0), True, "2", "1/2"],
+                         ids=["float", "integral float", "numpy float", "bool", "str", "fraction str"])
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_float_or_str_is_refused(name, x):
     with pytest.raises(TypeError, match="expected an integer or Fraction"):
         CALLS[name](x)
 
 
-# one call per integer parameter, with the parameter named in the refusal and
-# a value it accepts; before, each of these read 2.0 or True as an integer
+SIGN = "+1 or -1"
+
+# one call per integer parameter: the name its refusals give, a value it
+# accepts, the call, and the values it accepts beyond its type (None for
+# every integer, a number for a lower bound, or SIGN); before, each of these
+# read 2.0 or True as an integer, or refused a value below its bound or a
+# sign in words of its own
 INTEGER_CALLS = {
     "extract_blocks sizes": (
-        "block size", 2, lambda n: extract_blocks(SymMat.diag(1, 1, 1, 3), (n, 2))),
+        "block size", 2, lambda n: extract_blocks(SymMat.diag(1, 1, 1, 3), (n, 2)), 1),
     "proper_intersection_sum count": (
         "point count in entry 0", 2,
-        lambda n: proper_intersection_sum([(SymMat.diag(1, 1, 1, 3), n)], 3)),
-    "GKTriple a1": ("a1", 0, lambda n: GKTriple(n, 1, 1, 1, 1, 1, 3)),
-    "GKTriple eps3": ("eps3", 1, lambda n: GKTriple(0, 1, 1, 1, 1, n, 3)),
-    "e_p a1": ("a1", 1, lambda n: e_p(n, 1, 1, 3)),
-    "e_p a3": ("a3", 2, lambda n: e_p(1, 1, n, 3)),
-    "quaternion_with_discriminant": ("discriminant d", 6, quaternion_with_discriminant),
+        lambda n: proper_intersection_sum([(SymMat.diag(1, 1, 1, 3), n)], 3), 0),
+    "GKTriple a1": ("a1", 0, lambda n: GKTriple(n, 1, 1, 1, 1, 1, 3), 0),
+    "GKTriple eps3": ("eps3", 1, lambda n: GKTriple(0, 1, 1, 1, 1, n, 3), SIGN),
+    "e_p a1": ("a1", 1, lambda n: e_p(n, 1, 1, 3), 0),
+    "e_p a3": ("a3", 2, lambda n: e_p(1, 1, n, 3), None),
+    "quaternion_with_discriminant": ("discriminant d", 6, quaternion_with_discriminant, 1),
     "classify_component rank_t_mod_p": (
-        "rank_t_mod_p", 1, lambda n: classify_component(n, 1, {}, 3)),
-    "classify_component dim_m": ("dim_m", 1, lambda n: classify_component(1, n, {}, 3)),
+        "rank_t_mod_p", 1, lambda n: classify_component(n, 1, {}, 3), 0),
+    "classify_component dim_m": ("dim_m", 1, lambda n: classify_component(1, n, {}, 3), 0),
+    "valuation p": ("prime", 3, lambda n: valuation(18, n), 2),
+    "SymMat.is_p_integral p": (
+        "prime", 3, lambda n: SymMat.diag(Fraction(1, 3), 1).is_p_integral(n), 2),
+    "CountJob t": (
+        "modulus exponent t", 1, lambda n: CountJob((1, 1, -1), SymMat.diag(1), 3, n).t, 1),
+    "JordanDiagonal exponent": (
+        "term exponent", 1, lambda n: JordanDiagonal(((0, 1), (n, -1)), 3).diagonal_rep(), 0),
+    "JordanDiagonal sign": (
+        "term sign", -1, lambda n: JordanDiagonal(((0, 1), (1, n)), 3).terms, SIGN),
+    "normalization_exponent m": ("m", 4, lambda n: normalization_exponent(n, 3, 1), None),
+    "normalization_exponent n": ("n", 3, lambda n: normalization_exponent(4, n, 1), None),
+    "normalization_exponent t": ("t", 2, lambda n: normalization_exponent(4, 3, n), None),
+    "base_diagonal r": ("r", 1, base_diagonal, 0),
+    "split_diagonal rank": ("split form rank", 2, split_diagonal, 0),
+    "whittaker_value r": ("r", 1, lambda n: whittaker_value(SymMat.diag(1, 1, 1, 3), 3, n), 0),
+    "density_oracle t_start": (
+        "t_start", 1, lambda n: density_oracle(base_diagonal(), SymMat.diag(1), 3, t_start=n), 1),
+    "density_oracle t_max": (
+        "t_max", 2,
+        lambda n: density_oracle(base_diagonal(), SymMat.diag(1), 3, t_start=1, t_max=n), 1),
+    "gk_table_csv a_max": ("a_max", 1, lambda n: gk_table_csv(3, n), 0),
+    "unary_density_factor eps0": ("eps0", -1, lambda n: unary_density_factor(n, 3), SIGN),
+    "positive_involution_criterion conj_sign": (
+        "conj_sign", -1, lambda n: positive_involution_criterion("split", n, -1), SIGN),
+    "positive_involution_criterion square_sign": (
+        "square_sign", -1, lambda n: positive_involution_criterion("split", -1, n), SIGN),
 }
+BOUNDED = sorted(name for name, row in INTEGER_CALLS.items() if isinstance(row[3], int))
+SIGNS = sorted(name for name, row in INTEGER_CALLS.items() if row[3] == SIGN)
 
 
 @pytest.mark.parametrize("kind", [np.int32, np.int64])
 @pytest.mark.parametrize("name", sorted(INTEGER_CALLS))
 def test_numpy_integer_answers_as_int(name, kind):
-    _, n, call = INTEGER_CALLS[name]
+    _, n, call, _ = INTEGER_CALLS[name]
     want, got = call(n), call(kind(n))
     assert got == want and repr(got) == repr(want)
 
@@ -93,11 +137,28 @@ def test_numpy_integer_answers_as_int(name, kind):
 @pytest.mark.parametrize("bad", ["float", "numpy float", "bool", "str"])
 @pytest.mark.parametrize("name", sorted(INTEGER_CALLS))
 def test_integer_parameter_refuses_float_bool_and_str(name, bad):
-    what, n, call = INTEGER_CALLS[name]
+    what, n, call, _ = INTEGER_CALLS[name]
     x = {"float": float(n), "numpy float": np.float64(n), "bool": bool(n), "str": str(n)}[bad]
     with pytest.raises(TypeError) as info:
         call(x)
     assert str(info.value) == f"expected an integer {what}, got {x!r}"
+
+
+@pytest.mark.parametrize("name", BOUNDED)
+def test_integer_parameter_refuses_a_value_below_its_bound(name):
+    what, _, call, least = INTEGER_CALLS[name]
+    with pytest.raises(ValueError) as info:
+        call(least - 1)
+    assert str(info.value) == f"expected an integer {what} >= {least}, got {least - 1}"
+
+
+@pytest.mark.parametrize("x", [0, 2, -2])
+@pytest.mark.parametrize("name", SIGNS)
+def test_sign_parameter_refuses_anything_but_plus_or_minus_one(name, x):
+    what, _, call, _ = INTEGER_CALLS[name]
+    with pytest.raises(ValueError) as info:
+        call(x)
+    assert str(info.value) == f"expected an integer {what} of +1 or -1, got {x}"
 
 
 def test_json_readers_parse_fraction_text():

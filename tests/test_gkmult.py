@@ -174,7 +174,7 @@ def test_multiplicity_is_strictly_monotone():
 def test_multiplicity_rejects_unordered():
     with pytest.raises(ValueError, match="0 <= a1 <= a2 <= a3"):
         e_p(2, 1, 3, 3)
-    with pytest.raises(ValueError, match="0 <= a1 <= a2 <= a3"):
+    with pytest.raises(ValueError, match=r"^expected an integer a1 >= 0, got -1$"):
         e_p(-1, 0, 0, 3)
 
 

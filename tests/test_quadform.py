@@ -291,9 +291,9 @@ def test_fixed_diagonals():
 
 def test_fixed_diagonals_refuse_negative_sizes():
     # (1, -1) * -1 is empty: a negative size was read as 0
-    with pytest.raises(ValueError, match=r"^the number r of extra split planes must be >= 0, got r = -1$"):
+    with pytest.raises(ValueError, match=r"^expected an integer r >= 0, got -1$"):
         base_diagonal(-1)
-    with pytest.raises(ValueError, match=r"^split form rank must be >= 0, got -2$"):
+    with pytest.raises(ValueError, match=r"^expected an integer split form rank >= 0, got -2$"):
         split_diagonal(-2)
 
 

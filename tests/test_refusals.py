@@ -7,7 +7,9 @@ Jordan form's own checks), represents 1. Each cell pins the exact exception
 type and message, so a check that moves between functions or changes order
 shows up here. Past the gate, the two Diff-side entry points refuse a
 target represented at p, each in its own words. The finite-field forms
-have their own row: an entry they cannot read mod p.
+have their own row: an entry they cannot read mod p. The last table holds
+one call for each input check of the other entry points that no other test
+reaches.
 """
 
 from fractions import Fraction
@@ -15,16 +17,30 @@ from fractions import Fraction
 import pytest
 
 from qflab import (
+    INFINITE_PLACE,
     FiniteFieldQuadSpace,
+    Place,
+    QuadSpace,
+    Quaternion,
+    QuaternionAlgebra,
     SymMat,
     assemble_A,
+    base_space,
+    chi,
+    diff_set,
     e_p_of_form,
     gross_keating_exponents,
+    hilbert,
+    is_local_square,
+    positive_involution_criterion,
+    represents_local,
+    split_diagonal,
     transversal,
     twisted_density,
     verify_ratio_identity,
     whittaker_derivative,
     whittaker_twisted_value,
+    witt_index_rank5,
 )
 from qflab.gkmult import complement_triple
 
@@ -107,3 +123,64 @@ def test_finite_field_space_refusals(gram, p, error, message):
     with pytest.raises(error) as info:
         FiniteFieldQuadSpace(p, gram)
     assert str(info.value) == message
+
+
+B3, B5 = QuaternionAlgebra(-1, 3), QuaternionAlgebra(-1, 5)
+
+# one call per input check that no other test reaches: (call, error, message)
+CHECKS = {
+    "represents_local space rank": (
+        lambda: represents_local(QuadSpace.from_diagonal((1, 1, -1, 1)), SymMat.diag(1), Place(3)),
+        ValueError, "representation test requires a rank-5 space"),
+    "represents_local target rank": (
+        lambda: represents_local(base_space(), SymMat.diag(1, 1, 1, 1, 1), Place(3)),
+        ValueError, "target rank must be between 1 and 4"),
+    "represents_local singular target": (
+        lambda: represents_local(base_space(), SymMat.diag(1, 0), Place(3)),
+        ValueError, "target must be nonsingular"),
+    "diff_set": (
+        lambda: diff_set(SymMat.diag(1, 1, 3), None),
+        ValueError, "Diff requires a nonsingular rank-4 form"),
+    "SymMat.from_json size": (
+        lambda: SymMat.from_json({"n": 2, "entries": [["1"]]}),
+        ValueError, "matrix size does not match declared n"),
+    "split_diagonal odd rank": (
+        lambda: split_diagonal(3), ValueError, "split form has even rank"),
+    "chi of zero": (lambda: chi(0, 3), ValueError, "chi requires a p-adic unit"),
+    "hilbert of a zero": (
+        lambda: hilbert(2, 0, Place(3)), ValueError, "hilbert symbol requires nonzero arguments"),
+    "is_local_square of zero": (
+        lambda: is_local_square(0, INFINITE_PLACE), ValueError, "square class of zero undefined"),
+    "witt_index_rank5": (
+        lambda: witt_index_rank5(QuadSpace.from_diagonal((1, 1, -1, 1))),
+        ValueError, "Witt index helper expects a rank-5 space"),
+    "Quaternion length": (
+        lambda: Quaternion((1, 2, 3), B3), ValueError, "quaternion needs four coefficients"),
+    "Quaternion.__add__": (
+        lambda: B3.quaternion(1) + B5.quaternion(1), ValueError, "mismatched quaternion algebras"),
+    "Quaternion.__sub__": (
+        lambda: B3.quaternion(1) - B5.quaternion(1), ValueError, "mismatched quaternion algebras"),
+    "FiniteFieldQuadSpace shape": (
+        lambda: FiniteFieldQuadSpace(3, ((1, 0), (0,))),
+        ValueError, "finite-field form must be square of dimension 1..3"),
+    "FiniteFieldQuadSpace dimension": (
+        lambda: FiniteFieldQuadSpace(3, ()),
+        ValueError, "finite-field form must be square of dimension 1..3"),
+    "FiniteFieldQuadSpace symmetry": (
+        lambda: FiniteFieldQuadSpace(3, ((1, 1), (0, 1))),
+        ValueError, "finite-field form must be symmetric"),
+    "positive_involution_criterion b_type": (
+        lambda: positive_involution_criterion("real", 1),
+        ValueError, "algebra type must be 'split' or 'division': 'real'"),
+    "positive_involution_criterion conj_sign": (
+        lambda: positive_involution_criterion("division", 0),
+        ValueError, "expected an integer conj_sign of +1 or -1, got 0"),
+}
+
+
+@pytest.mark.parametrize("name", CHECKS)
+def test_input_check(name):
+    call, error, message = CHECKS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
