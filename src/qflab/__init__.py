@@ -7,12 +7,12 @@ Everything is exact rational arithmetic; no floats anywhere.
 from .padic import INFINITE_PLACE, Place, chi, hilbert, is_local_square, unit_part, valuation
 from .quadform import (
     JordanDiagonal,
-    QuadSpace,
     SymMat,
     base_diagonal,
     base_space,
     diff_set,
     frac_str,
+    hasse_invariant,
     jordan_diagonalize,
     least_nonsquare,
     rational_diagonalization,

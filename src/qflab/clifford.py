@@ -18,7 +18,7 @@ import numpy as np
 from .padic import (
     INFINITE_PLACE, Place, Rational, _candidate_primes, _exact, _plain_int, _sign, hilbert,
 )
-from .quadform import QuadSpace
+from .quadform import SymMat, hasse_invariant, rational_diagonalization, signature
 
 
 @dataclass(frozen=True)
@@ -131,9 +131,9 @@ def quaternion_with_discriminant(d: int) -> QuaternionAlgebra:
     raise ValueError(f"no small-coefficient algebra has discriminant {d}")
 
 
-def vb_space(B: QuaternionAlgebra) -> QuadSpace:
+def vb_space(B: QuaternionAlgebra) -> SymMat:
     """Rank-5 space <1> + (norm form of B), diagonally <1, 1, -a, -b, ab>."""
-    return QuadSpace.from_diagonal((1, 1, -B.a, -B.b, B.a * B.b))
+    return SymMat.diag(1, 1, -B.a, -B.b, B.a * B.b)
 
 
 class IncoherentCollection:
@@ -266,18 +266,20 @@ def positive_involution_criterion(b_type: str, conj_sign: int,
     return _sign(square_sign, "an integer square_sign") == -1
 
 
-def witt_index_rank5(space: QuadSpace) -> int:
+def witt_index_rank5(space: SymMat) -> int:
     """Witt index over Q of a rank-5 space: 2 exactly when it matches the
     two-hyperbolic-plane model at every place, 1 when merely indefinite."""
-    if space.rank != 5:
+    if space.n != 5:
         raise ValueError("Witt index helper expects a rank-5 space")
-    npos, nneg = space.signature
-    if npos == 5 or nneg == 5:
+    if space.det == 0:
+        raise ValueError("Witt index helper expects a nonsingular space")
+    sig = signature(space)
+    if 5 in sig:
         return 0
-    model = QuadSpace.from_diagonal((1, -1, 1, -1, space.det))
-    if space.signature != model.signature:
+    model = SymMat.diag(1, -1, 1, -1, space.det)
+    if sig != signature(model):
         return 1
-    for q in _candidate_primes(*space.diagonal):
-        if space.hasse(Place(q)) != model.hasse(Place(q)):
+    for q in _candidate_primes(*rational_diagonalization(space)):
+        if hasse_invariant(space, Place(q)) != hasse_invariant(model, Place(q)):
             return 1
     return 2

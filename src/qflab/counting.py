@@ -53,7 +53,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .padic import _exact, _plain_int, _read_exact, check_odd_prime, residue, valuation
+from .padic import _exact, _json_int, _plain_int, _read_exact, check_odd_prime, residue, valuation
 from .quadform import SymMat, frac_str, jordan_diagonalize
 
 DEFAULT_STATE_BUDGET = 2**29
@@ -106,7 +106,9 @@ class CountJob:
         if self.strategy not in ("naive", "mitm"):
             raise ValueError(f"unknown strategy: {self.strategy}")
         m, n = len(self.s_diag), self.T.n
-        if not m >= n >= 1:
+        if n == 0:
+            raise ValueError("expected a target T of rank >= 1, got rank 0")
+        if m < n:
             raise ValueError("need at least as many source rows as target rank")
         for s in self.s_diag:
             if s == 0 or valuation(s, self.p) < 0:
@@ -137,14 +139,10 @@ class CountJob:
 
     @classmethod
     def from_json(cls, data: dict) -> "CountJob":
-        for key in ("p", "t"):  # a JSON 3.0 arrives as Fraction(3) and is accepted
-            if Fraction(data[key]).denominator != 1:
-                raise ValueError(f"job field {key!r} must be an integer, got {data[key]}")
         return cls(
             tuple(map(_read_exact, data["s"])),
             SymMat.from_json(data["T"]),
-            int(data["p"]),
-            int(data["t"]),
+            *(_json_int(data[key], f"job field {key!r}") for key in ("p", "t")),
             data.get("strategy", "mitm"),
         )
 
@@ -712,7 +710,7 @@ def density_oracle(
     if not T.is_nonsingular:
         raise ValueError("density oracle requires a nonsingular target")
     if t_start is None:
-        t_start = max(jordan_diagonalize(T, p).exponents) + 1
+        t_start = max(jordan_diagonalize(T, p).exponents, default=0) + 1  # CountJob refuses rank 0
     t_start = _plain_int(t_start, "an integer t_start", 1)
     t_max = t_start + 2 if t_max is None else _plain_int(t_max, "an integer t_max", t_start)
     table = []

@@ -145,11 +145,16 @@ def assemble_A(T: SymMat, p: int) -> DensityPolynomial:
 
     Splits off <1> and multiplies the unary factor with the ternary closed
     form of the complement, whose triple complement_triple reads; its gate
-    is the only check.
+    is the only check. Kept on T per prime, as its Jordan data is; a refusal
+    is not kept, so every call raises it again.
     """
-    t = complement_triple(T, p)
-    # the unary factor 1 + X/p^2 is (p^2 + X) / p^2
-    return _over(_pmul((t.p * t.p, 1), _ternary_numerator(t)), t.p**6)
+    p = check_odd_prime(p)
+    A = T._series.get(p)
+    if A is None:
+        t = complement_triple(T, p)
+        # the unary factor 1 + X/p^2 is (p^2 + X) / p^2
+        A = T._series[p] = _over(_pmul((p * p, 1), _ternary_numerator(t)), p**6)
+    return A
 
 
 def twisted_density(T: SymMat, p: int) -> Fraction:

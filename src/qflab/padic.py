@@ -8,8 +8,9 @@ imports sympy (`isprime`, `factorint`).
 
 Everything is exact. Inputs are integers (any type with `__index__` but a
 bool) or fractions.Fraction; floats raise TypeError. Every integer parameter
-of the package, with its lower bound, is read by `_plain_int`, and every
-+-1 sign by `_sign`, so each refusal names its parameter.
+of the package, with its lower bound, is read by `_plain_int` (an integer
+field of a JSON object by `_json_int`), and every +-1 sign by `_sign`, so
+each refusal names its parameter.
 """
 
 from __future__ import annotations
@@ -68,6 +69,16 @@ def _plain_int(x, what: str = "an integer prime", least: int | None = None) -> i
     if least is not None and x < least:
         raise ValueError(f"expected {what} >= {least}, got {x}")
     return x
+
+
+def _json_int(x, what: str) -> int:
+    """An integer field of a JSON object: x as _plain_int reads it, or a float
+    or Fraction that is integral, as a JSON 3.0 is; ValueError naming what."""
+    if isinstance(x, (float, Fraction)):
+        if x != int(x):
+            raise ValueError(f"{what} must be an integer, got {x}")
+        x = int(x)
+    return _plain_int(x, f"an integer {what}")
 
 
 def _sign(x, what: str) -> int:

@@ -1,16 +1,15 @@
 """Symmetric bilinear forms over Q and Z_p (p odd).
 
 Covers exact symmetric matrices, class-canonical Jordan diagonalization,
-quadratic spaces that cache their Hasse invariants (computed by
-padic.hasse_of_diagonal), local representation decisions, the specific
-rank-5 spaces used elsewhere, and the set of places where an incoherent
-collection fails to represent a target form.
+local representation decisions, the specific rank-5 spaces used elsewhere
+(a quadratic space over Q is the SymMat of its Gram matrix), and the set
+of places where an incoherent collection fails to represent a target form.
 
 One congruence elimination (`_eliminate`) serves every invariant. A SymMat
 keeps its diagonal over Q beside its product, the determinant (the moves
-have determinant +-1); the signature and the local tests read them. It also
-keeps its Jordan data per prime: the same loop with a valuation-first pivot
-rank.
+have determinant +-1); the signature, the Hasse invariant per place and the
+local tests read them. It also keeps its Jordan data per prime: the same
+loop with a valuation-first pivot rank.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from .padic import (
     Rational,
     _candidate_primes,
     _exact,
+    _json_int,
     _plain_int,
     _read_exact,
     _sign,
@@ -62,6 +62,8 @@ class SymMat:
         self._diagonal = None  # with _det, set by rational_diagonalization
         self._det = None
         self._jordan = {}  # prime -> JordanDiagonal
+        self._hasse = {}  # Place -> Hasse invariant, set by hasse_invariant
+        self._series = {}  # prime -> DensityPolynomial, set by densities.assemble_A
 
     @classmethod
     def diag(cls, *values: Rational) -> "SymMat":
@@ -113,8 +115,9 @@ class SymMat:
 
     @classmethod
     def from_json(cls, data: dict) -> "SymMat":
+        n = _json_int(data["n"], "matrix size n")
         m = cls(data["entries"])
-        if m.n != data["n"]:
+        if m.n != n:
             raise ValueError("matrix size does not match declared n")
         return m
 
@@ -174,6 +177,17 @@ def rational_diagonalization(T: SymMat) -> tuple[Fraction, ...]:
         T._diagonal = tuple(_eliminate(T.entries, lambda x, i, j: (i != j, i, j)))
         T._det = math.prod(T._diagonal, start=Fraction(1))
     return T._diagonal
+
+
+def hasse_invariant(T: SymMat, v: Place) -> int:
+    """Hasse invariant of a nonsingular T at v, from its rational diagonal;
+    computed once per place and kept on T."""
+    s = T._hasse.get(v)
+    if s is None:
+        if not T.is_nonsingular:
+            raise ValueError("Hasse invariant requires a nonsingular form")
+        s = T._hasse[v] = hasse_of_diagonal(rational_diagonalization(T), v)
+    return s
 
 
 def signature(T: SymMat) -> tuple[int, int]:
@@ -259,39 +273,6 @@ def jordan_diagonalize(T: SymMat, p: int) -> JordanDiagonal:
     return jd
 
 
-class QuadSpace:
-    """Nonsingular quadratic space over Q with cached local invariants.
-
-    The Hasse invariant is computed once per place and kept on the instance.
-    """
-
-    def __init__(self, gram: SymMat):
-        if not gram.is_nonsingular:
-            raise ValueError("quadratic space requires a nonsingular Gram matrix")
-        self.gram = gram
-        self.diagonal = rational_diagonalization(gram)
-        self.det = gram.det
-        self.signature = signature(gram)
-        self._hasse: dict[Place, int] = {}
-
-    @classmethod
-    def from_diagonal(cls, values) -> "QuadSpace":
-        return cls(SymMat.diag(*values))
-
-    @property
-    def rank(self) -> int:
-        return self.gram.n
-
-    def hasse(self, v: Place) -> int:
-        s = self._hasse.get(v)
-        if s is None:
-            s = self._hasse[v] = hasse_of_diagonal(self.diagonal, v)
-        return s
-
-    def __repr__(self):
-        return f"QuadSpace({self.gram!r})"
-
-
 # Canonical rank-5 spaces and their oracle-ready diagonals.
 
 def base_diagonal(r: int = 0) -> tuple[int, ...]:
@@ -300,9 +281,9 @@ def base_diagonal(r: int = 0) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def base_space() -> QuadSpace:
-    """The base space; one shared instance, so its Hasse cache is reused."""
-    return QuadSpace.from_diagonal(base_diagonal())
+def base_space() -> SymMat:
+    """The base space; one shared instance, so its kept Hasse invariants are reused."""
+    return SymMat.diag(*base_diagonal())
 
 
 def split_diagonal(rank: int) -> tuple[int, ...]:
@@ -326,18 +307,20 @@ def twisted_complement_diagonal(p: int) -> tuple[int, ...]:
     return (1, -b, -p, b * p)
 
 
-def twisted_space(p: int) -> QuadSpace:
+def twisted_space(p: int) -> SymMat:
     """The twisted space at p; one shared instance per p, however p is typed."""
     return _twisted_space(check_odd_prime(p))
 
 
 @lru_cache(maxsize=1024)
-def _twisted_space(p: int) -> QuadSpace:
-    return QuadSpace.from_diagonal(twisted_diagonal(p))
+def _twisted_space(p: int) -> SymMat:
+    return SymMat.diag(*twisted_diagonal(p))
 
 
-def represents_local(S: QuadSpace, T: SymMat, v: Place) -> bool:
-    """Whether the rank-5 space S represents the form T over the completion at v.
+def represents_local(S: SymMat, T: SymMat, v: Place) -> bool:
+    """Whether the nonsingular rank-5 space S represents the form T over the
+    completion at v. S is read through its kept determinant, signature and
+    Hasse invariant at v.
 
     Finite places, by corank: equal-rank comparison after forcing the
     determinant (rank 4); a rank-3 target needs a binary complement R with
@@ -345,25 +328,27 @@ def represents_local(S: QuadSpace, T: SymMat, v: Place) -> bool:
     is hyperbolic with Hasse +1) while the forced Hasse of R is -1; corank
     >= 3 always represents. At the real place: signature containment.
     """
-    if S.rank != 5:
+    if S.n != 5:
         raise ValueError("representation test requires a rank-5 space")
+    if S.det == 0:
+        raise ValueError("representation test requires a nonsingular space")
     if not (1 <= T.n <= 4):
         raise ValueError("target rank must be between 1 and 4")
     if not T.is_nonsingular:
         raise ValueError("target must be nonsingular")
     if not v.is_finite:
         tp, tn = signature(T)
-        sp, sn = S.signature
+        sp, sn = signature(S)
         return tp <= sp and tn <= sn
     if T.n <= 2:
         return True
     det_t = T.det
     diag_t = rational_diagonalization(T)
     if T.n == 4:
-        return hasse_of_diagonal(diag_t + (det_t * S.det,), v) == S.hasse(v)
-    # R's forced Hasse is S.hasse * hasse(T) * (det T, det R), and (det T, x) = prod_i (d_i, x)
+        return hasse_of_diagonal(diag_t + (det_t * S.det,), v) == hasse_invariant(S, v)
+    # R's forced Hasse is hasse(S) * hasse(T) * (det T, det R), and (det T, x) = prod_i (d_i, x)
     det_r = S.det * det_t
-    required = S.hasse(v) * hasse_of_diagonal(diag_t + (det_r,), v)
+    required = hasse_invariant(S, v) * hasse_of_diagonal(diag_t + (det_r,), v)
     return not (is_local_square(-det_r, v) and required == -1)
 
 
@@ -381,11 +366,11 @@ def represents_one_over_Zp(T: SymMat, p: int) -> bool:
 def diff_set(T: SymMat, C) -> set[Place]:
     """Places where the incoherent collection C fails to represent T.
 
-    Only C.space and C.finite_discriminant are read (see
-    clifford.IncoherentCollection). The finite search runs over 2 and the
-    primes dividing D(B), det T or a denominator of an entry of T; everywhere
-    else both sides are unimodular of rank 5 at odd primes and the comparison
-    passes. The real place joins exactly for signatures (3,1) and (1,3);
+    Only C.space, a nonsingular rank-5 SymMat, and C.finite_discriminant are
+    read (see clifford.IncoherentCollection). The finite search runs over 2
+    and the primes dividing D(B), det T or a denominator of an entry of T;
+    everywhere else both sides are unimodular of rank 5 at odd primes and the
+    comparison passes. The real place joins exactly for signatures (3,1) and (1,3);
     other indefinite signatures never contribute it.
     """
     if T.n != 4 or not T.is_nonsingular:

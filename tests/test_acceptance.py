@@ -220,9 +220,9 @@ def test_criterion_09_appendix_suite():
         tuple(rng.choice(names) for _ in range(rng.randint(1, 6))) for _ in range(100)
     ]
     assert check_spin_compatibility(words) is True
-    assert signature(vb_space(QuaternionAlgebra(1, 1)).gram) == (3, 2)
-    assert signature(vb_space(quaternion_with_discriminant(6)).gram) == (3, 2)
-    assert signature(vb_space(QuaternionAlgebra(-1, -1)).gram) == (5, 0)
+    assert signature(vb_space(QuaternionAlgebra(1, 1))) == (3, 2)
+    assert signature(vb_space(quaternion_with_discriminant(6))) == (3, 2)
+    assert signature(vb_space(QuaternionAlgebra(-1, -1))) == (5, 0)
     assert involution_tensor_type("main", "neben") == "main"
     assert involution_tensor_type("neben", "main") == "main"
     assert involution_tensor_type("main", "main") == "neben"

@@ -297,14 +297,22 @@ def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
 
 
-def test_density_non_integral_exits_2(capsys):
+def test_density_non_integral_answers_as_the_library(capsys):
     inline = json.dumps(
         {"n": 4, "entries": [["1/3", "0", "0", "0"], ["0", "1", "0", "0"],
                              ["0", "0", "1", "0"], ["0", "0", "0", "1"]]}
     )
-    code, _, err = run(capsys, "density", "--p", "3", "--T", inline)
-    assert code == 2
-    assert err.startswith("error:")
+    # whittaker_value gives 0 for a target that is not p-integral
+    assert run(capsys, "density", "--p", "3", "--T", inline) == (0, "0/1\n", "")
+    # the closed form and the oracle refuse it, in the library's words
+    for mode in ("--closed", "--oracle"):
+        code, out, err = run(capsys, "density", "--p", "3", "--T", inline, mode)
+        assert (code, out, err) == (2, "", "error: Jordan form requires p-integral entries\n")
+
+
+def test_density_rank0_target_exits_2(capsys):
+    code, out, err = run(capsys, "density", "--p", "3", "--T", "[]")
+    assert (code, out, err) == (2, "", "error: expected a target T of rank >= 1, got rank 0\n")
 
 
 @pytest.mark.parametrize("mode", [[], ["--oracle"], ["--closed"]])

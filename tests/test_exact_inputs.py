@@ -161,6 +161,33 @@ def test_sign_parameter_refuses_anything_but_plus_or_minus_one(name, x):
     assert str(info.value) == f"expected an integer {what} of +1 or -1, got {x}"
 
 
+def _job_json(**fields):
+    data = {"s": [1, 1, -1], "T": SymMat.diag(1).to_json(), "p": 3, "t": 1}
+    return CountJob.from_json({**data, **fields})
+
+
+# the integer fields of the JSON readers: (what, good value, read): a JSON
+# true was read as 1, and an integral number such as 3.0 stays accepted
+JSON_FIELDS = {
+    "CountJob.from_json p": ("job field 'p'", 3, lambda x: _job_json(p=x).p),
+    "CountJob.from_json t": ("job field 't'", 1, lambda x: _job_json(t=x).t),
+    "SymMat.from_json n": (
+        "matrix size n", 1, lambda x: SymMat.from_json({"n": x, "entries": [["1"]]}).n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_FIELDS))
+def test_json_integer_field_refuses_a_bool(name):
+    what, n, read = JSON_FIELDS[name]
+    assert all(type(read(x)) is int and read(x) == n for x in (n, float(n), Fraction(n)))
+    with pytest.raises(TypeError) as info:
+        read(True)
+    assert str(info.value) == f"expected an integer {what}, got True"
+    with pytest.raises(ValueError) as info:
+        read(Fraction(2 * n + 1, 2))
+    assert str(info.value) == f"{what} must be an integer, got {Fraction(2 * n + 1, 2)}"
+
+
 def test_json_readers_parse_fraction_text():
     job = CountJob.from_json({"s": ["1/2", "1", "-1"], "T": SymMat.diag(1).to_json(), "p": 3, "t": 1})
     assert job.s_diag == (Fraction(1, 2), 1, -1)

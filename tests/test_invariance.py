@@ -17,16 +17,16 @@ from qflab import (
     INFINITE_PLACE,
     IncoherentCollection,
     Place,
-    QuadSpace,
     QuaternionAlgebra,
     SymMat,
     diff_set,
+    hasse_invariant,
     hilbert,
     jordan_diagonalize,
     ramified_places,
     witt_index_rank5,
 )
-from qflab.quadform import hasse_of_diagonal
+from qflab.quadform import hasse_of_diagonal, rational_diagonalization
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -129,18 +129,18 @@ witt_entry = st.builds(
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(st.lists(witt_entry, min_size=5, max_size=5), st.lists(scale, min_size=5, max_size=5))
 def test_witt_index_invariant_under_square_scaling(diag, g):
-    index = witt_index_rank5(QuadSpace.from_diagonal(diag))
+    index = witt_index_rank5(SymMat.diag(*diag))
     scaled = [d * x * x for d, x in zip(diag, g)]
-    assert witt_index_rank5(QuadSpace.from_diagonal(scaled)) == index
+    assert witt_index_rank5(SymMat.diag(*scaled)) == index
     integral = [d.numerator * d.denominator for d in diag]  # d times a square
-    assert witt_index_rank5(QuadSpace.from_diagonal(integral)) == index
+    assert witt_index_rank5(SymMat.diag(*integral)) == index
 
 
 def test_candidate_prime_cancellation_examples():
     third = Fraction(1, 3)
     assert diff_set(SymMat.diag(third, 3, 1, 1), IncoherentCollection.split()) == {Place(3)}
     assert ramified_places(QuaternionAlgebra(third, 3)) == frozenset({Place(2), Place(3)})
-    assert witt_index_rank5(QuadSpace.from_diagonal((1, 1, -5, -third, Fraction(3, 5)))) == 1
+    assert witt_index_rank5(SymMat.diag(1, 1, -5, -third, Fraction(3, 5))) == 1
 
 
 # ---------------------------------------------------------------- kernel against the definition
@@ -215,6 +215,7 @@ def test_one_more_entry_adds_the_determinant_symbol(diag, x, v):
 @SETTINGS
 @given(st.lists(nonzero_rational, min_size=1, max_size=6), st.lists(kernel_place, min_size=1, max_size=4))
 def test_cached_space_hasse_matches_diagonal(diag, places):
-    space = QuadSpace.from_diagonal(diag)
-    for v in places + places:  # the second round reads the cache
-        assert space.hasse(v) == hasse_of_diagonal(space.diagonal, v) == _reference_hasse(diag, v)
+    space = SymMat.diag(*diag)
+    for v in places + places:  # the second round reads the kept value
+        assert (hasse_invariant(space, v) == hasse_of_diagonal(rational_diagonalization(space), v)
+                == _reference_hasse(diag, v))

@@ -30,6 +30,7 @@ from qflab import (
     e_p_of_form,
     gk_table_csv,
     gross_keating_exponents,
+    hasse_invariant,
     hilbert,
     incidence_counts,
     is_isolated,
@@ -73,7 +74,7 @@ CALLS = {
     "least_nonsquare": lambda p: least_nonsquare(p),
     "twisted_diagonal": lambda p: twisted_diagonal(p),
     "twisted_complement_diagonal": lambda p: twisted_complement_diagonal(p),
-    "twisted_space": lambda p: (twisted_space(p), twisted_space(p).hasse(Place(3))),
+    "twisted_space": lambda p: (twisted_space(p), hasse_invariant(twisted_space(p), Place(3))),
     "SymMat.is_p_integral": lambda p: SymMat.diag(Fraction(1, 3), 1).is_p_integral(p),
     "jordan_diagonalize": lambda p: jordan_diagonalize(_form(), p),
     "JordanDiagonal": lambda p: JordanDiagonal(((0, -1), (1, -1)), p).diagonal_rep(),

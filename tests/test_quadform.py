@@ -12,7 +12,6 @@ from qflab import (
     CountJob,
     IncoherentCollection,
     Place,
-    QuadSpace,
     QuaternionAlgebra,
     SymMat,
     base_diagonal,
@@ -21,6 +20,7 @@ from qflab import (
     count_solutions,
     diff_set,
     frac_str,
+    hasse_invariant,
     hilbert,
     is_local_square,
     jordan_diagonalize,
@@ -32,6 +32,7 @@ from qflab import (
     split_diagonal,
     twisted_space,
     vb_space,
+    witt_index_rank5,
 )
 from qflab.quadform import hasse_of_diagonal
 
@@ -237,12 +238,12 @@ def test_jordan_invariants_under_scaling():
 
 
 def test_hasse_examples():
-    assert QuadSpace.from_diagonal((1, 1, 1, 1, 1)).hasse(Place(3)) == 1
-    assert QuadSpace.from_diagonal((1, 1, -1, -1, 1)).hasse(Place(3)) == 1
+    assert hasse_invariant(SymMat.diag(1, 1, 1, 1, 1), Place(3)) == 1
+    assert hasse_invariant(SymMat.diag(1, 1, -1, -1, 1), Place(3)) == 1
     for p in (3, 5):
         u = least_nonsquare(p)
-        ramified = QuadSpace.from_diagonal((1, -u, -p, u * p))
-        assert ramified.hasse(Place(p)) == -1
+        ramified = SymMat.diag(1, -u, -p, u * p)
+        assert hasse_invariant(ramified, Place(p)) == -1
 
 
 def test_hasse_independent_of_diagonalization():
@@ -265,7 +266,37 @@ def test_hasse_independent_of_diagonalization():
             if T2.is_nonsingular:
                 break
         for v in places:
-            assert QuadSpace(T).hasse(v) == QuadSpace(T2).hasse(v)
+            assert hasse_invariant(T, v) == hasse_invariant(T2, v)
+
+
+def test_kept_hasse_invariant_is_hasse_of_diagonal():
+    # at 2, an odd p and the real place; computed once per place, then read
+    rng = random.Random(34)
+    places = (Place(2), Place(3), INFINITE_PLACE)
+    for _ in range(50):
+        T = _random_nonsingular(rng, rng.choice((1, 3, 5)), 6)
+        for v in places:
+            want = hasse_of_diagonal(rational_diagonalization(T), v)
+            assert hasse_invariant(T, v) == want
+            assert T._hasse[v] == want and hasse_invariant(T, v) == want
+        assert set(T._hasse) == set(places)
+
+
+SINGULAR_RANK5 = SymMat([[1, 1, 0, 0, 0], [1, 1, 0, 0, 0], [0, 0, 1, 0, 0],
+                         [0, 0, 0, -1, 0], [0, 0, 0, 0, 3]])
+
+
+@pytest.mark.parametrize("v", [Place(2), Place(3), INFINITE_PLACE], ids=str)
+def test_represents_local_refuses_a_singular_space_at_every_place(v):
+    # a finite place never reads S for a target of rank <= 2
+    for T in (SymMat.diag(1), SymMat.diag(1, 1, 3), SymMat.diag(1, 1, 1, 3)):
+        with pytest.raises(ValueError, match="^representation test requires a nonsingular space$"):
+            represents_local(SINGULAR_RANK5, T, v)
+
+
+def test_witt_index_refuses_a_singular_space():
+    with pytest.raises(ValueError, match="^Witt index helper expects a nonsingular space$"):
+        witt_index_rank5(SINGULAR_RANK5)
 
 
 def test_is_local_square():
@@ -286,7 +317,7 @@ def test_fixed_diagonals():
     assert base_diagonal() == (1, 1, -1, 1, -1)
     assert base_diagonal(1) == (1, 1, -1, 1, -1, 1, -1)
     assert split_diagonal(4) == (1, -1, 1, -1)
-    assert base_space().gram.n == 5
+    assert base_space().n == 5
 
 
 def test_fixed_diagonals_refuse_negative_sizes():
@@ -302,9 +333,9 @@ def test_twisted_space_is_the_other_class_at_p():
     for p in (3, 5, 7):
         V = base_space()
         W = twisted_space(p)
-        assert W.gram.n == V.gram.n == 5
-        assert is_local_square(W.gram.det / V.gram.det, Place(p))
-        assert W.hasse(Place(p)) == -V.hasse(Place(p)) == -1
+        assert W.n == V.n == 5
+        assert is_local_square(W.det / V.det, Place(p))
+        assert hasse_invariant(W, Place(p)) == -hasse_invariant(V, Place(p)) == -1
 
 
 # ---------------------------------------------------------------- representability
@@ -313,7 +344,7 @@ def test_twisted_space_is_the_other_class_at_p():
 def test_represents_local_examples():
     assert represents_local(base_space(), SymMat.diag(1, 1, 1, 1), Place(3))
     assert not represents_local(base_space(), SymMat.diag(1, 1, 1, 3), Place(3))
-    posdef = QuadSpace.from_diagonal((1, 1, 1, 1, 1))
+    posdef = SymMat.diag(1, 1, 1, 1, 1)
     assert represents_local(posdef, SymMat.diag(1, 1, 1, 3), INFINITE_PLACE)
     assert not represents_local(posdef, SymMat.diag(-1), INFINITE_PLACE)
 
@@ -446,7 +477,7 @@ def test_incoherent_collection_structure():
     D = IncoherentCollection.from_pair(-1, 3)
     assert D.finite_ramified == (2, 3)
     assert D.finite_discriminant == 6
-    assert signature(D.space.gram) == (3, 2)
+    assert signature(D.space) == (3, 2)
 
 
 def test_incoherent_collection_rejects_definite():

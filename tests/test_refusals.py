@@ -18,18 +18,20 @@ import pytest
 
 from qflab import (
     INFINITE_PLACE,
+    CountJob,
     FiniteFieldQuadSpace,
     Place,
-    QuadSpace,
     Quaternion,
     QuaternionAlgebra,
     SymMat,
     assemble_A,
     base_space,
     chi,
+    density_oracle,
     diff_set,
     e_p_of_form,
     gross_keating_exponents,
+    hasse_invariant,
     hilbert,
     is_local_square,
     positive_involution_criterion,
@@ -40,6 +42,7 @@ from qflab import (
     verify_ratio_identity,
     whittaker_derivative,
     whittaker_twisted_value,
+    whittaker_value,
     witt_index_rank5,
 )
 from qflab.gkmult import complement_triple
@@ -130,7 +133,7 @@ B3, B5 = QuaternionAlgebra(-1, 3), QuaternionAlgebra(-1, 5)
 # one call per input check that no other test reaches: (call, error, message)
 CHECKS = {
     "represents_local space rank": (
-        lambda: represents_local(QuadSpace.from_diagonal((1, 1, -1, 1)), SymMat.diag(1), Place(3)),
+        lambda: represents_local(SymMat.diag(1, 1, -1, 1), SymMat.diag(1), Place(3)),
         ValueError, "representation test requires a rank-5 space"),
     "represents_local target rank": (
         lambda: represents_local(base_space(), SymMat.diag(1, 1, 1, 1, 1), Place(3)),
@@ -152,8 +155,20 @@ CHECKS = {
     "is_local_square of zero": (
         lambda: is_local_square(0, INFINITE_PLACE), ValueError, "square class of zero undefined"),
     "witt_index_rank5": (
-        lambda: witt_index_rank5(QuadSpace.from_diagonal((1, 1, -1, 1))),
+        lambda: witt_index_rank5(SymMat.diag(1, 1, -1, 1)),
         ValueError, "Witt index helper expects a rank-5 space"),
+    "hasse_invariant singular form": (
+        lambda: hasse_invariant(SymMat.diag(1, 0), Place(3)),
+        ValueError, "Hasse invariant requires a nonsingular form"),
+    "CountJob rank-0 target": (
+        lambda: CountJob((1, -1), SymMat([]), 3, 1),
+        ValueError, "expected a target T of rank >= 1, got rank 0"),
+    "density_oracle rank-0 target": (
+        lambda: density_oracle((1, -1), SymMat([]), 3),
+        ValueError, "expected a target T of rank >= 1, got rank 0"),
+    "whittaker_value rank-0 target": (
+        lambda: whittaker_value(SymMat([]), 3),
+        ValueError, "expected a target T of rank >= 1, got rank 0"),
     "Quaternion length": (
         lambda: Quaternion((1, 2, 3), B3), ValueError, "quaternion needs four coefficients"),
     "Quaternion.__add__": (

@@ -10,6 +10,7 @@ from qflab import (
     LogPMultiple,
     Place,
     SymMat,
+    derivative_at_1,
     e_p,
     ratio_audit_constant,
     verify_ratio_identity,
@@ -236,3 +237,23 @@ def test_public_call_computes_jordan_and_normal_form_once(monkeypatch, call):
     assert (len(eliminations), len(lifts)) == (1, 2 * lift)
     fn(same, 3)
     assert (len(eliminations), len(lifts)) == (2, 3 * lift)
+
+
+def test_ratio_job_builds_the_density_series_once(monkeypatch):
+    # a ratio job reads A(X) in verify_ratio_identity, assemble_A and
+    # whittaker_derivative; the series is kept on T per prime, a refusal is not
+    from qflab import assemble_A, densities
+
+    builds = _count_calls(monkeypatch, "_ternary_numerator", (densities,))
+    T = SymMat.diag(1, 1, 1, 3)
+    verify_ratio_identity(T, 3)
+    A = assemble_A(T, np.int64(3))
+    assert whittaker_derivative(T, 3).coeff == -derivative_at_1(A)
+    assert len(builds) == 1 and assemble_A(T, 3) is A
+    with pytest.raises(TypeError):
+        assemble_A(T, 3.0)  # a float p is refused, though 3.0 == 3 keys the kept series
+    missing = SymMat.diag(2, 6, 3, 9)  # does not represent 1 over Z_3
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^T must represent 1 over Z_3$"):
+            assemble_A(missing, 3)
+    assert missing._series == {} and len(builds) == 1
