@@ -4,10 +4,14 @@ Counts matrices x over Z/p^t with x^T diag(s) x = T mod p^t and normalizes
 the counts into density values with stabilization detection. There are two
 counting paths: full enumeration ("naive", the reference the tests compare
 against) and one array meet-in-the-middle engine ("mitm") over the rows of
-x, for any number of rows and any odd modulus. The naive path walks every
-x in blocks of numpy digit columns and evaluates x^T diag(s) x directly; it
-shares no row keys, multiplicities, tables or helpers with the MITM engine,
-so it stays an independent reference for it. Row i of x adds
+x, for any number of rows and any odd modulus. The naive path compares
+every x on its own: the rows of x form a head and a tail, each tail's part
+of x^T diag(s) x is summed once into its need (T minus that part), and
+each block of heads' sums is compared with every tail's need, entry by
+entry, so the needs take at most sqrt(q^(mn)) values per entry and a block
+about _CHUNK booleans. It shares no row keys, multiplicities, tables or
+helpers with the MITM engine, so it stays an independent reference for it.
+In the MITM engine, row i of x adds
 s_i * x_i x_i^T to the left side, so each half of the rows is a weighted
 set of keys in Sym_n(Z/q), written as k = n(n+1)/2 radix-q digits. A row's
 keys depend only on the class of s_i mod q up to unit squares, and negating
@@ -53,13 +57,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .padic import _exact, _json_int, _plain_int, _read_exact, check_odd_prime, residue, valuation
+from .padic import (
+    _exact, _json_field, _json_int, _plain_int, _read_exact, check_odd_prime, residue, valuation,
+)
 from .quadform import SymMat, frac_str, jordan_diagonalize
 
 DEFAULT_STATE_BUDGET = 2**29
 
-# keys or naive matrices per block; larger blocks raise peak memory, smaller
-# ones per-block overhead (2^15 makes the MITM engine about 15% slower)
+# keys or naive (head, tail) comparisons per block; larger blocks raise peak
+# memory, smaller ones per-block overhead (2^15 makes the MITM engine about
+# 15% slower)
 _CHUNK = 2**16
 
 # entries of one digit-group lookup table of the MITM engine (int64), and so
@@ -139,10 +146,11 @@ class CountJob:
 
     @classmethod
     def from_json(cls, data: dict) -> "CountJob":
+        field = functools.partial(_json_field, data, what="job")
         return cls(
-            tuple(map(_read_exact, data["s"])),
-            SymMat.from_json(data["T"]),
-            *(_json_int(data[key], f"job field {key!r}") for key in ("p", "t")),
+            tuple(map(_read_exact, field("s"))),
+            SymMat.from_json(field("T")),
+            *(_json_int(field(key), f"job field {key!r}") for key in ("p", "t")),
             data.get("strategy", "mitm"),
         )
 
@@ -174,26 +182,64 @@ def _target_digits(T: SymMat, q: int) -> tuple[int, ...]:
     return tuple(residue(T[i, j], q) for (i, j) in _pairs(T.n))
 
 
+def _naive_sums(res: list[int], lo: int, hi: int, q: int, n: int) -> list[np.ndarray]:
+    """For each x in M_{len(res),n}(Z/q) with radix-q index in [lo, hi), x_ri
+    the digit r*n + i, and each pair i <= j: sum_r res_r x_ri x_rj mod q.
+    Every product is reduced mod q, so no intermediate value reaches q^2."""
+    rows = len(res)
+    rest, digits = np.arange(lo, hi, dtype=np.int64), []
+    for _ in range(rows * n - 1):
+        rest, digit = np.divmod(rest, q)
+        digits.append(digit)
+    digits.append(rest)  # every index is below q^(rows*n)
+    x = [digits[r * n:(r + 1) * n] for r in range(rows)]
+    sx = [[res[r] * x[r][i] % q for i in range(n)] for r in range(rows)]
+    sums = []
+    for i, j in _pairs(n):
+        acc = sx[0][i] * x[0][j]
+        acc %= q
+        for r in range(1, rows):
+            term = sx[r][i] * x[r][j]
+            term %= q
+            acc += term
+        if rows > 1:
+            acc %= q
+        sums.append(acc)
+    return sums
+
+
 def _naive_count(job: CountJob) -> int:
-    """Count by full enumeration: x runs over M_{m,n}(Z/q) by its radix-q
-    index, _CHUNK matrices per block, with x_ri the digit r*n + i. Every
-    product is reduced mod q, so no intermediate value reaches q^2."""
+    """Count by full enumeration, comparing every x in M_{m,n}(Z/q) on its own.
+
+    x^T diag(s) x is the sum over rows r of s_r x_r x_r^T. The first
+    h = ceil(m/2) rows of x are its head and the other floor(m/2) its tail,
+    and x solves the job exactly when, for every pair i <= j, its head's sum
+    (_naive_sums) is T_ij minus its tail's sum mod q: the tail's need. The
+    needs of all q^(n*floor(m/2)) tails are summed once, at most
+    sqrt(q^(mn)) <= 46,341 tails at the 2^31 budget. Heads are summed in
+    blocks of about _CHUNK / (number of tails), and a block counts its
+    (head, tail) pairs that agree on every i <= j, as the AND over pairs of
+    head == need, about _CHUNK booleans. That is still q^(mn) comparisons,
+    one per x, with no row keys, multiplicities, tables or sorts. At m = 1
+    there is no tail, and the head sums are compared with T's digits."""
     q, m, n = job.modulus, job.m, job.n
+    h = (m + 1) // 2
     res = [residue(s, q) for s in job.s_diag]
-    tgt = _target_digits(job.T, q)
-    total = q ** (m * n)
+    need = list(_target_digits(job.T, q))
+    tails = 1
+    if m > h:
+        tails = q ** (n * (m - h))
+        need = [(t - tail) % q for t, tail in zip(need, _naive_sums(res[h:], 0, tails, q, n))]
+    heads, step = q ** (n * h), max(1, _CHUNK // tails)
     count = 0
-    for lo in range(0, total, _CHUNK):
-        rest = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        x = np.empty((m * n, len(rest)), dtype=np.int64)
-        for d in range(m * n):
-            rest, x[d] = np.divmod(rest, q)
-        x = x.reshape(m, n, -1)
-        sx = [[res[r] * x[r, i] % q for i in range(n)] for r in range(m)]
-        hit = np.ones(x.shape[2], dtype=bool)
-        for (i, j), want in zip(_pairs(n), tgt):
-            hit &= sum(sx[r][i] * x[r, j] % q for r in range(m)) % q == want
-        count += int(hit.sum())
+    for lo in range(0, heads, step):
+        head = _naive_sums(res[:h], lo, min(lo + step, heads), q, n)
+        if m > h:
+            head = [a[:, None] for a in head]
+        hit = head[0] == need[0]
+        for a, b in zip(head[1:], need[1:]):
+            hit &= a == b
+        count += int(np.count_nonzero(hit))
     return count
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .padic import Place, Rational, _exact, _read_exact, _sign, check_odd_prime, chi
+from .padic import Place, Rational, _exact, _json_field, _read_exact, _sign, check_odd_prime, chi
 from .quadform import SymMat, frac_str, represents_local, twisted_space
 from .gkmult import GKTriple, complement_triple
 
@@ -65,7 +65,7 @@ class DensityPolynomial:
 
     @classmethod
     def from_json(cls, data: dict) -> "DensityPolynomial":
-        return cls(map(_read_exact, data["coeffs"]))
+        return cls(map(_read_exact, _json_field(data, "coeffs", "density polynomial")))
 
 
 def derivative_at_1(A: DensityPolynomial) -> Fraction:

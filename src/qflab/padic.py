@@ -10,7 +10,8 @@ Everything is exact. Inputs are integers (any type with `__index__` but a
 bool) or fractions.Fraction; floats raise TypeError. Every integer parameter
 of the package, with its lower bound, is read by `_plain_int` (an integer
 field of a JSON object by `_json_int`), and every +-1 sign by `_sign`, so
-each refusal names its parameter.
+each refusal names its parameter; a JSON reader takes each field through
+`_json_field`, so a missing one is named too.
 """
 
 from __future__ import annotations
@@ -79,6 +80,16 @@ def _json_int(x, what: str) -> int:
             raise ValueError(f"{what} must be an integer, got {x}")
         x = int(x)
     return _plain_int(x, f"an integer {what}")
+
+
+def _json_field(data, key: str, what: str):
+    """data[key] of a JSON object; ValueError naming key if data is not an
+    object or has no such field."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} JSON must be an object, got {type(data).__name__}")
+    if key not in data:
+        raise ValueError(f"{what} JSON is missing the field {key!r}")
+    return data[key]
 
 
 def _sign(x, what: str) -> int:
@@ -176,9 +187,6 @@ def chi(u: Rational, p: int) -> int:
 
 def hilbert(a: Rational, b: Rational, v: Place) -> int:
     """Local Hilbert symbol (a,b)_v in {+1,-1}: the Hasse invariant of <a, b>."""
-    a, b = _exact(a), _exact(b)
-    if a == 0 or b == 0:
-        raise ValueError("hilbert symbol requires nonzero arguments")
     return hasse_of_diagonal((a, b), v)
 
 
@@ -192,11 +200,12 @@ def hasse_of_diagonal(diag, v: Place) -> int:
       the eps and omega of u mod 8, the exponent is
       E(E - 1)/2 + A W - sum_i a_i w_i, E = sum e_i and W = sum w_i.
     - The real place: (-1)^(N(N - 1)/2), N the number of negative entries.
+    A zero entry is refused at every place.
     """
+    if not all(diag) and not all(map(_exact, diag)):  # _exact refuses floats and bools first
+        raise ValueError("hilbert symbol requires nonzero arguments")
     if not v.is_finite:
         diag = [_exact(d) for d in diag]
-        if 0 in diag:
-            raise ValueError("hilbert symbol requires nonzero arguments")
         N = sum(d < 0 for d in diag)
         return -1 if N * (N - 1) // 2 % 2 else 1
     p = v.prime

@@ -26,6 +26,7 @@ from .padic import (
     Rational,
     _candidate_primes,
     _exact,
+    _json_field,
     _json_int,
     _plain_int,
     _read_exact,
@@ -115,8 +116,8 @@ class SymMat:
 
     @classmethod
     def from_json(cls, data: dict) -> "SymMat":
-        n = _json_int(data["n"], "matrix size n")
-        m = cls(data["entries"])
+        n = _json_int(_json_field(data, "n", "matrix"), "matrix size n")
+        m = cls(_json_field(data, "entries", "matrix"))
         if m.n != n:
             raise ValueError("matrix size does not match declared n")
         return m

@@ -358,6 +358,22 @@ def test_non_number_json_entry_exits_2(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("key", ["n", "entries"])
+def test_matrix_json_missing_field_exits_2(capsys, key):
+    text = json.dumps({k: v for k, v in {"n": 1, "entries": [[1]]}.items() if k != key})
+    assert run(capsys, "density", "--p", "3", "--T", text) == (
+        2, "", f"error: matrix JSON is missing the field {key!r}\n")
+
+
+@pytest.mark.parametrize("key", ["s", "T", "p", "t"])
+def test_oracle_job_missing_field_exits_2(tmp_path, capsys, key):
+    path = tmp_path / "job.json"
+    job = {"s": [1, -1], "T": {"n": 1, "entries": [["1"]]}, "p": 3, "t": 1}
+    path.write_text(json.dumps({k: v for k, v in job.items() if k != key}))
+    assert run(capsys, "oracle", "--job", str(path)) == (
+        2, "", f"error: job JSON is missing the field {key!r}\n")
+
+
 def test_oracle_job_non_integral_field_exits_2(tmp_path, capsys):
     path = tmp_path / "job.json"
     base = {"s": [1, 1, -1, 1, -1], "T": {"n": 1, "entries": [["1"]]}, "p": 3, "t": 2}

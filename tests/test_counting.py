@@ -153,11 +153,15 @@ def _literal_count(s, T, p, t):
 
 def _literal_jobs():
     rng = random.Random(17)
-    jobs = [((3, 1, -1), SymMat.diag(9), 3, 2), ((5, 2), SymMat.diag(0, 5), 5, 1)]
-    while len(jobs) < 30:
+    jobs = [((3, 1, -1), SymMat.diag(9), 3, 2), ((5, 2), SymMat.diag(0, 5), 5, 1),
+            ((2,), SymMat.diag(2), 3, 3),  # m = 1: the naive path has no tail rows
+            ((6,), SymMat.diag(9), 3, 2),
+            ((1, 2, -1, 3, 9), SymMat.diag(2), 5, 1),  # m = 5: 3 head rows, 2 tail rows
+            ((1, 3, -1, 3, 1), SymMat.diag(0), 3, 1)]
+    while len(jobs) < 36:
         p = rng.choice((3, 5, 7))
         t = rng.randint(1, 2)
-        m = rng.randint(1, 4)
+        m = rng.randint(1, 5)
         n = rng.randint(1, min(m, 3))
         if (p**t) ** (m * n) > 4096:
             continue
@@ -198,6 +202,7 @@ _CHUNK_JOBS = [
     ((3, 1, -1), SymMat.diag(2, 0), 3, 1),
     ((1, 4, 1, 1), SymMat.diag(2), 5, 1),  # equal halves: a same-class pair fills the table
     ((1, -1, 2, -2), SymMat.diag(3), 3, 2),  # negated halves, a same-class pair in the table
+    ((1, 2, -1, 3, 1), SymMat.diag(2), 3, 1),  # naive: 9 tails, more than a block of 1 or 7
 ]
 
 
@@ -224,6 +229,18 @@ def test_naive_path_uses_no_mitm_helper(monkeypatch, cold):
     assert not counting._RESIDENT.entries
     with pytest.raises(AssertionError, match="MITM helper"):
         count_solutions(CountJob((1,), SymMat.diag(1), 3, 1))
+
+
+def test_mitm_path_uses_no_naive_helper(monkeypatch, cold):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the MITM engine called a naive helper")
+
+    for name in ("_naive_count", "_naive_sums"):
+        monkeypatch.setattr(counting, name, refuse)
+    for s, T, p, t in _literal_jobs():
+        assert count_solutions(CountJob(s, T, p, t)) == _literal_count(s, T, p, t)
+    with pytest.raises(AssertionError, match="naive helper"):
+        count_solutions(CountJob((1,), SymMat.diag(1), 3, 1, "naive"))
 
 
 @pytest.mark.parametrize("p, t, n", [(3, 1, 2), (3, 2, 2), (3, 3, 1), (5, 2, 1), (7, 1, 2)])

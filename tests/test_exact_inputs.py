@@ -188,6 +188,33 @@ def test_json_integer_field_refuses_a_bool(name):
     assert str(info.value) == f"{what} must be an integer, got {Fraction(2 * n + 1, 2)}"
 
 
+# every field a JSON reader needs: (reader, complete object, its name in messages)
+JSON_READERS = {
+    "SymMat": (SymMat.from_json, {"n": 1, "entries": [["1"]]}, "matrix"),
+    "CountJob": (CountJob.from_json, {"s": [1, -1], "T": {"n": 1, "entries": [["1"]]},
+                                      "p": 3, "t": 1}, "job"),
+    "DensityPolynomial": (DensityPolynomial.from_json, {"coeffs": ["1"]}, "density polynomial"),
+}
+
+
+@pytest.mark.parametrize("reader, key", [(name, key) for name, (_, data, _) in JSON_READERS.items()
+                                         for key in data])
+def test_json_reader_names_a_missing_field(reader, key):
+    read, data, what = JSON_READERS[reader]
+    read(data)
+    with pytest.raises(ValueError) as info:
+        read({k: v for k, v in data.items() if k != key})
+    assert str(info.value) == f"{what} JSON is missing the field {key!r}"
+
+
+@pytest.mark.parametrize("reader", sorted(JSON_READERS))
+def test_json_reader_refuses_a_non_object(reader):
+    read, data, what = JSON_READERS[reader]
+    with pytest.raises(ValueError) as info:
+        read(list(data.values()))
+    assert str(info.value) == f"{what} JSON must be an object, got list"
+
+
 def test_json_readers_parse_fraction_text():
     job = CountJob.from_json({"s": ["1/2", "1", "-1"], "T": SymMat.diag(1).to_json(), "p": 3, "t": 1})
     assert job.s_diag == (Fraction(1, 2), 1, -1)
