@@ -8,10 +8,13 @@ value here is cross-checked against the counting oracle in the test suite.
 The closed forms multiply integer polynomials over one power of p: the
 bracket has integer coefficients, p^4 times the ternary series is
 (p^2 - X)(p^2 - X^2) times the bracket, and p^6 A(X) is (p^2 + X) times
-that. Only the finished series is divided into Fractions."""
+that. A DensityPolynomial keeps those integers over their one denominator,
+so the series stays integral through evaluation and differentiation; each
+value is one Fraction, made at the end."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .padic import Place, Rational, _exact, _json_field, _read_exact, _sign, check_odd_prime, chi
@@ -26,7 +29,6 @@ def _strip(coeffs: list) -> tuple:
 
 
 def _pmul(a, b):
-    # integer or Fraction coefficients; a coefficient no product reaches stays int 0
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -35,27 +37,46 @@ def _pmul(a, b):
     return _strip(out)
 
 
-def _peval(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 class DensityPolynomial:
-    """Polynomial in X with exact rational coefficients, constant term first."""
+    """Polynomial in X with exact rational coefficients, constant term first.
+
+    Kept as integer numerators over one positive denominator, in lowest
+    terms (no prime divides the denominator and every numerator), so the
+    form is unique and arithmetic stays in integers until a value is read.
+    """
 
     def __init__(self, coeffs):
-        self.coeffs = _strip([_exact(c) for c in coeffs] or [Fraction(0)])
+        coeffs = [_exact(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        self._set([c.numerator * (den // c.denominator) for c in coeffs] or [0], den)
+
+    def _set(self, numerator: list, den: int):
+        # strip trailing zeros, then divide out the content shared with den
+        num = _strip(numerator)
+        g = math.gcd(den, *num)
+        self._num = num if g == 1 else tuple(n // g for n in num)
+        self._den = den // g
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self._den) for n in self._num)
 
     def evaluate(self, x: Rational) -> Fraction:
-        return _peval(self.coeffs, _exact(x))
+        """The value at x = a/b: sum n_i a^i b^(k-i) by integer Horner, over den b^k."""
+        x = _exact(x)
+        a, b = x.numerator, x.denominator
+        acc, scale = self._num[-1], 1
+        for n in reversed(self._num[:-1]):
+            scale *= b
+            acc = acc * a + n * scale
+        return Fraction(acc, self._den * scale)
 
     def __mul__(self, other: "DensityPolynomial") -> "DensityPolynomial":
-        return DensityPolynomial(_pmul(self.coeffs, other.coeffs))
+        return _over(_pmul(self._num, other._num), self._den * other._den)
 
     def __eq__(self, other):
-        return isinstance(other, DensityPolynomial) and self.coeffs == other.coeffs
+        return (isinstance(other, DensityPolynomial)
+                and (self._num, self._den) == (other._num, other._den))
 
     def __repr__(self):
         return f"DensityPolynomial({list(self.coeffs)})"
@@ -68,9 +89,16 @@ class DensityPolynomial:
         return cls(map(_read_exact, _json_field(data, "coeffs", "density polynomial")))
 
 
+def _over(numerator, den: int) -> DensityPolynomial:
+    """The polynomial with integer coefficients numerator / den, den > 0."""
+    poly = DensityPolynomial.__new__(DensityPolynomial)
+    poly._set(list(numerator), den)
+    return poly
+
+
 def derivative_at_1(A: DensityPolynomial) -> Fraction:
-    """d/dX of the polynomial at X = 1, exactly."""
-    return sum((i * c for i, c in enumerate(A.coeffs)), Fraction(0))
+    """d/dX of the polynomial at X = 1, exactly: sum i n_i over the denominator."""
+    return Fraction(sum(i * n for i, n in enumerate(A._num)), A._den)
 
 
 def unary_density_factor(eps0: int, p: int) -> DensityPolynomial:
@@ -129,10 +157,6 @@ def _ternary_numerator(t: GKTriple) -> tuple[int, ...]:
     """p^4 times the ternary series: (p^2 - X)(p^2 - X^2) times the bracket."""
     q = t.p * t.p
     return _pmul(_pmul((q, -1), (q, 0, -1)), _bracket_integers(t))
-
-
-def _over(numerator, den: int) -> DensityPolynomial:
-    return DensityPolynomial([Fraction(c, den) for c in numerator])
 
 
 def kitaoka_ternary_poly(t: GKTriple) -> DensityPolynomial:

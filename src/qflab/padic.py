@@ -244,10 +244,17 @@ def _candidate_primes(*values: Rational) -> list[int]:
 
     Each value is factored on its own: a prime can cancel out of a product,
     like 3 out of (1/3) * 3, and still change a local invariant. Each
-    distinct integer is factored once.
+    distinct integer is factored once, and its primes are kept across calls
+    (`_prime_factors`).
     """
     parts = {abs(n) for x in map(_exact, values) for n in (x.numerator, x.denominator)}
     primes = {2}
     for n in parts:
-        primes.update(factorint(n))
+        primes.update(_prime_factors(n))
     return sorted(primes)
+
+
+@lru_cache(maxsize=4096)
+def _prime_factors(n: int) -> tuple[int, ...]:
+    # the primes of a plain int n >= 0, one factorint per distinct n while kept
+    return tuple(factorint(n))

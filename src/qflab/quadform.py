@@ -7,9 +7,10 @@ of places where an incoherent collection fails to represent a target form.
 
 One congruence elimination (`_eliminate`) serves every invariant. A SymMat
 keeps its diagonal over Q beside its product, the determinant (the moves
-have determinant +-1); the signature, the Hasse invariant per place and the
-local tests read them. It also keeps its Jordan data per prime: the same
-loop with a valuation-first pivot rank.
+have determinant +-1), and its Hasse invariant per place, read from that
+diagonal once. It also keeps its Jordan data per prime: the same loop with
+a valuation-first pivot rank. The local tests read the kept invariants of
+both the space and the target, so a finite place costs one Hilbert symbol.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .padic import (
     check_odd_prime,
     chi,
     hasse_of_diagonal,
+    hilbert,
     is_local_square,
     valuation,
 )
@@ -318,21 +320,22 @@ def _twisted_space(p: int) -> SymMat:
     return SymMat.diag(*twisted_diagonal(p))
 
 
-def represents_local(S: SymMat, T: SymMat, v: Place) -> bool:
-    """Whether the nonsingular rank-5 space S represents the form T over the
-    completion at v. S is read through its kept determinant, signature and
-    Hasse invariant at v.
-
-    Finite places, by corank: equal-rank comparison after forcing the
-    determinant (rank 4); a rank-3 target needs a binary complement R with
-    forced determinant class, and the only obstruction is det R ~ -1 (then R
-    is hyperbolic with Hasse +1) while the forced Hasse of R is -1; corank
-    >= 3 always represents. At the real place: signature containment.
-    """
+def _check_space(S: SymMat) -> None:
     if S.n != 5:
         raise ValueError("representation test requires a rank-5 space")
     if S.det == 0:
         raise ValueError("representation test requires a nonsingular space")
+
+
+def represents_local(S: SymMat, T: SymMat, v: Place) -> bool:
+    """Whether the nonsingular rank-5 space S represents the form T over the
+    completion at v. Both forms are read through their kept determinant,
+    signature and Hasse invariant at v, so a finite place costs one Hilbert
+    symbol (`_represents_at`).
+
+    At the real place: signature containment.
+    """
+    _check_space(S)
     if not (1 <= T.n <= 4):
         raise ValueError("target rank must be between 1 and 4")
     if not T.is_nonsingular:
@@ -341,16 +344,27 @@ def represents_local(S: SymMat, T: SymMat, v: Place) -> bool:
         tp, tn = signature(T)
         sp, sn = signature(S)
         return tp <= sp and tn <= sn
+    return _represents_at(S, T, v)
+
+
+def _represents_at(S: SymMat, T: SymMat, v: Place) -> bool:
+    """represents_local at a finite place, past its checks.
+
+    By corank: a rank-4 target is represented when T + <det T det S> has
+    S's Hasse invariant (equal rank after forcing the determinant); a rank-3
+    target needs a binary complement R with det R ~ det S det T, and the
+    only obstruction is det R ~ -1 (then R is hyperbolic with Hasse +1)
+    while R's forced Hasse, hasse(S) hasse(T + <det R>), is -1; corank >= 3
+    always represents. By bilinearity hasse(T + <e>) = hasse(T) (det T, e),
+    and (det T, det T det S) = (det T, -det S), so both cases read
+    hasse(T) (det T, -det S)_v.
+    """
     if T.n <= 2:
         return True
-    det_t = T.det
-    diag_t = rational_diagonalization(T)
+    forced = hasse_invariant(T, v) * hilbert(T.det, -S.det, v)
     if T.n == 4:
-        return hasse_of_diagonal(diag_t + (det_t * S.det,), v) == hasse_invariant(S, v)
-    # R's forced Hasse is hasse(S) * hasse(T) * (det T, det R), and (det T, x) = prod_i (d_i, x)
-    det_r = S.det * det_t
-    required = hasse_invariant(S, v) * hasse_of_diagonal(diag_t + (det_r,), v)
-    return not (is_local_square(-det_r, v) and required == -1)
+        return forced == hasse_invariant(S, v)
+    return not (is_local_square(-S.det * T.det, v) and forced * hasse_invariant(S, v) == -1)
 
 
 def represents_one_over_Zp(T: SymMat, p: int) -> bool:
@@ -371,16 +385,18 @@ def diff_set(T: SymMat, C) -> set[Place]:
     read (see clifford.IncoherentCollection). The finite search runs over 2
     and the primes dividing D(B), det T or a denominator of an entry of T;
     everywhere else both sides are unimodular of rank 5 at odd primes and the
-    comparison passes. The real place joins exactly for signatures (3,1) and (1,3);
-    other indefinite signatures never contribute it.
+    comparison passes. S and T are checked once, and each candidate prime is
+    one `_represents_at` test on their kept invariants. The real place joins
+    exactly for signatures (3,1) and (1,3); other indefinite signatures never
+    contribute it.
     """
     if T.n != 4 or not T.is_nonsingular:
         raise ValueError("Diff requires a nonsingular rank-4 form")
+    S = C.space
+    _check_space(S)
     denominators = {x.denominator for row in T.entries for x in row}
-    out = set()
-    for q in _candidate_primes(C.finite_discriminant, T.det, *denominators):
-        if not represents_local(C.space, T, Place(q)):
-            out.add(Place(q))
+    places = map(Place, _candidate_primes(C.finite_discriminant, T.det, *denominators))
+    out = {v for v in places if not _represents_at(S, T, v)}
     if signature(T)[0] in (1, 3):  # signature (3, 1) or (1, 3)
         out.add(INFINITE_PLACE)
     return out

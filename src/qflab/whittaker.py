@@ -140,10 +140,11 @@ class RatioReport:
 def verify_ratio_identity(T: SymMat, p: int) -> RatioReport:
     """Compare derivative/value against the closed-form multiplicity at p.
 
-    Both sides are computed by independent pipelines: the left from the
-    assembled density series and the twisted value, the right from the
-    complement exponents alone. T's Jordan data is computed once, kept on T,
-    and both sides read the complement triple off it. T passes
+    The left side comes from the assembled density series and the twisted
+    value, the right from the closed-form multiplicity of the complement
+    exponents. The two are not independent: both read T's kept Jordan data
+    at p (computed once, kept on T) through its complement triple, so a
+    fault in that data would reach both sides alike. T passes
     complement_triple's gate, and p must lie in Diff(T).
     """
     triple = complement_triple(T, p)

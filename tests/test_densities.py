@@ -1,21 +1,28 @@
 """Closed-form local densities: unary factors, the ternary closed form, assembly."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from qflab import (
+    CountJob,
     DensityPolynomial,
     GKTriple,
     SymMat,
     assemble_A,
     chi,
     chi_tilde,
+    count_solutions,
+    density_value,
     derivative_at_1,
     e_p,
+    frac_str,
     kitaoka_bracket,
     kitaoka_ternary_poly,
+    least_nonsquare,
+    split_diagonal,
     twisted_density,
     unary_density_factor,
 )
@@ -45,6 +52,56 @@ def test_derivative_at_1():
     assert derivative_at_1(X * X) == 2
     const = DensityPolynomial((F(5),))
     assert derivative_at_1(const) == 0
+
+
+def _ref_evaluate(coeffs, x):
+    return sum((c * x**i for i, c in enumerate(coeffs)), F(0))
+
+
+def _ref_derivative_at_1(coeffs):
+    return sum((i * c for i, c in enumerate(coeffs)), F(0))
+
+
+def _random_rational(rng):
+    # denominators of every kind, not only powers of one prime
+    return F(rng.randint(-50, 50), rng.choice((1, 2, 3, 4, 6, 9, 10, 25, 49, 81, 729)))
+
+
+def test_integer_series_matches_fraction_reference():
+    rng = random.Random(26)
+    points = [F(0), F(1), F(-1), F(1, 3), F(-2, 5), F(7, 4), F(-9, 49), 5]
+    for _ in range(300):
+        coeffs = [_random_rational(rng) for _ in range(rng.randint(1, 12))]
+        if rng.random() < 0.2:
+            coeffs += [F(0)] * rng.randint(1, 3)  # trailing zeros are dropped
+        P = DensityPolynomial(coeffs)
+        Q = DensityPolynomial.from_json({"coeffs": [frac_str(c) for c in coeffs]})
+        assert Q == P and Q.to_json() == P.to_json()
+        while len(coeffs) > 1 and coeffs[-1] == 0:
+            coeffs.pop()
+        assert P.coeffs == tuple(coeffs)
+        for R in (P, Q):
+            assert derivative_at_1(R) == _ref_derivative_at_1(coeffs)
+            for x in points + [_random_rational(rng)]:
+                assert R.evaluate(x) == _ref_evaluate(coeffs, F(x))
+
+
+def test_integer_series_of_products_and_zero():
+    rng = random.Random(261)
+    for _ in range(100):
+        a = [_random_rational(rng) for _ in range(rng.randint(1, 6))]
+        b = [_random_rational(rng) for _ in range(rng.randint(1, 6))]
+        x = _random_rational(rng)
+        P = DensityPolynomial(a) * DensityPolynomial(b)
+        assert P.evaluate(x) == _ref_evaluate(a, x) * _ref_evaluate(b, x)
+        assert P == DensityPolynomial(_ref_pmul(a, b))
+    for zero in (DensityPolynomial(()), DensityPolynomial((F(0), F(0))),
+                 DensityPolynomial.from_json({"coeffs": ["0/1"]})):
+        assert zero.coeffs == (F(0),) and zero == DensityPolynomial((0,))
+        assert zero.evaluate(F(-2, 3)) == 0 and derivative_at_1(zero) == 0
+        assert type(zero.evaluate(F(-2, 3))) is Fraction
+        assert zero * DensityPolynomial((F(1, 3), F(2))) == zero
+        assert repr(zero) == "DensityPolynomial([Fraction(0, 1)])"
 
 
 # ---------------------------------------------------------------- unary factor
@@ -112,6 +169,41 @@ def test_kitaoka_zero_iff_chi_tilde_negative():
                     assert value == 0
                 else:
                     assert value > 0
+
+
+def test_ternary_derivative_at_1_is_the_multiplicity():
+    # the rank-3 identity: where chi_tilde = -1 the ternary series vanishes at
+    # X = 1 and -K_T'(1) = (1 - p^-2)^2 e_p; elsewhere K_T(1) != 0
+    vanishing = other = 0
+    for p in (3, 5, 7, 11):
+        scale = (1 - F(1, p * p)) ** 2
+        for a in itertools.combinations_with_replacement(range(6), 3):
+            for signs in itertools.product((1, -1), repeat=3):
+                t = GKTriple(*a, *signs, p)
+                K = kitaoka_ternary_poly(t)
+                if chi_tilde(t) == -1:
+                    vanishing += 1
+                    assert K.evaluate(1) == 0, t
+                    assert -derivative_at_1(K) == scale * e_p(*a, p), t
+                else:
+                    other += 1
+                    assert K.evaluate(1) != 0, t
+    assert (vanishing, other) == (576, 1216)
+
+
+def test_ternary_series_off_one_matches_counts():
+    # split_diagonal(6) is the rank-4 split form plus one hyperbolic plane,
+    # so its density at 3 is K_T(1/3); counted by MITM at t = 2 on the grid
+    # a3 <= 1 with every sign pattern
+    p, u = 3, least_nonsquare(3)
+    for a in itertools.combinations_with_replacement(range(2), 3):
+        for signs in itertools.product((1, -1), repeat=3):
+            t = GKTriple(*a, *signs, p)
+            T = SymMat.diag(*((1 if s == 1 else u) * p**e for e, s in zip(a, signs)))
+            job = CountJob(split_diagonal(6), T, p, 2)
+            assert job.strategy == "mitm"
+            got = density_value(job, count_solutions(job))
+            assert got == kitaoka_ternary_poly(t).evaluate(F(1, 3)), t
 
 
 def test_bracket_coefficient_reversal():

@@ -470,6 +470,79 @@ def test_diff_parity_sample():
             assert len(diff_set(T, C)) % 2 == 1
 
 
+def _unimodular(rng, n):
+    # a product of elementary moves and sign changes: determinant +-1 over Z
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(6):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        for row in g:
+            row[j] += c * row[i]
+    for j in rng.sample(range(n), rng.randint(0, n)):
+        for row in g:
+            row[j] = -row[j]
+    return g
+
+
+def _congruent(T, g):
+    n = T.n
+    return SymMat([[sum(g[k][i] * T[k, l] * g[l][j] for k in range(n) for l in range(n))
+                    for j in range(n)] for i in range(n)])
+
+
+def test_local_tests_read_kept_invariants_in_a_class_invariant_way():
+    # a fresh T, a T whose Hasse invariants are kept first, and g^T T g for a
+    # unimodular g give the same answers; entries may have denominators
+    rng = random.Random(2604)
+    places = [Place(2), Place(3), Place(5), Place(7), INFINITE_PLACE]
+    spaces = [base_space(), twisted_space(3), twisted_space(5), twisted_space(7)]
+    collections = [IncoherentCollection.split(), IncoherentCollection.from_pair(-1, 3)]
+    for _ in range(60):
+        n = rng.choice((3, 4, 4))
+        T = _random_nonsingular(rng, n, 12)
+        d = [Fraction(1, rng.choice((1, 1, 2, 3, 5))) for _ in range(n)]
+        entries = [[d[i] * T[i, j] * d[j] for j in range(n)] for i in range(n)]
+        fresh = SymMat(entries)
+        kept = SymMat(entries)
+        for v in places:
+            hasse_invariant(kept, v)
+        moved = _congruent(fresh, _unimodular(rng, n))
+        for S in spaces:
+            for v in places:
+                want = represents_local(S, fresh, v)
+                assert represents_local(S, kept, v) == want
+                assert represents_local(S, moved, v) == want
+                assert represents_local(S, fresh, v) == want  # now read from kept data
+        if n == 4:
+            for C in collections:
+                want = diff_set(SymMat(entries), C)
+                assert diff_set(kept, C) == want and diff_set(moved, C) == want
+
+
+def test_local_tests_read_the_target_diagonal_once_per_place(monkeypatch):
+    import qflab.padic
+    import qflab.quadform
+
+    calls = []
+    real = qflab.padic.hasse_of_diagonal
+
+    def spy(diag, v):
+        calls.append((tuple(diag), v))
+        return real(diag, v)
+
+    monkeypatch.setattr(qflab.padic, "hasse_of_diagonal", spy)
+    monkeypatch.setattr(qflab.quadform, "hasse_of_diagonal", spy)
+    disc6 = IncoherentCollection.from_pair(-1, 3)
+    T = SymMat([[2, 1, 0, 0], [1, 4, 1, 0], [0, 1, 6, 3], [0, 0, 3, 12]])
+    diagonal = rational_diagonalization(T)
+    for p in (3, 5, 7):
+        diff_set(T, IncoherentCollection.split())
+        diff_set(T, disc6)
+        represents_local(base_space(), T, Place(p))
+    reads = [v for diag, v in calls if diag[:T.n] == diagonal]
+    assert reads and len(reads) == len(set(reads)), reads
+
+
 def test_incoherent_collection_structure():
     C = IncoherentCollection.split()
     assert C.finite_ramified == ()
