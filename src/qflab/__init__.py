@@ -39,10 +39,8 @@ from .densities import (
     assemble_A,
     chi_tilde,
     derivative_at_1,
-    kitaoka_bracket,
     kitaoka_ternary_poly,
     twisted_density,
-    unary_density_factor,
 )
 from .gkmult import (
     GKNormalForm,

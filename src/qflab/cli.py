@@ -2,35 +2,18 @@
 
 Subcommands map one-to-one onto the library modules. All numeric output is
 exact (rationals printed as num/den) and byte-deterministic for fixed inputs;
-the sweep subcommand packages the library's verification suites for batch use.
+the sweep subcommand prints the acceptance checks of `qflab.acceptance`.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
-import random
 import re
 import sys
 from fractions import Fraction
 
-from .padic import INFINITE_PLACE, Place
-from .quadform import (
-    JordanDiagonal,
-    SymMat,
-    base_diagonal,
-    base_space,
-    diff_set,
-    frac_str,
-    least_nonsquare,
-    represents_local,
-    signature,
-    split_diagonal,
-    twisted_complement_diagonal,
-    twisted_diagonal,
-    twisted_space,
-)
+from .quadform import SymMat, base_diagonal, diff_set, frac_str, signature
 from .counting import (
     CountJob,
     count_solutions,
@@ -38,35 +21,12 @@ from .counting import (
     density_value,
     normalization_exponent,
 )
-from .densities import (
-    assemble_A,
-    chi_tilde,
-    derivative_at_1,
-    kitaoka_ternary_poly,
-    twisted_density,
-)
-from .gkmult import GKTriple, _e_text, e_p, gk_table_csv, transversal
+from .densities import assemble_A, kitaoka_ternary_poly
+from .gkmult import GKTriple, _e_text, e_p, gk_table_csv
 from .whittaker import _sorted_places, verify_ratio_identity, whittaker_value
-from .cycles import (
-    classify_component,
-    incidence_counts,
-    is_isolated,
-    reduced_distinguished_space,
-    reduced_superspecial_space,
-)
-from .clifford import (
-    GENERATOR_ORDER,
-    IncoherentCollection,
-    QuaternionAlgebra,
-    check_spin_compatibility,
-    discriminant,
-    involution_tensor_type,
-    positive_involution_criterion,
-    quaternion_with_discriminant,
-    ramified_places,
-    vb_space,
-    witt_index_rank5,
-)
+from .cycles import classify_component, is_isolated
+from .clifford import IncoherentCollection, quaternion_with_discriminant
+from .acceptance import SUITES
 
 
 def parse_matrix(text: str) -> SymMat:
@@ -207,314 +167,17 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-# -------------------------------------------------------------------- sweeps
-
-
-def _random_symmetric(rng: random.Random, n: int, bound: int) -> SymMat:
-    while True:
-        ent = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                ent[i][j] = ent[j][i] = rng.randint(-bound, bound)
-        M = SymMat(ent)
-        if M.is_nonsingular:
-            return M
-
-
-def _random_posdef(rng: random.Random, n: int = 4, bound: int = 3) -> SymMat:
-    while True:
-        A = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
-        G = [[sum(A[k][i] * A[k][j] for k in range(n)) for j in range(n)]
-             for i in range(n)]
-        M = SymMat(G)
-        if M.is_nonsingular:
-            return M
-
-
-def _triples(p: int, a_max: int):
-    for a in itertools.combinations_with_replacement(range(a_max + 1), 3):
-        for eps in itertools.product((1, -1), repeat=3):
-            yield GKTriple(*a, *eps, p)
-
-
-def _gk_matrix(t: GKTriple, *lead: tuple[int, int]) -> SymMat:
-    """Diagonal form with the Jordan terms (exponent, unit class) `lead`
-    followed by those of t; a lead of (0, 1) puts <1> first."""
-    terms = lead + tuple(zip(t.exponents, t.signs))
-    return SymMat.diag(*JordanDiagonal(terms, t.p).diagonal_rep())
-
-
-def _sweep_unary(fast: bool):
-    bad = 0
-    for p in (3, 5):
-        for r in (0, 1):
-            for eps0, cls in ((1, 1), (least_nonsquare(p), -1)):
-                got = density_oracle(base_diagonal(r), SymMat.diag(eps0), p).value
-                if got != 1 + Fraction(cls, p ** (2 + r)):
-                    bad += 1
-    return bad == 0, f"{8 - bad}/8 oracle densities match the closed unit factor"
-
-
-def _sweep_kitaoka(fast: bool):
-    eps_sets = ([(1, 1, 1), (-1, -1, -1)] if fast
-                else list(itertools.product((1, -1), repeat=3)))
-    s4 = tuple(Fraction(v) for v in split_diagonal(4))
-    checked, bad = 0, []
-    for a in itertools.combinations_with_replacement(range(2), 3):
-        for eps in eps_sets:
-            t = GKTriple(*a, *eps, 3)
-            job = CountJob(s4, _gk_matrix(t), 3, 2)
-            checked += 1
-            if density_value(job, count_solutions(job)) != kitaoka_ternary_poly(t).evaluate(1):
-                bad.append((a, eps))
-    detail = f"{checked} exponent/unit-class grid cases at modulus exponent 2"
-    if not fast:
-        t = GKTriple(0, 1, 2, 1, 1, -1, 3)
-        job = CountJob(s4, _gk_matrix(t), 3, 3)
-        got = density_value(job, count_solutions(job))
-        if got != kitaoka_ternary_poly(t).evaluate(1) or got != Fraction(128, 81):
-            bad.append("depth-3 spot")
-        detail += " plus the depth-3 spot check"
-    if bad:
-        return False, detail + f"; mismatches: {bad}"
-    return True, detail
-
-
-def _sweep_central(fast: bool):
-    a_max = 2 if fast else 3
-    primes = (3,) if fast else (3, 5)
-    checked, bad = 0, []
-    for p in primes:
-        for t in _triples(p, a_max):
-            if chi_tilde(t) != -1:
-                continue
-            report = verify_ratio_identity(_gk_matrix(t, (0, 1)), p)
-            checked += 1
-            if not report.equal:
-                bad.append((p, t.exponents, t.signs))
-    w3 = verify_ratio_identity(SymMat.diag(1, 1, 1, 3), 3).lhs.coeff
-    w5 = verify_ratio_identity(SymMat.diag(1, 1, 2, 5), 5).lhs.coeff
-    if w3 != 10 or w5 != 52:
-        bad.append(("witness", w3, w5))
-    try:
-        verify_ratio_identity(SymMat.diag(1, 1, 1, 5), 5)
-        bad.append("represented target accepted")
-    except ValueError:
-        pass
-    if bad:
-        return False, f"{checked} vanishing-side targets; failures: {bad}"
-    return True, (f"{checked} vanishing-side targets agree; "
-                  "witness coefficients 10 and 52; represented target rejected")
-
-
-def _sweep_twisted(fast: bool):
-    T, tern = SymMat.diag(1, 1, 1, 3), SymMat.diag(1, 1, 3)
-    if fast:
-        j1 = CountJob(tuple(map(Fraction, twisted_diagonal(3))), SymMat.diag(1), 3, 2)
-        unary = density_value(j1, count_solutions(j1))
-        j2 = CountJob(tuple(map(Fraction, twisted_complement_diagonal(3))), tern, 3, 2)
-        comp = density_value(j2, count_solutions(j2))
-    else:
-        unary = density_oracle(twisted_diagonal(3), SymMat.diag(1), 3).value
-        comp = density_oracle(twisted_complement_diagonal(3), tern, 3).value
-    product = unary * comp
-    closed = twisted_density(T, 3)
-    checks = (
-        unary == Fraction(2, 3)
-        and comp == Fraction(32, 3)
-        and product == Fraction(64, 9)
-        and closed == product
-        and product != Fraction(128, 9)
-        and twisted_density(SymMat.diag(1, 1, 1, 1), 3) == 0
-    )
-    return checks, (f"reduction chain {frac_str(unary)} * {frac_str(comp)} = "
-                    f"{frac_str(product)} matches the closed value and "
-                    "rejects the doubled variant")
-
-
-def _sweep_dichotomy(fast: bool):
-    rng = random.Random(90210)
-    trials = 30 if fast else 200
-    V = base_space()
-    pairs = 0
-    for _ in range(trials):
-        T = _random_symmetric(rng, 4, 50)
-        for p in (3, 5, 7):
-            a = represents_local(V, T, Place(p))
-            b = represents_local(twisted_space(p), T, Place(p))
-            if a == b:
-                return False, f"dichotomy violated at p={p} for {T!r}"
-            pairs += 1
-    return True, f"{pairs} (T, p) pairs: exactly one twin space represents T"
-
-
-def _sweep_diff_parity(fast: bool):
-    rng = random.Random(8128)
-    trials = 20 if fast else 100
-    colls = (IncoherentCollection.split(), IncoherentCollection.from_pair(-1, 3))
-    checked = 0
-    for _ in range(trials):
-        T = _random_posdef(rng)
-        for coll in colls:
-            if len(diff_set(T, coll)) % 2 != 1:
-                return False, f"even diff set for {T!r}"
-            checked += 1
-    return True, f"{checked} diff sets all of odd size"
-
-
-def _sweep_gk(fast: bool):
-    anchors = (
-        e_p(0, 0, 1, 3) == 1 and e_p(0, 1, 1, 3) == 2
-        and e_p(0, 0, 3, 3) == 2 and e_p(0, 0, 3, 7) == 2
-        and e_p(1, 1, 1, 3) == 6 and e_p(1, 1, 1, 5) == 8
-    )
-    if not anchors:
-        return False, "hand anchors failed"
-    for p in (3, 5):
-        for a in itertools.combinations_with_replacement(range(5), 3):
-            if (e_p(*a, p) == 1) != (sum(a) == 1):
-                return False, f"multiplicity-1 criterion failed at {a}, p={p}"
-    for a in itertools.combinations_with_replacement(range(3), 3):
-        t = GKTriple(*a, 1, 1, 1, 3)
-        if transversal(_gk_matrix(t, (0, 1)), 3) != (sum(a) == 1):
-            return False, f"transversality mismatch at {a}"
-    return True, ("anchors, the multiplicity-1 criterion over the table, "
-                  "and form-level transversality all agree")
-
-
-def _sweep_bridge(fast: bool):
-    a_max = 2 if fast else 3
-    primes = (3,) if fast else (3, 5)
-    checked = 0
-    for p in primes:
-        scale = (1 - Fraction(1, p**2)) * (1 - Fraction(1, p**4))
-        for t in _triples(p, a_max):
-            if chi_tilde(t) != -1:
-                continue
-            T = _gk_matrix(t, (0, 1))
-            lhs = derivative_at_1(assemble_A(T, p))
-            if lhs != -scale * e_p(*t.exponents, p):
-                return False, f"bridge failed for a={t.exponents}, eps={t.signs}, p={p}"
-            checked += 1
-    return True, (f"{checked} vanishing-side series: the derivative equals "
-                  "the closed multiple of the multiplicity")
-
-
-def _sweep_appendix(fast: bool):
-    rng = random.Random(4104)
-    nwords = 20 if fast else 100
-    words = [(g,) for g in GENERATOR_ORDER]
-    words += list(itertools.product(GENERATOR_ORDER, repeat=2))
-    words += [
-        tuple(rng.choice(GENERATOR_ORDER) for _ in range(rng.randint(3, 6)))
-        for _ in range(nwords)
-    ]
-    check_spin_compatibility(words)
-    split = QuaternionAlgebra(1, 1)
-    definite = QuaternionAlgebra(-1, -1)
-    disc6 = QuaternionAlgebra(-1, 3)
-    checks = {
-        "signatures": signature(vb_space(split)) == (3, 2)
-        and signature(vb_space(definite)) == (5, 0)
-        and signature(vb_space(disc6)) == (3, 2),
-        "ramification": ramified_places(definite) == frozenset({Place(2), INFINITE_PLACE})
-        and discriminant(disc6) == 6
-        and discriminant(split) == 1,
-        "involution types": involution_tensor_type("main", "neben") == "main"
-        and involution_tensor_type("neben", "main") == "main"
-        and involution_tensor_type("main", "main") == "neben"
-        and involution_tensor_type("neben", "neben") == "neben",
-        "positivity": positive_involution_criterion("split", -1, -1)
-        and not positive_involution_criterion("split", -1, 1)
-        and positive_involution_criterion("division", 1)
-        and not positive_involution_criterion("division", -1),
-        "witt index": witt_index_rank5(vb_space(split)) == 2
-        and witt_index_rank5(vb_space(disc6)) == 1,
-    }
-    failed = [name for name, good in checks.items() if not good]
-    if failed:
-        return False, "failed: " + ", ".join(failed)
-    return True, (f"relations, {len(words)} involution words, signatures, "
-                  "ramification, and the involution calculus")
-
-
-def _sweep_components(fast: bool):
-    table = (
-        ((0, 0, {}), "p_plus_one_lines"),
-        ((0, 1, {"has_radical_line": True}), "one_line"),
-        ((1, 1, {}), "two_lines"),
-        ((1, 2, {"has_radical_line": True}), "one_line"),
-        ((2, 2, {"represents_one": True}), "isolated"),
-    )
-    for (rank, dim, data), label in table:
-        if classify_component(rank, dim, data, 3).label != label:
-            return False, f"decision table mismatch at rank={rank}, dim={dim}"
-    for p in (3, 5, 7, 11):
-        sup = reduced_superspecial_space(p)
-        if not all(sup.represents(c) for c in range(1, p)):
-            return False, f"superspecial form not universal at p={p}"
-        if reduced_distinguished_space(p).represents(1):
-            return False, f"distinguished form represents 1 at p={p}"
-    primes = (3, 5, 7, 11) if fast else (3, 5, 7, 11, 13, 17, 19, 23)
-    for p in primes:
-        if tuple(incidence_counts(p)) != (p + 1, p * p + 1):
-            return False, f"incidence counts off at p={p}"
-    return True, ("decision table, reduced-space value sets, and incidence "
-                  f"enumerations up to p={primes[-1]}")
-
-
-def _sweep_oracle(fast: bool):
-    rng = random.Random(65537)
-    target_jobs = 10 if fast else 50
-    limit = 10**5 if fast else 10**6
-    done = 0
-    while done < target_jobs:
-        p = rng.choice((3, 5))
-        t = rng.choice((1, 2))
-        m = rng.randint(1, 4)
-        n = rng.randint(1, m)
-        if (p**t) ** (m * n) > limit:
-            continue
-        s = tuple(Fraction(rng.choice((1, -1, 2, p, 2 * p))) for _ in range(m))
-        q = p**t
-        ent = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                ent[i][j] = ent[j][i] = rng.randrange(q)
-        T = SymMat(ent)
-        naive = count_solutions(CountJob(s, T, p, t, "naive"))
-        mitm = count_solutions(CountJob(s, T, p, t, "mitm"))
-        if naive != mitm:
-            return False, f"count mismatch on s={s}, T={T!r}, p={p}, t={t}"
-        done += 1
-    return True, f"{done} random jobs: meet-in-the-middle equals direct enumeration"
-
-
-SUITES = {
-    "unary": _sweep_unary,
-    "kitaoka": _sweep_kitaoka,
-    "central": _sweep_central,
-    "twisted": _sweep_twisted,
-    "dichotomy": _sweep_dichotomy,
-    "diff-parity": _sweep_diff_parity,
-    "gk": _sweep_gk,
-    "bridge": _sweep_bridge,
-    "appendix": _sweep_appendix,
-    "components": _sweep_components,
-    "oracle": _sweep_oracle,
-}
-
-
 def _cmd_sweep(args) -> int:
+    """Print PASS and the detail, or FAIL and every failure, for each suite."""
     names = list(SUITES) if args.suite == "all" else [args.suite]
     all_ok = True
     for name in names:
         try:
-            ok, detail = SUITES[name](args.fast)
+            detail, failures = SUITES[name](args.fast)
         except Exception as exc:
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        all_ok = all_ok and ok
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+            failures = [f"raised {type(exc).__name__}: {exc}"]
+        all_ok = all_ok and not failures
+        print(f"FAIL {name}: " + "; ".join(failures) if failures else f"PASS {name}: {detail}")
     return 0 if all_ok else 1
 
 

@@ -1,9 +1,10 @@
 """Closed forms for local representation densities (p odd).
 
-Unary factors, the ternary closed form over the split complement, the
-density series A(X) assembled from T's Jordan data (kept on its SymMat), its
-derivative at X = 1, and the twisted (ramified-quaternion) density. Every
-value here is cross-checked against the counting oracle in the test suite.
+The ternary closed form over the split complement, the density series A(X)
+(the unary factor of <1> times that form) assembled from T's Jordan data
+(kept on its SymMat), its derivative at X = 1, and the twisted
+(ramified-quaternion) density. Every value here is cross-checked against
+the counting oracle in the test suite.
 
 The closed forms multiply integer polynomials over one power of p: the
 bracket has integer coefficients, p^4 times the ternary series is
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .padic import Place, Rational, _exact, _json_field, _read_exact, _sign, check_odd_prime, chi
+from .padic import Place, Rational, _exact, _json_field, _read_exact, check_odd_prime, chi
 from .quadform import SymMat, frac_str, represents_local, twisted_space
 from .gkmult import GKTriple, complement_triple
 
@@ -101,12 +102,6 @@ def derivative_at_1(A: DensityPolynomial) -> Fraction:
     return Fraction(sum(i * n for i, n in enumerate(A._num)), A._den)
 
 
-def unary_density_factor(eps0: int, p: int) -> DensityPolynomial:
-    """Density of a unit square class against the base space: 1 + chi * X / p^2."""
-    p = check_odd_prime(p)
-    return DensityPolynomial((1, Fraction(_sign(eps0, "an integer eps0"), p * p)))
-
-
 def chi_tilde(t: GKTriple) -> int:
     """Character of the ternary complement, keyed by the exponent parity pattern."""
     cm1 = chi(-1, t.p)
@@ -120,17 +115,12 @@ def chi_tilde(t: GKTriple) -> int:
     return cm1 * t.eps2 * t.eps3
 
 
-def kitaoka_bracket(t: GKTriple) -> tuple[Fraction, ...]:
+def _bracket_integers(t: GKTriple) -> tuple[int, ...]:
     """The bracketed polynomial of the ternary closed form, without prefactor.
 
-    Coefficient reversal: X^(a1+a2+a3) * B(1/X) = chi_tilde * B(X); the test
-    suite asserts this on the coefficient tuple.
+    Its coefficients are integers, sums of signed powers of p, and they
+    reverse: X^(a1+a2+a3) * B(1/X) = chi_tilde * B(X).
     """
-    return tuple(Fraction(c) for c in _bracket_integers(t))
-
-
-def _bracket_integers(t: GKTriple) -> tuple[int, ...]:
-    # the bracket's coefficients are integers: sums of signed powers of p
     p = t.p
     ct = chi_tilde(t)
     a1, a2, a3 = t.exponents

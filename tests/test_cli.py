@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from qflab.cli import SUITES, main
+from qflab.acceptance import SUITES
+from qflab.cli import main
 
 
 def run(capsys, *argv):
@@ -272,10 +273,8 @@ def test_config_bad_switch_value_exits_2(tmp_path, capsys, value):
 @pytest.mark.parametrize("value, fast", [("yes", True), ("TRUE", True), ("1", True),
                                          ("no", False), ("False", False), ("0", False)])
 def test_config_switch_values(tmp_path, monkeypatch, capsys, value, fast):
-    import qflab.cli
-
     seen = []
-    monkeypatch.setitem(qflab.cli.SUITES, "unary", lambda f: seen.append(f) or (True, "ok"))
+    monkeypatch.setitem(SUITES, "unary", lambda f: seen.append(f) or ("ok", []))
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(f"suite=unary\nfast={value}\n")
     assert run(capsys, "sweep", "--config", str(cfg)) == (0, "PASS unary: ok\n", "")
@@ -416,13 +415,25 @@ def test_failed_check_exits_1(capsys, monkeypatch):
 
 
 def test_appendix_sweep_checks_discriminant(capsys, monkeypatch):
-    import qflab.cli
+    import qflab.acceptance
 
-    monkeypatch.setattr(qflab.cli, "discriminant", lambda B: 5)
+    monkeypatch.setattr(qflab.acceptance, "discriminant", lambda B: 5)
     code, out, _ = run(capsys, "sweep", "--suite", "appendix", "--fast")
     assert code == 1
     assert out.startswith("FAIL appendix:")
     assert "ramification" in out
+
+
+def test_failed_sweep_names_every_failed_assertion(capsys, monkeypatch):
+    import qflab.acceptance
+
+    monkeypatch.setattr(qflab.acceptance, "twisted_density", lambda T, p: Fraction(128, 9))
+    code, out, _ = run(capsys, "sweep", "--suite", "twisted", "--fast")
+    assert code == 1
+    assert out == ("FAIL twisted: "
+                   "twisted_density(SymMat.diag(1,1,1,3)): got 128/9, expected 64/9; "
+                   "twisted_density(SymMat.diag(1,1,1,1)): got 128/9, expected 0\n")
+    assert "matches" not in out
 
 
 def test_classify_inconsistent_exits_2(capsys):

@@ -14,7 +14,6 @@ from qflab import (
     chi,
     classify_component,
     extract_blocks,
-    incidence_counts,
     is_isolated,
     proper_intersection_sum,
     reduced_distinguished_space,
@@ -220,13 +219,6 @@ def test_fp2_log_tables(p):
     for _ in range(300):
         x, y = rng.randrange(1, p * p), rng.randrange(1, p * p)
         assert antilog[(log[x] + log[y]) % order] == _fp2_product(x, y, p, u)
-
-
-def test_incidence_counts_small_primes():
-    for p in (3, 5, 7, 11, 13, 17, 19, 23):  # the full `components` sweep
-        got = incidence_counts(p)
-        assert got.lines_through_superspecial == p + 1
-        assert got.points_per_line == p * p + 1
 
 
 # ---------------------------------------------------------------- proper sums

@@ -19,13 +19,12 @@ from qflab import (
     derivative_at_1,
     e_p,
     frac_str,
-    kitaoka_bracket,
     kitaoka_ternary_poly,
     least_nonsquare,
     split_diagonal,
     twisted_density,
-    unary_density_factor,
 )
+from qflab.densities import _bracket_integers
 
 F = Fraction
 
@@ -104,25 +103,6 @@ def test_integer_series_of_products_and_zero():
         assert repr(zero) == "DensityPolynomial([Fraction(0, 1)])"
 
 
-# ---------------------------------------------------------------- unary factor
-
-
-def test_unary_factor_coefficients():
-    plus = unary_density_factor(1, 3)
-    minus = unary_density_factor(-1, 3)
-    assert plus.coeffs == (F(1), F(1, 9))
-    assert minus.coeffs == (F(1), F(-1, 9))
-    assert plus.evaluate(F(1)) == F(10, 9)
-    assert minus.evaluate(F(1)) == F(8, 9)
-
-
-def test_unary_factor_all_odd_primes():
-    for p in (3, 5, 7):
-        for eps in (1, -1):
-            got = unary_density_factor(eps, p).evaluate(F(1))
-            assert got == 1 + F(eps, p * p)
-
-
 # ---------------------------------------------------------------- character table
 
 
@@ -155,8 +135,8 @@ def test_kitaoka_examples():
     # chi_tilde = -1 forces a zero at X = 1
     assert kitaoka_ternary_poly(GKTriple(0, 1, 1, 1, 1, 1, 3)).evaluate(F(1)) == 0
     assert kitaoka_ternary_poly(GKTriple(0, 1, 2, 1, 1, -1, 3)).evaluate(F(1)) == F(128, 81)
-    assert kitaoka_bracket(GKTriple(1, 3, 4, 1, -1, 1, 5)) == (1, 5, 5, 25, 0, -25, -5, -5, -1)
-    assert kitaoka_bracket(GKTriple(2, 2, 5, -1, 1, 1, 3)) == (1, 3, 12, 18, 27, 27, 18, 12, 3, 1)
+    assert _bracket_integers(GKTriple(1, 3, 4, 1, -1, 1, 5)) == (1, 5, 5, 25, 0, -25, -5, -5, -1)
+    assert _bracket_integers(GKTriple(2, 2, 5, -1, 1, 1, 3)) == (1, 3, 12, 18, 27, 27, 18, 12, 3, 1)
 
 
 def test_kitaoka_zero_iff_chi_tilde_negative():
@@ -212,10 +192,10 @@ def test_bracket_coefficient_reversal():
         for a in itertools.combinations_with_replacement(range(4), 3):
             for signs in itertools.product((1, -1), repeat=3):
                 t = GKTriple(*a, *signs, p)
-                coeffs = kitaoka_bracket(t)
+                coeffs = _bracket_integers(t)
                 asum = sum(a)
                 assert len(coeffs) <= asum + 1
-                padded = tuple(coeffs) + (F(0),) * (asum + 1 - len(coeffs))
+                padded = coeffs + (0,) * (asum + 1 - len(coeffs))
                 reversed_ = tuple(reversed(padded))
                 expected = tuple(chi_tilde(t) * c for c in padded)
                 assert reversed_ == expected
@@ -274,13 +254,15 @@ def test_integer_closed_forms_match_fraction_products(p):
     for a in itertools.combinations_with_replacement(range(5), 3):
         for signs in itertools.product((1, -1), repeat=3):
             t = GKTriple(*a, *signs, p)
-            bracket = kitaoka_bracket(t)
+            bracket = _bracket_integers(t)
             assert bracket == _ref_bracket(t)
-            assert all(type(c) is Fraction and c.denominator == 1 for c in bracket)
+            assert all(type(c) is int for c in bracket)
             ternary = _ref_pmul(pre, bracket)
             assert kitaoka_ternary_poly(t) == DensityPolynomial(ternary)
             T = SymMat.diag(1, *((1 if s == 1 else u) * p**e for e, s in zip(a, signs)))
             assert assemble_A(T, p) == DensityPolynomial(_ref_pmul(unary, ternary))
+            # the unary factor of <1> is 1 + X/p^2
+            assert assemble_A(T, p) == DensityPolynomial(unary) * kitaoka_ternary_poly(t)
 
 
 # ---------------------------------------------------------------- assembly

@@ -39,7 +39,6 @@ from qflab import (
     quaternion_with_discriminant,
     ramified_places,
     split_diagonal,
-    unary_density_factor,
     valuation,
     whittaker_value,
 )
@@ -116,7 +115,6 @@ INTEGER_CALLS = {
         "t_max", 2,
         lambda n: density_oracle(base_diagonal(), SymMat.diag(1), 3, t_start=1, t_max=n), 1),
     "gk_table_csv a_max": ("a_max", 1, lambda n: gk_table_csv(3, n), 0),
-    "unary_density_factor eps0": ("eps0", -1, lambda n: unary_density_factor(n, 3), SIGN),
     "positive_involution_criterion conj_sign": (
         "conj_sign", -1, lambda n: positive_involution_criterion("split", n, -1), SIGN),
     "positive_involution_criterion square_sign": (

@@ -35,7 +35,6 @@ from qflab import (
     incidence_counts,
     is_isolated,
     jordan_diagonalize,
-    kitaoka_bracket,
     kitaoka_ternary_poly,
     least_nonsquare,
     proper_intersection_sum,
@@ -49,7 +48,6 @@ from qflab import (
     twisted_density,
     twisted_diagonal,
     twisted_space,
-    unary_density_factor,
     unit_part,
     valuation,
     verify_ratio_identity,
@@ -84,9 +82,7 @@ CALLS = {
                                   for split in ((1, -1, 1, -1), (1, 1, 1, -1))
                                   for how in ("naive", "mitm")],
     "density_oracle": lambda p: density_oracle((1, -1, 1, -1), SymMat.diag(1, 3), p),
-    "unary_density_factor": lambda p: unary_density_factor(-1, p),
     "GKTriple": lambda p: (GKTriple(0, 1, 2, 1, -1, 1, p), chi_tilde(GKTriple(0, 1, 2, 1, -1, 1, p)),
-                           kitaoka_bracket(GKTriple(0, 1, 2, 1, -1, 1, p)),
                            kitaoka_ternary_poly(GKTriple(0, 1, 2, 1, -1, 1, p))),
     "assemble_A": lambda p: assemble_A(_form(), p),
     "twisted_density": lambda p: twisted_density(SymMat.diag(1, 1, 1, 3), p),
