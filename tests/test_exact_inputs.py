@@ -87,6 +87,8 @@ INTEGER_CALLS = {
         "point count in entry 0", 2,
         lambda n: proper_intersection_sum([(SymMat.diag(1, 1, 1, 3), n)], 3), 0),
     "GKTriple a1": ("a1", 0, lambda n: GKTriple(n, 1, 1, 1, 1, 1, 3), 0),
+    "GKTriple eps1": ("eps1", -1, lambda n: GKTriple(0, 1, 1, n, 1, 1, 3), SIGN),
+    "GKTriple eps2": ("eps2", 1, lambda n: GKTriple(0, 1, 1, 1, n, 1, 3), SIGN),
     "GKTriple eps3": ("eps3", 1, lambda n: GKTriple(0, 1, 1, 1, 1, n, 3), SIGN),
     "e_p a1": ("a1", 1, lambda n: e_p(n, 1, 1, 3), 0),
     "e_p a3": ("a3", 2, lambda n: e_p(1, 1, n, 3), None),
