@@ -28,20 +28,24 @@ combination is one addition and its table index a few lookups. A filled
 table depends only on q, n and its half's class multiset, and a class's row
 keys only on the class, q and n, so both are kept read-only for later
 counts in the process under those keys; a count whose table is kept does
-only its target-dependent pass. When such a count has paired halves, the
-first one keeps the table's nonzero cells beside it, at most as many as
-the other half's key combinations: each cell's radix-q digits as codes of
-a few digits each (two uint16 codes at 17^6 cells) and its uint32 value,
-and the table's occupancy as a bitmap of one bit per cell. While the table
-has fewer than one nonzero cell in _CELLS_PER_KEY, every such count reads
-those cells: per target, one small lookup per code group maps a code to
-its partner digits' share of the partner's index, and only the partners
-whose bit is set are read from the table. A denser table is read whole.
-The state budget bounds the larger half's q^(n*ceil(m/2)) states and the
-q^k table cells of a count, and the cells kept resident, each code, value
-and bitmap byte one cell: before a new table is filled, the least recently
-used tables and keys are dropped until the resident cells and the new q^k
-fit it.
+only its target-dependent pass. A table whose half enumerates fewer than
+q^k / _CELLS_PER_KEY key combinations has at most that many nonzero cells
+and is kept sparse, never allocated at q^k: a bitmap of its occupancy, one
+bit per cell in uint64 words, each word's rank (the set bits before it),
+and each nonzero cell's uint32 count at that cell's rank and radix-q digits
+as codes of a few digits each (two uint16 codes at 17^6 cells). A cell's
+rank is its word's rank plus the popcount of the bits below it in the word.
+Paired counts read a sparse table through its nonzero cells, from the count
+that fills it on: per target, one small lookup per code group maps a code
+to its partner digits' share of the partner's index, and only the partners
+whose bit is set are ranked and read. Unpaired counts stream the other half
+through the same bit test and rank. A denser table is one uint32 array of
+q^k cells. The state budget bounds the larger half's
+q^(n*ceil(m/2)) states and the q^k table cells of a count, and the kept
+arrays by their bytes, 4 to a cell: before a table is filled, the least
+recently used tables and keys are dropped until the resident cells and the
+new table's fit it (q^k cells for a dense table, its four arrays' bytes for
+a sparse one).
 This module is the independent auditor for every closed form in the
 package; it must never call into the closed-form code.
 """
@@ -76,11 +80,13 @@ _LOOKUP_CELLS = 2**14
 
 # table cells the mirrored MITM product reads in the time the streamed pass
 # takes per key combination (about 5 ns and 30 ns on a 2-core x86 VM); a
-# kept paired table is read through its nonzero cells (_cells_dot) while it
-# has fewer than one in _CELLS_PER_KEY, and by the mirrored product
-# otherwise. At 81^3 cells, 27% of them nonzero (the m4n2q81 benchmark
-# shape), the mirrored product takes 0.7-1.0 ms and the cell read
-# 1.7-3.0 ms; at 17^6 cells, 3.1% nonzero, 120-130 ms and 7-9 ms
+# table whose half enumerates fewer than one key combination in
+# _CELLS_PER_KEY cells is kept sparse (_sparse_table) and a paired one read
+# through its nonzero cells (_cells_dot), a denser one is kept dense and
+# read by the mirrored product or a stream. At 81^3 cells, 27% of them
+# nonzero (the m4n2q81 benchmark shape), the mirrored product takes
+# 0.7-1.0 ms and a cell read 1.7-3.0 ms; at 17^6 cells, 3.1% nonzero,
+# 120-130 ms and 7-9 ms
 _CELLS_PER_KEY = 6
 
 
@@ -413,39 +419,85 @@ def _mirror_dot(table: np.ndarray, tgt: tuple[int, ...], q: int, k: int, sign: i
     return total
 
 
-def _nonzero_cells(table: np.ndarray, q: int, k: int, most: int):
-    """The nonzero cells of table as (codes, values, bits), or three empty
-    arrays if there are more than most. Row i of codes holds each cell's
-    radix-q digits i*g to i*g + g - 1 (g = _group_digits(q, k)) as one
-    code; values holds its uint32 value, and bits the table's occupancy,
-    np.packbits(table != 0, bitorder="little"). At 17^6 cells that is two
-    uint16 codes and a value, 8 bytes a cell, and a 2.9 MB bitmap. The cells
-    are counted first, so every array is allocated at its size and filled in
-    one pass over the table in slices of _CHUNK cells, rounded up to whole
-    bytes of bits."""
+def _bit(cells: np.ndarray) -> np.ndarray:
+    """Each cell's bit within its uint64 bitmap word (cells holds int64
+    indices, so the low 6 bits read as uint64 unchanged)."""
+    return np.left_shift(np.uint64(1), (cells & 63).view(np.uint64))
+
+
+def _rank(words: np.ndarray, ranks: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Rank of each set cell of the bitmap words: the set bits before it,
+    the bits of the words before its word (ranks) plus those below it in
+    its own word."""
+    word = cells >> 6
+    below = _bit(cells)
+    below -= np.uint64(1)
+    below &= words.take(word)
+    rank = ranks.take(word)
+    rank += np.bitwise_count(below)
+    return rank
+
+
+def _sparse_table(blocks, q: int, k: int):
+    """The q^k-cell count table summed from blocks() of (indices, weights),
+    as (words, ranks, values, codes), with nothing allocated at q^k.
+
+    words is the table's occupancy, one bit per cell in ceil(q^k/64)
+    little-endian uint64 words, and ranks each word's rank, the set bits of
+    the words before it (int64). values holds the nonzero cells' uint32
+    counts in cell order, so cell d's count is values[rank(d)] (_rank), and
+    row i of codes each nonzero cell's radix-q digits i*g to i*g + g - 1
+    (g = _group_digits(q, k)) as one code. At 17^6 cells that is a 2.9 MB
+    bitmap, as much again of ranks, and two uint16 codes and a value, 8
+    bytes, per nonzero cell. blocks() is read twice: once to set the bits,
+    once to add the weights at their ranks. The codes are then decoded from
+    the bitmap in slices of _CHUNK bytes, of which only the nonzero ones are
+    unpacked. Room is made (_RESIDENT) for the four arrays beside the
+    resident entries before the values are added."""
+    words = np.zeros(-(-q**k // 64), dtype="<u8")
+    for cells, _ in blocks():
+        np.bitwise_or.at(words, cells >> 6, _bit(cells))
+    ones = np.bitwise_count(words)
+    ranks = np.cumsum(ones, dtype=np.int64)
+    found = int(ranks[-1])
+    ranks -= ones
     g = _group_digits(q, k)
-    groups, code = -(-k // g), np.min_scalar_type(q**g - 1)
-    found = np.count_nonzero(table)
-    if found > most:
-        return (np.empty((groups, 0), dtype=code), np.empty(0, dtype=np.uint32),
-                np.empty(0, dtype=np.uint8))
-    codes, values = np.empty((groups, found), dtype=code), np.empty(found, dtype=np.uint32)
-    bits, at, step = np.empty(-(-table.size // 8), dtype=np.uint8), 0, -(-_CHUNK // 8) * 8
-    for lo in range(0, table.size, step):
-        part = table[lo:lo + step]
-        bits[lo // 8:(lo + len(part) + 7) // 8] = np.packbits(part != 0, bitorder="little")
-        rest = np.flatnonzero(part)
+    values = np.zeros(found, dtype=np.uint32)
+    codes = np.empty((-(-k // g), found), dtype=np.min_scalar_type(q**g - 1))
+    _RESIDENT.make_room(_cells(words, ranks, values, codes))
+    for cells, weights in blocks():
+        np.add.at(values, _rank(words, ranks, cells), weights)
+    bits, at = words.view(np.uint8), 0
+    for lo in range(0, len(bits), _CHUNK):  # only the nonzero bytes are unpacked
+        part = bits[lo:lo + _CHUNK]
+        byte = np.flatnonzero(part != 0)
+        rest = np.flatnonzero(np.unpackbits(part.take(byte), bitorder="little").view(bool))
+        byte = byte.take(rest >> 3)
+        byte += lo
+        rest &= 7
+        rest += byte << 3
         end = at + len(rest)
-        values[at:end] = part[rest]
-        rest += lo
-        for i in range(groups):
-            rest, codes[i, at:end] = np.divmod(rest, q**g)
+        for row in codes[:-1]:
+            rest, row[at:end] = np.divmod(rest, q**g)
+        codes[-1, at:end] = rest
         at = end
-    return codes, values, bits
+    return words, ranks, values, codes
+
+
+def _read(words: np.ndarray, ranks: np.ndarray, values: np.ndarray, cells: np.ndarray):
+    """The positions in cells of the nonzero cells of a sparse table
+    (_sparse_table), and their counts. The bit test reads the words as
+    bytes, cell d at bit d % 8 of byte d // 8, and only the hits are
+    ranked."""
+    byte = words.view(np.uint8).take(cells >> 3)
+    byte >>= (cells & 7).astype(np.uint8)
+    byte &= 1
+    hit = np.flatnonzero(byte.view(bool))  # a bool scan is about 4 times faster
+    return hit, values.take(_rank(words, ranks, cells.take(hit)))
 
 
 def _partner_lookups(tgt: tuple[int, ...], q: int, k: int, sign: int) -> list[np.ndarray]:
-    """One lookup per code group of _nonzero_cells, mapping a code to the
+    """One lookup per code group of _sparse_table, mapping a code to the
     radix-q value of its partner digits in the sum of A[d] * A[sign * (tgt - d)],
     sign * (t_c - d) mod q each. Row c of partner holds digit c's q values,
     and a group's lookup is the outer sum of its rows, most significant first."""
@@ -462,13 +514,13 @@ def _partner_lookups(tgt: tuple[int, ...], q: int, k: int, sign: int) -> list[np
     return lookups
 
 
-def _cells_dot(table: np.ndarray, codes: np.ndarray, values: np.ndarray, bits: np.ndarray,
+def _cells_dot(words: np.ndarray, ranks: np.ndarray, values: np.ndarray, codes: np.ndarray,
                tgt: tuple[int, ...], q: int, k: int, sign: int) -> int:
-    """Sum of A[d] * A[sign * (tgt - d)] over the nonzero cells d of the table
-    A (_nonzero_cells), in blocks of _CHUNK cells: a cell's partner index is
-    one take per code group (_partner_lookups) and their sum, or for k = 1,
-    where a lookup would be as long as the table, the digit's partner itself.
-    Only the partners whose bit is set are gathered from the table."""
+    """Sum of A[d] * A[sign * (tgt - d)] over the nonzero cells d of a sparse
+    table A (_sparse_table), in blocks of _CHUNK cells: a cell's partner
+    index is one take per code group (_partner_lookups) and their sum, or
+    for k = 1, where a lookup would be as long as the table, the digit's
+    partner itself. Only the partners whose bit is set are read (_read)."""
     lookups = _partner_lookups(tgt, q, k, sign) if k > 1 else None
     total, size = 0, min(_CHUNK, len(values))
     index, spare = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
@@ -484,25 +536,35 @@ def _cells_dot(table: np.ndarray, codes: np.ndarray, values: np.ndarray, bits: n
             for lookup, group in zip(lookups[1:], block[1:]):
                 lookup.take(group, out=part, mode="clip")
                 idx += part
-        np.right_shift(idx, 3, out=part)
-        byte = bits.take(part)
-        np.bitwise_and(idx, 7, out=part)
-        byte >>= part.astype(np.uint8)
-        byte &= 1
-        hit = np.flatnonzero(byte.view(bool))
-        cells = table.take(idx.take(hit))
+        hit, cells = _read(words, ranks, values, idx)
         total += int(np.einsum("i,i->", cells, values[lo:lo + _CHUNK].take(hit), dtype=np.uint64))
     return total
 
 
-def _dot(table: np.ndarray, blocks, q: int, k: int, base: int) -> int:
-    """Sum of table[index] * weight over blocks of (packed sums, weights),
-    where index holds a sum's digits mod q (_table_index)."""
+def _dot(kept: tuple, blocks, q: int, k: int, base: int) -> int:
+    """Sum of A[index] * weight over blocks of (packed sums, weights), where
+    index holds a sum's digits mod q (_table_index) and A is a dense table
+    (kept is (table,)) or a sparse one (_sparse_table, only its hits read)."""
     total = 0
     for sums, weights in blocks:
-        cells = table.take(_table_index(sums, q, k, base))
+        idx = _table_index(sums, q, k, base)
+        if len(kept) == 1:
+            cells = kept[0].take(idx)
+        else:
+            hit, cells = _read(*kept[:3], idx)
+            weights = weights.take(hit)
         total += int(np.einsum("i,i->", cells, weights, dtype=np.uint64))
     return total
+
+
+def _combinations(half: tuple, size: dict) -> int:
+    """Key combinations a half of the rows enumerates: a row of d distinct
+    keys (size) costs d, and a same-class pair d(d + 1)/2."""
+    out = 1
+    for c in set(half):
+        a, d = half.count(c), size[c]
+        out *= (d * (d + 1) // 2) ** (a // 2) * d ** (a % 2)
+    return out
 
 
 def _split(classes: list, size: dict, neg: dict, cells: int) -> tuple[tuple, tuple, int, bool]:
@@ -510,52 +572,43 @@ def _split(classes: list, size: dict, neg: dict, cells: int) -> tuple[tuple, tup
 
     A split is fixed by how many rows of each class go to the table half;
     each half has floor(m/2) or ceil(m/2) rows. Its work is the number of
-    key combinations it enumerates: a row of d distinct keys (size) costs d
-    and a same-class pair d(d + 1)/2. When the other half has the table
-    half's classes (sign 1), or their negations (neg, sign -1), the halves
-    are paired: the table also serves the other half, and the mirrored
-    product over its cells costs cells / _CELLS_PER_KEY. stream is set
-    when the other half is streamed instead, at its own cost: always for
-    sign 0, and for paired halves if that costs no more than the mirrored
-    product. The least work wins, then the cheaper table. A later count
-    that finds the table kept reads the table's own nonzero cells, no
-    more than the other half's key combinations, whenever that is cheaper
-    still (_mitm_count).
+    key combinations it enumerates (_combinations). When the other half has
+    the table half's classes (sign 1), or their negations (neg, sign -1),
+    the halves are paired: the table also serves the other half, and the
+    mirrored product over its cells costs cells / _CELLS_PER_KEY. stream is
+    set when the other half is streamed instead, at its own cost: always
+    for sign 0, and for paired halves if that costs no more than the
+    mirrored product. The least work wins, then the cheaper table. Paired
+    halves whose table is sparse read its nonzero cells instead of either,
+    which is cheaper still (_mitm_count).
     """
     m, kinds = len(classes), sorted(set(classes))
     have = [classes.count(c) for c in kinds]
-    single = [size[c] for c in kinds]
-    pair = [d * (d + 1) // 2 for d in single]
-
-    def cost(counts):
-        out = 1
-        for a, d, dd in zip(counts, single, pair):
-            out *= dd ** (a // 2) * d ** (a % 2)
-        return out
-
     dot = cells // _CELLS_PER_KEY
     best = None
     for counts in itertools.product(*(range(a + 1) for a in have)):
         if sum(counts) not in (m // 2, (m + 1) // 2):
             continue
-        rest = tuple(a - b for a, b in zip(have, counts))
-        negated = {neg[c]: a for c, a in zip(kinds, counts) if a}
-        other = {c: a for c, a in zip(kinds, rest) if a}
-        sign = 1 if rest == counts else -1 if negated == other else 0
-        table_cost, other_cost = cost(counts), cost(rest)
+        half = tuple(c for c, a in zip(kinds, counts) for _ in range(a))
+        rest = tuple(c for c, a in zip(kinds, have) for _ in range(a - half.count(c)))
+        sign = 1 if rest == half else -1 if sorted(neg[c] for c in half) == list(rest) else 0
+        table_cost, other_cost = _combinations(half, size), _combinations(rest, size)
         stream = not sign or other_cost <= dot
         rank = (table_cost + (other_cost if stream else dot), table_cost)
         if best is None or rank < best[0]:
-            best = rank, counts, rest, sign, stream
-    _, counts, rest, sign, stream = best
-    return (tuple(c for c, a in zip(kinds, counts) for _ in range(a)),
-            tuple(c for c, a in zip(kinds, rest) for _ in range(a)), sign, stream)
+            best = rank, half, rest, sign, stream
+    return best[1:]
+
+
+def _cells(*arrays) -> int:
+    """Resident cells of arrays: their bytes in units of a 4-byte table cell."""
+    return sum(-(-a.nbytes // 4) for a in arrays)
 
 
 class _Resident:
     """Filled count tables and row keys kept for later counts in this
-    process, read-only, least recently used first. Every element of a kept
-    array is one resident cell, and the resident cells stay within the
+    process, read-only, least recently used first. A kept array holds its
+    bytes in 4-byte cells (_cells), and the resident cells stay within the
     state budget."""
 
     def __init__(self):
@@ -581,15 +634,15 @@ class _Resident:
             return False
         while self.cells + cells > budget:
             _, arrays = self.entries.popitem(last=False)
-            self.cells -= sum(a.size for a in arrays)
+            self.cells -= _cells(*arrays)
         return True
 
     def remember(self, key, *arrays):
         """Keep arrays under key, read-only, in place of any kept there, if
         they fit the budget."""
         replaced = self.entries.pop(key, ())
-        self.cells -= sum(a.size for a in replaced)
-        cells = sum(a.size for a in arrays)
+        self.cells -= _cells(*replaced)
+        cells = _cells(*arrays)
         if self.make_room(cells):
             for a in arrays:
                 a.flags.writeable = False
@@ -624,30 +677,30 @@ def _mitm_count(job: CountJob) -> int:
     class's negation has the negated keys, so there is one _row_digits
     enumeration per class and its negation (_class_keys). Two rows of one
     class in one half are enumerated as unordered pairs of their keys
-    (_pair_sums). _split picks the table half, which fills a q^k count
-    table A (k = n(n+1)/2) with np.add.at, so no q^k-sized scratch is
-    allocated; A is kept (_RESIDENT) for later counts with the same q, n
-    and table-half classes, which only read it. When
-    the other half has the same classes its table is A and the count is the
-    sum of A[key] * A[T - key]; when it has the negated classes its table is
-    A[-key] and the count is the sum of A[key] * A[key - T]. A count that
-    fills A sums over all its cells (_mirror_dot), or streams the other half
-    when that costs no more (_split). A later count that finds A kept reads
-    A's nonzero cells (_cells_dot): the first one indexes them
-    (_nonzero_cells) as ceil(k/g) digit-group codes and a uint32 value per
-    cell, with A's occupancy bitmap of ceil(q^k/8) bytes, and keeps the
-    three in A's resident entry, so the four are evicted together; each
-    count builds one lookup per group from its target, takes a cell's
-    partner index as the sum of its groups' lookups, and gathers from A only
-    the partners whose bit is set. The codes and values are kept only if
-    there are fewer than q^k / _CELLS_PER_KEY cells and their ceil(k/g) + 1
-    cells each fit the budget beside A and its bitmap; otherwise all three
-    are empty and such counts decide as the filling one did. With
-    unpaired halves the other half is always streamed: its rows carry the
-    negated keys and start at the target's digits, so each streamed sum is
-    the key it needs. Keys are packed (_digit_lookup) so that a combination
-    is one int64 sum and its table index one gather per digit group; for
-    every shape a 2^31 budget admits, a packed sum has at most 49 bits.
+    (_pair_sums). _split picks the table half, whose q^k-cell count table A
+    (k = n(n+1)/2) is kept (_RESIDENT) for later counts with the same q, n
+    and table-half classes, which only read it. A is sparse when its half
+    enumerates fewer than q^k / _CELLS_PER_KEY key combinations, which
+    bounds its nonzero cells, and dense otherwise. A dense A is one uint32
+    array filled with np.add.at. A sparse A is never allocated at q^k
+    (_sparse_table): its occupancy bitmap, each bitmap word's rank, and the
+    nonzero cells' uint32 counts and digit-group codes, so cell d's count is
+    values[rank(d)], the rank being the word's rank plus a popcount inside
+    the word. When the other half has the same classes its table is A and
+    the count is the sum of A[key] * A[T - key]; when it has the negated
+    classes its table is A[-key] and the count is the sum of A[key] * A[key
+    - T]. With a sparse A every such count, the filling one too, reads A's
+    nonzero cells (_cells_dot): it builds one lookup per code group from its
+    target, takes a cell's partner index as the sum of its groups' lookups,
+    and ranks only the partners whose bit is set. With a dense A it sums over
+    all cells (_mirror_dot), or streams the other half when that costs no
+    more (_split). With unpaired halves the other half is always streamed,
+    against a sparse A through the same bit test and rank: its rows carry
+    the negated keys and start at the target's digits, so each streamed sum
+    is the key it needs. Keys are packed (_digit_lookup) so that a
+    combination is one int64 sum and its table index one gather per digit
+    group; for every shape a 2^31 budget admits, a packed sum has at most 49
+    bits.
 
     Each half has at most h = ceil(m/2) rows, so no cell or combination
     weight counts more than the q^(nh) <= budget <= 2^31 ordered vector
@@ -680,14 +733,12 @@ def _mitm_count(job: CountJob) -> int:
     tgt = _target_digits(job.T, q)
     key = ("table", q, n, table_half)
     kept = _RESIDENT.recall(key)
-    if kept is not None and sign:
-        if len(kept) == 1:  # the first paired count to find the table kept
-            table, groups = kept[0], -(-k // _group_digits(q, k))
-            most = min((q**k - 1) // _CELLS_PER_KEY,
-                       (state_budget() - q**k - -(-q**k // 8)) // (groups + 1))
-            kept = _RESIDENT.remember(key, table, *_nonzero_cells(table, q, k, most))
-        if kept[2].size:  # the values of the nonzero cells
-            return _cells_dot(*kept, tgt, q, k, sign)
+    # a sparse table is kept as its four arrays (_sparse_table), a dense one alone
+    if kept is None:
+        sparse = _CELLS_PER_KEY * _combinations(table_half, sizes) < q**k
+    else:
+        sparse = len(kept) > 1
+    stream = stream and not (sparse and sign)
 
     # a base is 1 + the most a digit of a sum can reach; both halves' lookups
     # are built before a table is filled, so their scratch is freed by then
@@ -699,15 +750,21 @@ def _mitm_count(job: CountJob) -> int:
     if kept is None:
         base = max(len(table_half), 1) * (q - 1) + 1
         filling = factors(table_half, base, False)
-        _RESIDENT.make_room(q**k)
-        table = np.zeros(q**k, dtype=np.uint32)
-        for sums, weights in _sums(0, filling):
-            np.add.at(table, _table_index(sums, q, k, base), weights)
-        kept = _RESIDENT.remember(key, table)
-    table = kept[0]
+
+        if sparse:
+            kept = _sparse_table(lambda: ((_table_index(sums, q, k, base), weights)
+                                          for sums, weights in _sums(0, filling)), q, k)
+        else:
+            _RESIDENT.make_room(q**k)
+            kept = (np.zeros(q**k, dtype=np.uint32),)
+            for sums, weights in _sums(0, filling):
+                np.add.at(kept[0], _table_index(sums, q, k, base), weights)
+        kept = _RESIDENT.remember(key, *kept)
+    if sparse and sign:
+        return _cells_dot(*kept, tgt, q, k, sign)
     if not stream:
-        return _mirror_dot(table, tgt, q, k, sign)
-    return _dot(table, _sums(start, streamed), q, k, other_base)
+        return _mirror_dot(kept[0], tgt, q, k, sign)
+    return _dot(kept, _sums(start, streamed), q, k, other_base)
 
 
 def count_solutions(job: CountJob) -> int:

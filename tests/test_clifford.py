@@ -11,7 +11,6 @@ from qflab import (
     IncoherentCollection,
     Place,
     QuaternionAlgebra,
-    SymMat,
     discriminant,
     hasse_invariant,
     involution_tensor_type,

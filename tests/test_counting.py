@@ -5,10 +5,13 @@ import itertools
 import random
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qflab import counting
 from qflab import (
@@ -295,9 +298,29 @@ def test_mirror_dot_matches_literal_sum(q, k):
 
 
 def _decoded(codes, q, k):
-    """The radix-q cell indices that _nonzero_cells' digit-group codes hold."""
+    """The radix-q cell indices that a sparse table's digit-group codes hold."""
     g = counting._group_digits(q, k)
     return sum(row.astype(np.int64) * q ** (g * i) for i, row in enumerate(codes)).tolist()
+
+
+def _check_sparse(kept, table, q, k):
+    """kept is the sparse form (_sparse_table) of the dense q^k-cell table:
+    its occupancy bitmap, each word's rank, and the nonzero cells' codes and
+    counts in cell order."""
+    words, ranks, values, codes = kept
+    nonzero = np.flatnonzero(table)
+    assert words.dtype == np.dtype("<u8") and len(words) == -(-table.size // 64)
+    padded = np.zeros(8 * len(words), dtype=np.uint8)
+    packed = np.packbits(table != 0, bitorder="little")
+    padded[:len(packed)] = packed
+    assert words.view(np.uint8).tolist() == padded.tolist()
+    ones = [int(w).bit_count() for w in words.tolist()]
+    assert ranks.dtype == np.int64
+    assert ranks.tolist() == list(itertools.accumulate(ones, initial=0))[:-1]
+    assert values.dtype == np.uint32 and values.tolist() == table[nonzero].tolist()
+    g = counting._group_digits(q, k)
+    assert codes.dtype.kind == "u" and codes.shape == (-(-k // g), len(nonzero))
+    assert _decoded(codes, q, k) == nonzero.tolist()
 
 
 # every digit grouping of the codes: one group, equal groups and a short
@@ -307,37 +330,36 @@ def _decoded(codes, q, k):
 def test_partner_dot_matches_literal_sum(monkeypatch, q, k):
     rng = random.Random(q * 100 + k)
     # about one cell in eight nonzero, at most 5000, of up to 2^20 as above;
-    # q^k is odd, so the last byte of the bitmap is partly filled, and the
+    # q^k is odd, so the last word of the bitmap is partly filled, and the
     # last cell is set so that a partner lands there
     cells = {rng.randrange(q**k): rng.choice((1, rng.randrange(1, 2**20)))
              for _ in range(min(q**k // 8 + 1, 5000))}
     cells[q**k - 1] = 3
     table = np.zeros(q**k, dtype=np.uint32)
     table[list(cells)] = list(cells.values())
-    kept = counting._nonzero_cells(table, q, k, len(cells))
-    codes, values, bits = kept
-    g = counting._group_digits(q, k)
-    assert codes.shape == (-(-k // g), len(cells)) and codes.dtype.kind == "u"
-    assert values.dtype == np.uint32 and bits.dtype == np.uint8
-    # ascending cells, each code its cell's digits and each value its count
-    assert _decoded(codes, q, k) == sorted(cells)
-    assert values.tolist() == [cells[c] for c in sorted(cells)]
-    assert bits.tolist() == np.packbits(table != 0, bitorder="little").tolist()
-    too_many = counting._nonzero_cells(table, q, k, len(cells) - 1)  # one cell too many
-    assert [a.size for a in too_many] == [0, 0, 0]
+    # each cell's count split over two blocks, the second in reverse order
+    index = np.array(list(cells), dtype=np.int64)
+    low = np.array([(c + 1) // 2 for c in cells.values()], dtype=np.uint32)
+    high = table[index] - low
+
+    def blocks():
+        return iter([(index, low), (index[::-1].copy(), high[::-1].copy())])
+
+    kept = counting._sparse_table(blocks, q, k)
+    _check_sparse(kept, table, q, k)
     targets = [(0,) * k, (q - 1,) * k, tuple(rng.randrange(q) for _ in range(k))]
     if k > 1:  # a 0 and a q - 1 digit in one target
         targets.append((0, q - 1) + targets[-1][2:])
     for tgt, sign in itertools.product(targets, (1, -1)):  # tgt - key, key - tgt
         want = _literal_mirror_dot(cells, tgt, q, k, sign)
-        assert counting._cells_dot(table, *kept, tgt, q, k, sign) == want, (tgt, sign)
-    if q**k <= 20_000:  # index and read in blocks of 7 cells
+        assert counting._cells_dot(*kept, tgt, q, k, sign) == want, (tgt, sign)
+    if q**k <= 20_000:  # decode and read in blocks of 7 bitmap bytes and 7 cells
         monkeypatch.setattr(counting, "_CHUNK", 7)
-        blocked = counting._nonzero_cells(table, q, k, len(cells))
+        blocked = counting._sparse_table(blocks, q, k)
         assert [a.tolist() for a in blocked] == [a.tolist() for a in kept]
         for sign in (1, -1):
             want = _literal_mirror_dot(cells, targets[-1], q, k, sign)
-            assert counting._cells_dot(table, *kept, targets[-1], q, k, sign) == want
+            assert counting._cells_dot(*kept, targets[-1], q, k, sign) == want
 
 
 def test_packed_sums_fit_int64():
@@ -587,37 +609,55 @@ def test_one_class_written_differently_shares_keys_and_table(cold):
     assert set(counting._RESIDENT.entries) == kept and len(kept) == 3  # two classes, one table
 
 
+def _resident_cells():
+    """The resident cells recounted from the kept arrays' bytes, 4 to a cell."""
+    return sum(-(-a.nbytes // 4) for arrays in counting._RESIDENT.entries.values() for a in arrays)
+
+
 def test_kept_cells_stay_within_budget(monkeypatch, cold):
-    # 9^3-cell tables at q = 9, n = 2, one for each class of the single table row
+    # 9^3-cell tables at q = 9, n = 2, one for each class of the single table
+    # row, each with fewer than 729 / 6 key combinations, so sparse; forced
+    # dense, each takes 729 cells
     jobs = [CountJob(s, SymMat([[1, 1], [1, 2]]), 3, 2) for s in
             ((1, 1), (2, 2), (3, 3), (6, 6), (9, 9), (1, 2), (3, 6), (1, 9))]
     wants = [count_solutions(CountJob(j.s_diag, j.T, j.p, j.t, "naive")) for j in jobs]
     monkeypatch.setenv("QFLAB_STATE_BUDGET", "2000")
-    tables = set()
-    for job, want in itertools.chain(zip(jobs, wants), zip(jobs, wants)):
-        assert count_solutions(job) == want, job
-        kept = counting._RESIDENT.entries
-        assert counting._RESIDENT.cells == sum(a.size for arrays in kept.values() for a in arrays)
-        assert counting._RESIDENT.cells <= 2000
-        tables |= {key for key in kept if key[0] == "table"}
-    resident = {key for key in counting._RESIDENT.entries if key[0] == "table"}
-    assert len(tables) == 5 and len(resident) == 2  # two 729-cell tables fit
+    for dense, resident_tables in ((True, 2), (False, 5)):
+        monkeypatch.setattr(counting, "_CELLS_PER_KEY", 10**12 if dense else 6)
+        counting._RESIDENT.clear()
+        tables = set()
+        for job, want in itertools.chain(zip(jobs, wants), zip(jobs, wants)):
+            assert count_solutions(job) == want, job
+            assert counting._RESIDENT.cells == _resident_cells() <= 2000
+            tables |= {key for key, arrays in counting._RESIDENT.entries.items()
+                       if key[0] == "table" and len(arrays) == (1 if dense else 4)}
+        resident = {key for key in counting._RESIDENT.entries if key[0] == "table"}
+        # two dense 729-cell tables fit; the five sparse ones fit with room to spare
+        assert len(tables) == 5 and len(resident) == resident_tables, dense
+    # a class's uint8 digits count a quarter cell each, its uint32 counts one
+    ((digits, counts),) = [a for key, a in counting._RESIDENT.entries.items()
+                           if key == ("keys", (0, 1), 9, 2)]
+    assert digits.dtype == np.uint8 and counts.dtype == np.uint32
+    assert counting._cells(digits, counts) == -(-digits.size // 4) + counts.size
 
 
 def test_kept_arrays_are_read_only(cold):
-    # the second target reuses the paired table, so it indexes its nonzero cells
+    # two sparse 3^6-cell tables, of the classes 1, 1 (at p = 3, -1's
+    # negation) and -1, -1, each read or streamed against
     count_solutions(CountJob(split_diagonal(4), SymMat.diag(1, 2, 2), 3, 1))
     count_solutions(CountJob(split_diagonal(4), SymMat.diag(1, 1, 2), 3, 1))
     count_solutions(CountJob((1, 1, 1, -1), SymMat.diag(1, 2, 2), 3, 1))
     entries = counting._RESIDENT.entries
-    ((codes, values, bits),) = [arrays[1:] for key, arrays in entries.items()
-                                if key[0] == "table" and len(arrays) == 4]
-    assert codes.dtype.kind == "u" and values.dtype == np.uint32 and bits.dtype == np.uint8
-    assert codes.shape[1] == len(values) > 0 and len(bits) == -(-3**6 // 8)
+    tables = [arrays for key, arrays in entries.items() if key[0] == "table"]
+    assert len(tables) == 2
+    for words, ranks, values, codes in tables:
+        assert words.dtype == np.dtype("<u8") and len(words) == len(ranks) == -(-3**6 // 64)
+        assert ranks.dtype == np.int64 and values.dtype == np.uint32 and codes.dtype.kind == "u"
+        assert codes.shape == (1, len(values))
+        assert 0 < len(values) == int(np.bitwise_count(words).sum())
     kept = [a for arrays in entries.values() for a in arrays]
-    # two tables, the nonzero codes and values and the bitmap of the paired
-    # one, and digits and counts of two classes
-    assert len(kept) == 9 and all(any(a is b for a in kept) for b in (codes, values, bits))
+    # four arrays of each table, and digits and counts of two classes
+    assert len(kept) == 12
     for a in kept:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1
@@ -639,79 +679,164 @@ _RANK3_TARGETS = [SymMat.diag(1, 2, 2), SymMat([[1, 1, 0], [1, 2, 0], [0, 0, 2]]
 
 def test_reused_paired_table_is_read_through_its_nonzero_cells(monkeypatch, cold):
     calls = collections.Counter()
-    # rank-3 tables of 3^6 and 5^6 cells that a cold count streams against:
-    # the negated classes 1, 1 and -1, -1 at p = 3, one class at p = 5
+    # sparse rank-3 tables of 3^6 and 5^6 cells: the negated classes 1, 1
+    # and -1, -1 at p = 3, one class at p = 5
     for p in (3, 5):
         jobs = [CountJob(split_diagonal(4), T, p, 1) for T in _RANK3_TARGETS]
-        wants = []
-        for job in jobs:  # each count cold, as a count that fills its table
-            counting._RESIDENT.clear()
-            wants.append(count_solutions(job))
+        # the counts and the table of the dense path, which the tests above
+        # hold to the naive reference
+        monkeypatch.setattr(counting, "_CELLS_PER_KEY", 10**12)
         counting._RESIDENT.clear()
-        _spy_on(monkeypatch, calls, ("_sums", "_mirror_dot", "_nonzero_cells", "_cells_dot",
+        wants = [count_solutions(job) for job in jobs]
+        ((key, (table,)),) = [(key, a) for key, a in counting._RESIDENT.entries.items()
+                              if key[0] == "table"]
+        monkeypatch.undo()
+        counting._RESIDENT.clear()
+        _spy_on(monkeypatch, calls, ("_sums", "_sparse_table", "_cells_dot", "_mirror_dot",
                                      "_dot"))
-        for cycle in range(2):  # the second after an eviction
+        # the second fill follows an eviction
+        for job, want in ((jobs[0], wants[0]), (jobs[1], wants[1])):
             calls.clear()
-            before = set(counting._RESIDENT.entries)
-            assert count_solutions(jobs[0]) == wants[0]
-            (key,) = [key for key in set(counting._RESIDENT.entries) - before if key[0] == "table"]
-            # filled and streamed, as before the index existed
-            assert calls.keys() == {"_sums", "_dot"} and calls["_dot"] == 1
-            assert len(counting._RESIDENT.entries[key]) == 1
+            # the first count fills the table in two passes over one same-class
+            # pair of rows and reads its nonzero cells; nothing is streamed
+            assert count_solutions(job) == want
+            assert calls == {"_sums": 2, "_sparse_table": 1, "_cells_dot": 1}
+            _check_sparse(counting._RESIDENT.entries[key], table, p, 6)
             calls.clear()
-            assert count_solutions(jobs[1]) == wants[1]  # the first reuse indexes the table
-            assert calls == {"_nonzero_cells": 1, "_cells_dot": 1}
-            table, codes, values, bits = counting._RESIDENT.entries[key]
-            nonzero = np.flatnonzero(table)
-            assert _decoded(codes, p, 6) == nonzero.tolist()
-            assert values.tolist() == table[nonzero].tolist()
-            assert bits.tolist() == np.packbits(table != 0, bitorder="little").tolist()
-            calls.clear()
-            assert [count_solutions(jobs[i]) for i in (2, 0)] == [wants[2], wants[0]]
-            assert calls == {"_cells_dot": 2}
-            assert counting._RESIDENT.cells == sum(
-                a.size for arrays in counting._RESIDENT.entries.values() for a in arrays)
-            # a table of another class (3 is 0 mod 3 and a nonsquare mod 5)
-            # that fits the budget only alone evicts this table and its nonzero cells
-            monkeypatch.setenv("QFLAB_STATE_BUDGET", str(table.size + 10))
-            count_solutions(CountJob((3, 3, 3, 3), _RANK3_TARGETS[0], p, 1))
-            assert key not in counting._RESIDENT.entries
-            assert counting._RESIDENT.cells == sum(
-                a.size for arrays in counting._RESIDENT.entries.values() for a in arrays)
-            monkeypatch.delenv("QFLAB_STATE_BUDGET")
+            assert [count_solutions(jobs[i]) for i in (1, 2, 0)] == [wants[1], wants[2], wants[0]]
+            assert calls == {"_cells_dot": 3}
+            assert counting._RESIDENT.cells == _resident_cells()
+            if job is jobs[0]:
+                # a dense table of another class (3 is 0 mod 3 and a nonsquare
+                # mod 5) that fits the budget only alone evicts all four arrays
+                monkeypatch.setattr(counting, "_CELLS_PER_KEY", 10**12)
+                monkeypatch.setenv("QFLAB_STATE_BUDGET", str(table.size + 10))
+                count_solutions(CountJob((3, 3, 3, 3), _RANK3_TARGETS[0], p, 1))
+                assert key not in counting._RESIDENT.entries
+                assert counting._RESIDENT.cells == _resident_cells()
+                monkeypatch.setattr(counting, "_CELLS_PER_KEY", 6)
+        # under that budget the refilled sparse table evicted the dense one
+        assert [k for k in counting._RESIDENT.entries if k[0] == "table"] == [key]
+        monkeypatch.delenv("QFLAB_STATE_BUDGET")
         monkeypatch.undo()
         counting._RESIDENT.clear()
 
 
-def test_nonzero_keys_that_do_not_fit_beside_the_table_are_not_kept(monkeypatch, cold):
-    # each nonzero cell keeps a code per digit group and a value, beside the
-    # table and its bitmap of one cell per 8 table cells: one cell short of
-    # room for them all, the table stays unindexed; with exactly enough room
-    # it is indexed
-    jobs = [CountJob(split_diagonal(4), T, 3, 1) for T in _RANK3_TARGETS]
-    wants = [count_solutions(CountJob(j.s_diag, j.T, j.p, j.t, "naive")) for j in jobs]
-    assert count_solutions(jobs[0]) == wants[0]
-    ((key, (table,)),) = [(key, a) for key, a in counting._RESIDENT.entries.items()
-                          if key[0] == "table"]
-    found = np.count_nonzero(table)
-    assert 0 < found <= (table.size - 1) // counting._CELLS_PER_KEY
-    per_cell = -(-6 // counting._group_digits(3, 6)) + 1
-    room = table.size + -(-table.size // 8) + per_cell * found
-    monkeypatch.setenv("QFLAB_STATE_BUDGET", str(room - 1))
-    calls = collections.Counter()
-    _spy_on(monkeypatch, calls, ("_nonzero_cells", "_cells_dot"))
-    for job, want in zip(jobs[1:] + jobs, wants[1:] + wants):
-        assert count_solutions(job) == want, job
-        kept = counting._RESIDENT.entries[key]
-        assert kept[0] is table and [a.size for a in kept[1:]] == [0, 0, 0]
-        assert counting._RESIDENT.cells == sum(
-            a.size for arrays in counting._RESIDENT.entries.values() for a in arrays)
-    assert calls == {"_nonzero_cells": 1}
-    monkeypatch.setenv("QFLAB_STATE_BUDGET", str(room))
-    counting._RESIDENT.remember(key, table)  # unindexed again
-    assert count_solutions(jobs[1]) == wants[1]
-    assert sum(a.size for a in counting._RESIDENT.entries[key]) == room
-    assert counting._RESIDENT.cells == room and calls == {"_nonzero_cells": 2, "_cells_dot": 1}
+def test_sparse_fill_makes_room_beside_the_resident_entries(monkeypatch, cold):
+    # a sparse fill asks for the cells of its own arrays, not for q^k: with
+    # an entry of other cells resident, exactly enough room beside it keeps
+    # both, and one cell less evicts that entry, which is least recently used
+    job = CountJob(split_diagonal(4), _RANK3_TARGETS[0], 5, 1)
+    with monkeypatch.context() as dense:
+        dense.setattr(counting, "_CELLS_PER_KEY", 10**12)
+        want = count_solutions(job)
+    counting._RESIDENT.clear()
+    assert count_solutions(job) == want
+    needed = counting._RESIDENT.cells  # one class's row keys and the sparse table
+    budget = 5**6  # the least the table's 5^6 cells admit
+    assert 0 < needed < budget // 3
+    monkeypatch.setenv("QFLAB_STATE_BUDGET", str(budget))
+    for spare, kept in ((0, True), (1, False)):
+        counting._RESIDENT.clear()
+        other = np.zeros(budget - needed + spare, dtype=np.uint32)
+        counting._RESIDENT.remember(("other",), other)
+        assert count_solutions(job) == want
+        assert (("other",) in counting._RESIDENT.entries) == kept
+        assert counting._RESIDENT.cells == _resident_cells() == needed + kept * other.size
+        assert len(counting._RESIDENT.entries) == 2 + kept  # keys and table are resident
+
+
+def test_first_sparse_count_allocates_no_table_sized_array(cold):
+    # split_diagonal(4) against a unimodular ternary at p = 17: a dense
+    # table would be 17^6 uint32 cells, 96.5 MB; the sparse fill's arrays and
+    # blocks stay below one byte per cell
+    job = CountJob(split_diagonal(4), SymMat([[1, 1, 0], [1, 2, 0], [0, 0, 3]]), 17, 1)
+    tracemalloc.start()
+    try:
+        raw = count_solutions(job)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert raw == 17**2 * 288**2  # the density (1 - 1/17^2)^2 times 17^(12 - 6)
+    assert peak < 17**6
+    ((words, ranks, values, codes),) = [a for key, a in counting._RESIDENT.entries.items()
+                                        if key[0] == "table"]
+    assert len(values) == 756449 and len(words) == -(-17**6 // 64)
+
+
+@st.composite
+def _parity_cases(draw):
+    """(s, T, p, t, chunk): equal, negated or unrelated halves, p | s_i,
+    non-diagonal targets and targets 0 mod q, and a block size of 1 or 7
+    cells, or the default, on tables of up to 3^6 cells."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    t = draw(st.integers(1, 2))
+    q = p**t
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(max(n, 2), 5))
+    assume(q ** (m * n) <= 200_000)
+    pool = st.sampled_from((1, -1, 2, -2, p, -p, 2 * p, p * p, q, least_nonsquare(p)))
+    half = draw(st.lists(pool, min_size=m // 2, max_size=m // 2))
+    w = draw(st.sampled_from([u * u for u in range(1, 3 * p) if u % p]))
+    kind = draw(st.sampled_from(("equal", "negated", "unrelated")))
+    other = ([x * w for x in half] if kind == "equal" else [-x * w for x in half]
+             if kind == "negated" else draw(st.lists(pool, min_size=m // 2, max_size=m // 2)))
+    s = draw(st.permutations(half + other + draw(st.lists(pool, min_size=m % 2,
+                                                               max_size=m % 2))))
+    entry = st.sampled_from((0, q, -q)) if draw(st.booleans()) else st.integers(-9, 9)
+    entries = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            entries[i][j] = entries[j][i] = draw(entry)
+    chunk = draw(st.sampled_from((1, 7, counting._CHUNK))) if q ** (n * (n + 1) // 2) <= 3**6 \
+        else counting._CHUNK
+    return tuple(s), SymMat(entries), p, t, chunk
+
+
+def test_sparse_and_dense_tables_count_alike(cold):
+    # every job counted three ways: naive, with a dense table (a cell price
+    # no table is cheaper than) and with a sparse one wherever the table half
+    # has fewer key combinations than cells (a price of 1), each cold and
+    # then warm from the kept table
+    seen = set()
+    real = counting._split
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_parity_cases())
+    def check(case):
+        s, T, p, t, chunk = case
+        want = count_solutions(CountJob(s, T, p, t, "naive"))
+        signs = []
+
+        def spy(*args):
+            out = real(*args)
+            signs.append(out[2])
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(counting, "_split", spy)
+            mp.setattr(counting, "_CHUNK", chunk)
+            for price in (10**12, 1):
+                mp.setattr(counting, "_CELLS_PER_KEY", price)
+                counting._RESIDENT.clear()
+                for warm in (False, True):
+                    assert count_solutions(CountJob(s, T, p, t)) == want, (price, warm)
+                tables = [a for key, a in counting._RESIDENT.entries.items() if key[0] == "table"]
+                sparse = len(tables[0]) == 4
+                assert not (price > 1 and sparse)
+                if sparse:
+                    seen.add(("sign", signs[-1]))
+                    seen.add(("chunk", chunk))
+                    seen.add(("p | s", any(x % p == 0 for x in s)))
+                    seen.add(("diagonal", all(T[i, j] == 0 for i in range(T.n)
+                                              for j in range(i))))
+                    seen.add(("T = 0", all(T[i, j] % p**t == 0 for i in range(T.n)
+                                           for j in range(T.n))))
+
+    check()
+    assert {("sign", 0), ("sign", 1), ("sign", -1), ("chunk", 1), ("chunk", 7), ("p | s", True),
+            ("diagonal", False), ("T = 0", True)} <= seen
+    counting._RESIDENT.clear()
 
 
 def test_kept_table_does_not_bypass_budget(monkeypatch, cold):

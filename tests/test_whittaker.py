@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qflab import (
-    INFINITE_PLACE,
     LogPMultiple,
     Place,
     SymMat,
