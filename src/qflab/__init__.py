@@ -4,7 +4,7 @@ intersection multiplicities, and the supporting quaternion/Clifford checks.
 Everything is exact rational arithmetic; no floats anywhere.
 """
 
-from .padic import INFINITE_PLACE, Place, chi, hilbert, is_local_square, unit_part, valuation
+from .padic import INFINITE_PLACE, Place, chi, hilbert, is_local_square, valuation
 from .quadform import (
     JordanDiagonal,
     SymMat,
@@ -65,25 +65,20 @@ from .cycles import (
     FiniteFieldQuadSpace,
     IncidenceCounts,
     classify_component,
-    extract_blocks,
     incidence_counts,
     is_isolated,
-    proper_intersection_sum,
     reduced_distinguished_space,
     reduced_superspecial_space,
 )
 from .clifford import (
     IncoherentCollection,
-    Quaternion,
     QuaternionAlgebra,
-    SpinGenerators,
     check_spin_compatibility,
     discriminant,
     involution_tensor_type,
     positive_involution_criterion,
     quaternion_with_discriminant,
     ramified_places,
-    spin_generators,
     vb_space,
     witt_index_rank5,
 )

@@ -34,73 +34,6 @@ class QuaternionAlgebra:
         if self.a == 0 or self.b == 0:
             raise ValueError("quaternion structure constants must be nonzero")
 
-    def quaternion(self, x0: Rational, x1: Rational = 0, x2: Rational = 0,
-                   x3: Rational = 0) -> "Quaternion":
-        return Quaternion((x0, x1, x2, x3), self)
-
-    def basis(self) -> tuple:
-        """(1, i, j, k)."""
-        return (
-            self.quaternion(1), self.quaternion(0, 1),
-            self.quaternion(0, 0, 1), self.quaternion(0, 0, 0, 1),
-        )
-
-
-@dataclass(frozen=True)
-class Quaternion:
-    """Element x0 + x1 i + x2 j + x3 k with exact rational coefficients."""
-
-    coeffs: tuple
-    algebra: QuaternionAlgebra
-
-    def __post_init__(self):
-        if len(self.coeffs) != 4:
-            raise ValueError("quaternion needs four coefficients")
-        object.__setattr__(self, "coeffs", tuple(map(_exact, self.coeffs)))
-
-    def _check(self, other: "Quaternion"):
-        if self.algebra != other.algebra:
-            raise ValueError("mismatched quaternion algebras")
-
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        self._check(other)
-        return Quaternion(
-            tuple(x + y for x, y in zip(self.coeffs, other.coeffs)), self.algebra
-        )
-
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        self._check(other)
-        return Quaternion(
-            tuple(x - y for x, y in zip(self.coeffs, other.coeffs)), self.algebra
-        )
-
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(tuple(-x for x in self.coeffs), self.algebra)
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        self._check(other)
-        a, b = self.algebra.a, self.algebra.b
-        x0, x1, x2, x3 = self.coeffs
-        y0, y1, y2, y3 = other.coeffs
-        return Quaternion((
-            x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
-            x0 * y1 + x1 * y0 - b * x2 * y3 + b * x3 * y2,
-            x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
-            x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
-        ), self.algebra)
-
-    def conj(self) -> "Quaternion":
-        x0, x1, x2, x3 = self.coeffs
-        return Quaternion((x0, -x1, -x2, -x3), self.algebra)
-
-    def norm(self) -> Fraction:
-        a, b = self.algebra.a, self.algebra.b
-        x0, x1, x2, x3 = self.coeffs
-        return x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3
-
-    def trace(self) -> Fraction:
-        return 2 * self.coeffs[0]
-
 
 def ramified_places(B: QuaternionAlgebra) -> frozenset:
     """Places where the algebra is division, computed from Hilbert symbols."""
@@ -168,69 +101,58 @@ class IncoherentCollection:
 
 GENERATOR_ORDER = ("e0", "e1", "v0", "f0", "f1")
 
+
+def _frozen(rows) -> np.ndarray:
+    out = np.array(rows, dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
 # Doubled bilinear values: sigma(x) sigma(y) + sigma(y) sigma(x) = gram[x][y] * 1.
-_GRAM = (
+_GRAM = _frozen((
     (0, 0, 0, 1, 0),
     (0, 0, 0, 0, 1),
     (0, 0, 2, 0, 0),
     (1, 0, 0, 0, 0),
     (0, 1, 0, 0, 0),
-)
+))
 
-_MATRICES = {
+# The five 4x4 generator images and the symplectic form J they respect.
+_MATRICES = {name: _frozen(rows) for name, rows in {
     "e0": ((0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0)),
     "e1": ((0, 0, 0, 0), (0, 0, 0, 0), (0, -1, 0, 0), (1, 0, 0, 0)),
     "v0": ((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1)),
     "f0": ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 1, 0)),
     "f1": ((0, 0, 0, 1), (0, 0, -1, 0), (0, 0, 0, 0), (0, 0, 0, 0)),
-}
+}.items()}
 
-_J = ((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0))
+_J = _frozen(((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0)))
+
+_EYE = _frozen(np.eye(4, dtype=np.int64))
 
 
-@dataclass(frozen=True)
-class SpinGenerators:
-    """The five 4x4 generator images and the symplectic form they respect."""
-
-    matrices: dict
-    J: np.ndarray
-    gram: np.ndarray
-
-    def matrix(self, name: str) -> np.ndarray:
-        if name not in self.matrices:
+def _word_matrix(word) -> np.ndarray:
+    out = _EYE
+    for name in word:
+        if name not in _MATRICES:
             raise ValueError(f"unknown generator: {name}")
-        return self.matrices[name]
-
-    def word_matrix(self, word) -> np.ndarray:
-        out = np.eye(4, dtype=np.int64)
-        for name in word:
-            out = out @ self.matrix(name)
-        return out
-
-
-def spin_generators() -> SpinGenerators:
-    return SpinGenerators(
-        {k: np.array(v, dtype=np.int64) for k, v in _MATRICES.items()},
-        np.array(_J, dtype=np.int64),
-        np.array(_GRAM, dtype=np.int64),
-    )
+        out = out @ _MATRICES[name]
+    return out
 
 
 def check_spin_compatibility(words) -> bool:
     """Verify the pairwise anticommutation relations and, for each word, that
     conjugating the transpose by the symplectic form reverses the word."""
-    gens = spin_generators()
-    eye = np.eye(4, dtype=np.int64)
     for i, x in enumerate(GENERATOR_ORDER):
         for j, y in enumerate(GENERATOR_ORDER):
-            lhs = gens.matrix(x) @ gens.matrix(y) + gens.matrix(y) @ gens.matrix(x)
-            if not np.array_equal(lhs, int(gens.gram[i, j]) * eye):
+            lhs = _MATRICES[x] @ _MATRICES[y] + _MATRICES[y] @ _MATRICES[x]
+            if not np.array_equal(lhs, int(_GRAM[i, j]) * _EYE):
                 raise RuntimeError(f"Clifford relation failed for pair ({x}, {y})")
-    j_inv = -gens.J
+    j_inv = -_J
     for word in words:
         word = tuple(word)
-        lhs = gens.J @ gens.word_matrix(word).T @ j_inv
-        if not np.array_equal(lhs, gens.word_matrix(tuple(reversed(word)))):
+        lhs = _J @ _word_matrix(word).T @ j_inv
+        if not np.array_equal(lhs, _word_matrix(reversed(word))):
             raise RuntimeError(
                 "involution compatibility failed for word " + "*".join(word)
             )

@@ -21,8 +21,8 @@ and another half is chosen from the class counts to enumerate the fewest
 key combinations. When the other half has the table half's classes
 (split_diagonal(4) at p = 1 mod 4) or their negations (at p = 3 mod 4), one
 count table A serves both halves and the count is the sum of
-A[key] * A[T - key] or of A[key] * A[key - T], unless streaming the other
-half costs less than reading the table; otherwise the other half is
+A[key] * A[T - key] or of A[key] * A[key - T], read from the table alone
+(dense or sparse, as below); otherwise the other half is
 streamed against the table. Keys are packed into int64 so that a key
 combination is one addition and its table index a few lookups. A filled
 table depends only on q, n and its half's class multiset, and a class's row
@@ -31,16 +31,18 @@ counts in the process under those keys; a count whose table is kept does
 only its target-dependent pass. A table whose half enumerates fewer than
 q^k / _CELLS_PER_KEY key combinations has at most that many nonzero cells
 and is kept sparse, never allocated at q^k: a bitmap of its occupancy, one
-bit per cell in uint64 words, each word's rank (the set bits before it),
-and each nonzero cell's uint32 count at that cell's rank and radix-q digits
-as codes of a few digits each (two uint16 codes at 17^6 cells). A cell's
-rank is its word's rank plus the popcount of the bits below it in the word.
+bit per cell in uint64 words, each word's uint32 rank (the set bits
+before it), and each nonzero cell's uint32 count at that cell's rank and
+radix-q digits as codes of a few digits each (two uint16 codes at 17^6
+cells). A cell's rank is its word's rank plus the popcount of the bits
+below it in the word.
 Paired counts read a sparse table through its nonzero cells, from the count
 that fills it on: per target, one small lookup per code group maps a code
 to its partner digits' share of the partner's index, and only the partners
 whose bit is set are ranked and read. Unpaired counts stream the other half
 through the same bit test and rank. A denser table is one uint32 array of
-q^k cells. The state budget bounds the larger half's
+q^k cells, which paired counts read whole by the mirrored product. The
+state budget bounds the larger half's
 q^(n*ceil(m/2)) states and the q^k table cells of a count, and the kept
 arrays by their bytes, 4 to a cell: before a table is filled, the least
 recently used tables and keys are dropped until the resident cells and the
@@ -81,12 +83,12 @@ _LOOKUP_CELLS = 2**14
 # table cells the mirrored MITM product reads in the time the streamed pass
 # takes per key combination (about 5 ns and 30 ns on a 2-core x86 VM); a
 # table whose half enumerates fewer than one key combination in
-# _CELLS_PER_KEY cells is kept sparse (_sparse_table) and a paired one read
-# through its nonzero cells (_cells_dot), a denser one is kept dense and
-# read by the mirrored product or a stream. At 81^3 cells, 27% of them
-# nonzero (the m4n2q81 benchmark shape), the mirrored product takes
-# 0.7-1.0 ms and a cell read 1.7-3.0 ms; at 17^6 cells, 3.1% nonzero,
-# 120-130 ms and 7-9 ms
+# _CELLS_PER_KEY cells is kept sparse (_sparse_table), a denser one dense.
+# Paired halves always read the table: a sparse one through its nonzero
+# cells (_cells_dot), a dense one by the mirrored product (_mirror_dot).
+# At 81^3 cells, 27% of them nonzero (the m4n2q81 benchmark shape), the
+# mirrored product takes 0.7-1.0 ms and a cell read 1.7-3.0 ms; at 17^6
+# cells, 3.1% nonzero, 120-130 ms and 7-9 ms
 _CELLS_PER_KEY = 6
 
 
@@ -444,11 +446,12 @@ def _sparse_table(blocks, q: int, k: int):
 
     words is the table's occupancy, one bit per cell in ceil(q^k/64)
     little-endian uint64 words, and ranks each word's rank, the set bits of
-    the words before it (int64). values holds the nonzero cells' uint32
+    the words before it (uint32, since a table has at most 2^31 cells, the
+    largest budget). values holds the nonzero cells' uint32
     counts in cell order, so cell d's count is values[rank(d)] (_rank), and
     row i of codes each nonzero cell's radix-q digits i*g to i*g + g - 1
     (g = _group_digits(q, k)) as one code. At 17^6 cells that is a 2.9 MB
-    bitmap, as much again of ranks, and two uint16 codes and a value, 8
+    bitmap, half that in ranks, and two uint16 codes and a value, 8
     bytes, per nonzero cell. blocks() is read twice: once to set the bits,
     once to add the weights at their ranks. The codes are then decoded from
     the bitmap in slices of _CHUNK bytes, of which only the nonzero ones are
@@ -458,7 +461,7 @@ def _sparse_table(blocks, q: int, k: int):
     for cells, _ in blocks():
         np.bitwise_or.at(words, cells >> 6, _bit(cells))
     ones = np.bitwise_count(words)
-    ranks = np.cumsum(ones, dtype=np.int64)
+    ranks = np.cumsum(ones, dtype=np.uint32)
     found = int(ranks[-1])
     ranks -= ones
     g = _group_digits(q, k)
@@ -567,20 +570,20 @@ def _combinations(half: tuple, size: dict) -> int:
     return out
 
 
-def _split(classes: list, size: dict, neg: dict, cells: int) -> tuple[tuple, tuple, int, bool]:
-    """Choose the rows that fill the table, as (table, other, sign, stream).
+def _split(classes: list, size: dict, neg: dict, cells: int) -> tuple[tuple, tuple, int]:
+    """Choose the rows that fill the table, as (table, other, sign).
 
     A split is fixed by how many rows of each class go to the table half;
     each half has floor(m/2) or ceil(m/2) rows. Its work is the number of
     key combinations it enumerates (_combinations). When the other half has
     the table half's classes (sign 1), or their negations (neg, sign -1),
-    the halves are paired: the table also serves the other half, and the
-    mirrored product over its cells costs cells / _CELLS_PER_KEY. stream is
-    set when the other half is streamed instead, at its own cost: always
-    for sign 0, and for paired halves if that costs no more than the
-    mirrored product. The least work wins, then the cheaper table. Paired
-    halves whose table is sparse read its nonzero cells instead of either,
-    which is cheaper still (_mitm_count).
+    the halves are paired: the table also serves the other half, and
+    reading it costs the lesser of the other half's key combinations and
+    cells / _CELLS_PER_KEY. A sparse table's read takes the first, since
+    its nonzero cells are at most its half's combinations (_cells_dot), and
+    a dense one's the second, the mirrored product (_mirror_dot). An
+    unpaired other half (sign 0) is streamed at its own cost. The least
+    work wins, then the cheaper table.
     """
     m, kinds = len(classes), sorted(set(classes))
     have = [classes.count(c) for c in kinds]
@@ -593,10 +596,9 @@ def _split(classes: list, size: dict, neg: dict, cells: int) -> tuple[tuple, tup
         rest = tuple(c for c, a in zip(kinds, have) for _ in range(a - half.count(c)))
         sign = 1 if rest == half else -1 if sorted(neg[c] for c in half) == list(rest) else 0
         table_cost, other_cost = _combinations(half, size), _combinations(rest, size)
-        stream = not sign or other_cost <= dot
-        rank = (table_cost + (other_cost if stream else dot), table_cost)
+        rank = (table_cost + (other_cost if sign == 0 else min(other_cost, dot)), table_cost)
         if best is None or rank < best[0]:
-            best = rank, half, rest, sign, stream
+            best = rank, half, rest, sign
     return best[1:]
 
 
@@ -693,8 +695,7 @@ def _mitm_count(job: CountJob) -> int:
     nonzero cells (_cells_dot): it builds one lookup per code group from its
     target, takes a cell's partner index as the sum of its groups' lookups,
     and ranks only the partners whose bit is set. With a dense A it sums over
-    all cells (_mirror_dot), or streams the other half when that costs no
-    more (_split). With unpaired halves the other half is always streamed,
+    all cells (_mirror_dot). With unpaired halves the other half is streamed,
     against a sparse A through the same bit test and rank: its rows carry
     the negated keys and start at the target's digits, so each streamed sum
     is the key it needs. Keys are packed (_digit_lookup) so that a
@@ -719,7 +720,7 @@ def _mitm_count(job: CountJob) -> int:
     neg = {c: _key_class(-r % q, p, q) for c, r in rep.items()}
     keys = {c: _class_keys(c, r, neg[c], q, n) for c, r in rep.items()}
     sizes = {c: len(w) for c, (_, w) in keys.items()}
-    table_half, other, sign, stream = _split(classes, sizes, neg, q**k)
+    table_half, other, sign = _split(classes, sizes, neg, q**k)
 
     def factors(half, base, negate):
         places, out = _digit_lookup(q, k, base)[0], []
@@ -738,11 +739,10 @@ def _mitm_count(job: CountJob) -> int:
         sparse = _CELLS_PER_KEY * _combinations(table_half, sizes) < q**k
     else:
         sparse = len(kept) > 1
-    stream = stream and not (sparse and sign)
 
     # a base is 1 + the most a digit of a sum can reach; both halves' lookups
     # are built before a table is filled, so their scratch is freed by then
-    if stream:
+    if not sign:
         other_base = (len(other) + 1) * (q - 1) + 1
         streamed = factors(other, other_base, True)
         start = sum(int(place) * t for place, t in zip(_digit_lookup(q, k, other_base)[0], tgt))
@@ -760,11 +760,11 @@ def _mitm_count(job: CountJob) -> int:
             for sums, weights in _sums(0, filling):
                 np.add.at(kept[0], _table_index(sums, q, k, base), weights)
         kept = _RESIDENT.remember(key, *kept)
-    if sparse and sign:
+    if not sign:
+        return _dot(kept, _sums(start, streamed), q, k, other_base)
+    if sparse:
         return _cells_dot(*kept, tgt, q, k, sign)
-    if not stream:
-        return _mirror_dot(kept[0], tgt, q, k, sign)
-    return _dot(kept, _sums(start, streamed), q, k, other_base)
+    return _mirror_dot(kept[0], tgt, q, k, sign)
 
 
 def count_solutions(job: CountJob) -> int:

@@ -1,9 +1,8 @@
 """Intersection bookkeeping for special cycles on the supersingular locus.
 
-Covers the block decomposition of a fundamental matrix, the isolation
-criterion, the component-count decision table, the reduced finite-field
-quadratic spaces at a crossing point, incidence constants recomputed by
-enumeration, and the multiplicity-weighted point sum.
+Covers the isolation criterion of a fundamental matrix, the component-count
+decision table, the reduced finite-field quadratic spaces at a crossing
+point, and incidence constants recomputed by enumeration.
 
 The enumerations run on plain ints. A finite-field form reads each vector's
 value from per-coordinate tables of its square and cross terms, and the
@@ -14,26 +13,10 @@ between calls but a form's own value set."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .padic import _plain_int, check_odd_prime, residue
 from .quadform import SymMat, least_nonsquare, represents_one_over_Zp
-from .gkmult import e_p_of_form
-
-
-def extract_blocks(T: SymMat, sizes) -> list[SymMat]:
-    """Principal diagonal blocks of the given sizes, in order."""
-    sizes = tuple(_plain_int(s, "an integer block size", 1) for s in sizes)
-    if T.n != 4:
-        raise ValueError("block extraction expects a rank-4 fundamental matrix")
-    if sum(sizes) != 4:
-        raise ValueError("block sizes must lie in 1..4 and sum to 4")
-    out, start = [], 0
-    for s in sizes:
-        out.append(T.principal_block(start, s))
-        start += s
-    return out
 
 
 def is_isolated(T: SymMat, p: int) -> bool:
@@ -274,14 +257,3 @@ def incidence_counts(p: int) -> IncidenceCounts:
         points.update([antilog[(lb - la) % order] for lb in nonzero_logs])
     return IncidenceCounts(fiber, len(points))
 
-
-def proper_intersection_sum(entries, p: int) -> Fraction:
-    """Sum of local multiplicity times point count over isolated targets."""
-    p = check_odd_prime(p)
-    total = Fraction(0)
-    for idx, (T, count) in enumerate(entries):
-        count = _plain_int(count, f"an integer point count in entry {idx}", 0)
-        if not (T.is_p_integral(p) and is_isolated(T, p)):
-            raise ValueError(f"entry {idx} fails the isolation criterion: {T!r}")
-        total += e_p_of_form(T, p) * count
-    return total

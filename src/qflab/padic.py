@@ -168,12 +168,6 @@ def valuation(x: Rational, p: int) -> int:
     return _split(x, p)[0]
 
 
-def unit_part(x: Rational, p: int) -> Fraction:
-    """The p-adic unit u with x = p^valuation(x) * u."""
-    _, num, den = _split(x, p)
-    return Fraction(num, den)
-
-
 def chi(u: Rational, p: int) -> int:
     """Square-class character of a p-adic unit: +1 for squares, -1 otherwise."""
     p = check_odd_prime(p)

@@ -103,9 +103,6 @@ class SymMat:
         p = _plain_int(p, least=2)
         return all(x.denominator % p for row in self.entries for x in row)
 
-    def principal_block(self, start: int, size: int) -> "SymMat":
-        return SymMat([row[start:start + size] for row in self.entries[start:start + size]])
-
     def apply(self, x) -> Fraction:
         """Value of the quadratic form: x^T M x."""
         nonzero = [(i, v) for i, v in enumerate(map(_exact, x)) if v]

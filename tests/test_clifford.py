@@ -1,7 +1,6 @@
-"""Quaternion arithmetic, ramification, and the spin generator compatibility checks."""
+"""Quaternion algebras, ramification, and the spin generator compatibility checks."""
 
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,84 +17,11 @@ from qflab import (
     quaternion_with_discriminant,
     ramified_places,
     signature,
-    spin_generators,
     check_spin_compatibility,
     vb_space,
     witt_index_rank5,
 )
-
-F = Fraction
-
-
-def _units(B):
-    return B.basis()
-
-
-# ---------------------------------------------------------------- quaternions
-
-
-def test_defining_relations():
-    B = QuaternionAlgebra(-1, -1)
-    one, i, j, k = _units(B)
-    assert i * i == B.quaternion(-1, 0, 0, 0)
-    assert j * j == B.quaternion(-1, 0, 0, 0)
-    assert i * j == k
-    assert j * i == -k
-    # k^2 = -ab
-    assert k * k == B.quaternion(-B.a * B.b, 0, 0, 0)
-
-
-def test_k_squared_in_indefinite_algebra():
-    B = QuaternionAlgebra(-1, 3)
-    _, _, _, k = _units(B)
-    assert k * k == B.quaternion(3, 0, 0, 0)
-
-
-def test_norm_and_trace():
-    B = QuaternionAlgebra(-1, -1)
-    one, i, j, k = _units(B)
-    x = B.quaternion(1, 1, 1, 1)
-    assert x.norm() == 4
-    assert x.trace() == 2
-    assert i.trace() == 0
-    assert x.conj() == B.quaternion(1, -1, -1, -1)
-    # x * conj(x) is the norm as a scalar
-    assert x * x.conj() == B.quaternion(4, 0, 0, 0)
-
-
-def test_norm_is_multiplicative():
-    rng = random.Random(12)
-    B = QuaternionAlgebra(-1, 3)
-    for _ in range(40):
-        x = B.quaternion(*(F(rng.randint(-5, 5)) for _ in range(4)))
-        y = B.quaternion(*(F(rng.randint(-5, 5)) for _ in range(4)))
-        assert (x * y).norm() == x.norm() * y.norm()
-
-
-def test_multiplication_is_associative():
-    rng = random.Random(13)
-    for a, b in ((-1, -1), (-1, 3), (2, 5)):
-        B = QuaternionAlgebra(a, b)
-        for _ in range(15):
-            x, y, z = (
-                B.quaternion(*(rng.randint(-3, 3) for _ in range(4)))
-                for _ in range(3)
-            )
-            assert (x * y) * z == x * (y * z)
-
-
-def test_addition_and_subtraction_are_coefficientwise():
-    B = QuaternionAlgebra(-1, 3)
-    x, y = B.quaternion(1, 2, 3, 4), B.quaternion(0, 1, -1, F(1, 2))
-    assert (x + y).coeffs == (1, 3, 2, F(9, 2))
-    assert (x - y).coeffs == (1, 1, 4, F(7, 2))
-
-
-def test_mismatched_algebras_rejected():
-    x = QuaternionAlgebra(-1, -1).quaternion(1, 0, 0, 0)
-    y = QuaternionAlgebra(-1, 3).quaternion(1, 0, 0, 0)
-    with pytest.raises(ValueError, match="mismatched quaternion algebras"):
-        x * y
+from qflab.clifford import _EYE, _GRAM, _J, _MATRICES, GENERATOR_ORDER
 
 
 # ---------------------------------------------------------------- ramification
@@ -164,31 +90,33 @@ def test_witt_index_examples():
 # ---------------------------------------------------------------- spin generators
 
 
-def test_spin_generator_shapes():
-    gens = spin_generators()
-    assert np.array_equal(gens.matrix("v0"), np.diag([1, -1, 1, -1]))
-    assert np.array_equal(gens.word_matrix(("e0", "e0")), np.zeros((4, 4), dtype=int))
-    with pytest.raises(ValueError, match="unknown generator"):
-        gens.matrix("e7")
+def test_spin_generator_values():
+    assert np.array_equal(_MATRICES["v0"], np.diag([1, -1, 1, -1]))
+    assert np.array_equal(_MATRICES["e0"] @ _MATRICES["e0"], np.zeros((4, 4), dtype=int))
+    assert np.array_equal(_EYE, np.eye(4, dtype=int))
+
+
+def test_spin_constants_are_read_only():
+    for a in (_EYE, _GRAM, _J, *_MATRICES.values()):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 7
 
 
 def test_clifford_relations_for_all_pairs():
-    gens = spin_generators()
-    names = ("e0", "e1", "v0", "f0", "f1")
     eye = np.eye(4, dtype=int)
-    for i, x in enumerate(names):
-        for y_idx, y in enumerate(names):
-            left = gens.matrix(x) @ gens.matrix(y) + gens.matrix(y) @ gens.matrix(x)
-            assert np.array_equal(left, int(gens.gram[i, y_idx]) * eye), (x, y)
+    for i, x in enumerate(GENERATOR_ORDER):
+        for j, y in enumerate(GENERATOR_ORDER):
+            left = _MATRICES[x] @ _MATRICES[y] + _MATRICES[y] @ _MATRICES[x]
+            assert np.array_equal(left, int(_GRAM[i, j]) * eye), (x, y)
 
 
 def test_pairing_of_generators():
     # order: e0, e1, v0, f0, f1; the e/f pairs are dual, v0 has norm 2
-    gram = spin_generators().gram
-    assert gram[0, 3] == 1 and gram[3, 0] == 1
-    assert gram[1, 4] == 1 and gram[4, 1] == 1
-    assert gram[2, 2] == 2
-    assert gram[0, 1] == 0 and gram[0, 2] == 0
+    assert GENERATOR_ORDER == ("e0", "e1", "v0", "f0", "f1")
+    assert _GRAM[0, 3] == 1 and _GRAM[3, 0] == 1
+    assert _GRAM[1, 4] == 1 and _GRAM[4, 1] == 1
+    assert _GRAM[2, 2] == 2
+    assert _GRAM[0, 1] == 0 and _GRAM[0, 2] == 0
 
 
 def test_involution_compatibility_short_words():
@@ -206,8 +134,10 @@ def test_involution_compatibility_random_words():
 
 
 def test_involution_compatibility_failure_names_word():
-    with pytest.raises(ValueError, match="unknown generator"):
+    with pytest.raises(ValueError, match="^unknown generator: does_not_exist$"):
         check_spin_compatibility((("e0", "does_not_exist"),))
+    with pytest.raises(ValueError, match="^unknown generator: e7$"):
+        check_spin_compatibility([("e7",)])
 
 
 # ---------------------------------------------------------------- involution bookkeeping

@@ -315,7 +315,7 @@ def _check_sparse(kept, table, q, k):
     padded[:len(packed)] = packed
     assert words.view(np.uint8).tolist() == padded.tolist()
     ones = [int(w).bit_count() for w in words.tolist()]
-    assert ranks.dtype == np.int64
+    assert ranks.dtype == np.uint32
     assert ranks.tolist() == list(itertools.accumulate(ones, initial=0))[:-1]
     assert values.dtype == np.uint32 and values.tolist() == table[nonzero].tolist()
     g = counting._group_digits(q, k)
@@ -540,15 +540,14 @@ def test_dispatch_modes_match_naive(monkeypatch, cold):
     real = counting._split
 
     def spy(classes, size, neg, cells):
-        table, other, sign, stream = real(classes, size, neg, cells)
+        table, other, sign = real(classes, size, neg, cells)
         m = len(classes)  # neither half passes ceil(m/2) rows, as the budget and uint32 need
         assert sorted(table + other) == sorted(classes) and len(table) in (m // 2, (m + 1) // 2)
-        assert stream or sign  # only paired halves share the table
-        seen.add(("sign", 0 if stream else sign))  # the product a filling count runs
+        seen.add(("sign", sign))  # only unpaired halves (sign 0) stream the other half
         seen.add(("odd m", len(classes) % 2 == 1))
-        seen.add(("pair streamed", stream and len(set(other)) < len(other)))
+        seen.add(("pair streamed", sign == 0 and len(set(other)) < len(other)))
         seen.add(("pair in table", len(set(table)) < len(table)))
-        return table, other, sign, stream
+        return table, other, sign
 
     monkeypatch.setattr(counting, "_split", spy)
     for s, T, p, t in _dispatch_jobs():
@@ -562,6 +561,47 @@ def test_dispatch_modes_match_naive(monkeypatch, cold):
     seen.clear()
     raw = count_solutions(CountJob(split_diagonal(4), SymMat.diag(3, 9), 3, 4))
     assert raw == 448 * 3**15 > 2**32 and ("sign", -1) in seen
+
+
+def test_paired_halves_read_only_the_table(monkeypatch, cold):
+    # at the shipped cell price, a count of paired halves reads its table by
+    # exactly one of the mirrored product (dense, one kept array) and the
+    # nonzero-cell read (sparse, four), cold and warm; _sums is entered only
+    # by the fill, never to stream the other half
+    calls, signs, fills = collections.Counter(), [], []
+    real_split, real_sums = counting._split, counting._sums
+
+    def split_spy(*args):
+        out = real_split(*args)
+        signs.append(out[2])
+        return out
+
+    def sums_spy(start, factors):
+        if sys._getframe(1).f_code.co_name != "_sums":  # not _sums' own recursion
+            fills.append(not any(key[0] == "table" for key in counting._RESIDENT.entries))
+        return real_sums(start, factors)
+
+    monkeypatch.setattr(counting, "_split", split_spy)
+    monkeypatch.setattr(counting, "_sums", sums_spy)
+    _spy_on(monkeypatch, calls, ("_mirror_dot", "_cells_dot", "_dot"))
+    seen = set()
+    for s, T, p, t in _dispatch_jobs():
+        job = CountJob(s, T, p, t)
+        counting._RESIDENT.clear()
+        for warm in (False, True):
+            calls.clear()
+            signs.clear()
+            fills.clear()
+            count_solutions(job)
+            if not signs[-1]:
+                break
+            (kept,) = [a for k, a in counting._RESIDENT.entries.items() if k[0] == "table"]
+            read = "_mirror_dot" if len(kept) == 1 else "_cells_dot"
+            assert len(kept) in (1, 4) and calls == {read: 1}, (s, T, p, t, warm)
+            # a dense fill sums its half once, a sparse one twice; a warm count not at all
+            assert fills == [True] * (0 if warm else {1: 1, 4: 2}[len(kept)]), (s, T, p, t)
+            seen.add((len(kept), signs[-1]))
+    assert seen == {(1, 1), (1, -1), (4, 1), (4, -1)}
 
 
 # jobs that share, or must not share, kept tables and row keys
@@ -652,7 +692,7 @@ def test_kept_arrays_are_read_only(cold):
     assert len(tables) == 2
     for words, ranks, values, codes in tables:
         assert words.dtype == np.dtype("<u8") and len(words) == len(ranks) == -(-3**6 // 64)
-        assert ranks.dtype == np.int64 and values.dtype == np.uint32 and codes.dtype.kind == "u"
+        assert ranks.dtype == np.uint32 and values.dtype == np.uint32 and codes.dtype.kind == "u"
         assert codes.shape == (1, len(values))
         assert 0 < len(values) == int(np.bitwise_count(words).sum())
     kept = [a for arrays in entries.values() for a in arrays]

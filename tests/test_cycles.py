@@ -13,38 +13,12 @@ from qflab import (
     SymMat,
     chi,
     classify_component,
-    extract_blocks,
     is_isolated,
-    proper_intersection_sum,
     reduced_distinguished_space,
     reduced_superspecial_space,
 )
 from qflab.cycles import _fp2_log_tables
 from qflab.quadform import least_nonsquare
-
-
-# ---------------------------------------------------------------- block extraction
-
-
-def test_extract_blocks_examples():
-    T = SymMat([[1, 2, 0, 0], [2, 1, 0, 0], [0, 0, 5, 1], [0, 0, 1, 5]])
-    a, b = extract_blocks(T, (2, 2))
-    assert a == SymMat([[1, 2], [2, 1]])
-    assert b == SymMat([[5, 1], [1, 5]])
-    (whole,) = extract_blocks(T, (4,))
-    assert whole == T
-    one, three = extract_blocks(T, (1, 3))
-    assert one == SymMat.diag(1)
-    assert three.n == 3
-
-
-def test_extract_blocks_validation():
-    with pytest.raises(ValueError, match="rank-4"):
-        extract_blocks(SymMat.diag(1, 1), (1, 1))
-    with pytest.raises(ValueError, match="sum to 4"):
-        extract_blocks(SymMat.diag(1, 1, 1, 1), (2, 3))
-    with pytest.raises(ValueError, match="sum to 4"):
-        extract_blocks(SymMat.diag(1, 1, 1, 1), ())
 
 
 # ---------------------------------------------------------------- isolation
@@ -219,23 +193,3 @@ def test_fp2_log_tables(p):
     for _ in range(300):
         x, y = rng.randrange(1, p * p), rng.randrange(1, p * p)
         assert antilog[(log[x] + log[y]) % order] == _fp2_product(x, y, p, u)
-
-
-# ---------------------------------------------------------------- proper sums
-
-
-def test_proper_intersection_sum_examples():
-    T = SymMat.diag(1, 1, 1, 3)
-    assert proper_intersection_sum(((T, 2),), 3) == 2
-    # multiplicity 2 on the first entry, 1 on each of three further points
-    assert proper_intersection_sum(((SymMat.diag(1, 1, 3, 3), 1), (T, 3)), 3) == 5
-    assert proper_intersection_sum((), 3) == 0
-
-
-def test_proper_intersection_sum_validation():
-    T = SymMat.diag(1, 1, 1, 3)
-    with pytest.raises(ValueError,
-                       match=r"^expected an integer point count in entry 0 >= 0, got -1$"):
-        proper_intersection_sum(((T, -1),), 3)
-    with pytest.raises(ValueError, match="entry 1 fails the isolation criterion"):
-        proper_intersection_sum(((T, 2), (SymMat.diag(2, 6, 3, 9), 1)), 3)

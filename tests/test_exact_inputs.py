@@ -30,12 +30,10 @@ from qflab import (
     classify_component,
     density_oracle,
     e_p,
-    extract_blocks,
     frac_str,
     gk_table_csv,
     normalization_exponent,
     positive_involution_criterion,
-    proper_intersection_sum,
     quaternion_with_discriminant,
     ramified_places,
     split_diagonal,
@@ -53,7 +51,6 @@ CALLS = {
     "DensityPolynomial": lambda x: DensityPolynomial((1, x)),
     "DensityPolynomial.evaluate": lambda x: DensityPolynomial((1, Fraction(1, 3))).evaluate(x),
     "QuaternionAlgebra": lambda x: (QuaternionAlgebra(x, 3), ramified_places(QuaternionAlgebra(x, 3))),
-    "Quaternion": lambda x: QuaternionAlgebra(-1, 3).quaternion(1, x).norm(),
     "frac_str": frac_str,
 }
 
@@ -81,11 +78,6 @@ SIGN = "+1 or -1"
 # read 2.0 or True as an integer, or refused a value below its bound or a
 # sign in words of its own
 INTEGER_CALLS = {
-    "extract_blocks sizes": (
-        "block size", 2, lambda n: extract_blocks(SymMat.diag(1, 1, 1, 3), (n, 2)), 1),
-    "proper_intersection_sum count": (
-        "point count in entry 0", 2,
-        lambda n: proper_intersection_sum([(SymMat.diag(1, 1, 1, 3), n)], 3), 0),
     "GKTriple a1": ("a1", 0, lambda n: GKTriple(n, 1, 1, 1, 1, 1, 3), 0),
     "GKTriple eps1": ("eps1", -1, lambda n: GKTriple(0, 1, 1, n, 1, 1, 3), SIGN),
     "GKTriple eps2": ("eps2", 1, lambda n: GKTriple(0, 1, 1, 1, n, 1, 3), SIGN),

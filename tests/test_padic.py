@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from qflab import INFINITE_PLACE, Place, chi, hilbert, unit_part, valuation
-from qflab.padic import residue
+from qflab import INFINITE_PLACE, Place, chi, hilbert, valuation
+from qflab.padic import _split, residue
 
 
 def test_valuation_examples():
@@ -24,7 +24,6 @@ def test_valuation_zero_rejected():
 
 @pytest.mark.parametrize("call", [
     lambda x: valuation(x, 3),
-    lambda x: unit_part(x, 3),
     lambda x: chi(x, 3),
     lambda x: hilbert(x, 3, Place(3)),
     lambda x: hilbert(3, x, INFINITE_PLACE),
@@ -40,7 +39,7 @@ def test_integral_types_and_fractions_accepted():
 
     for x in (np.int64(18), np.uint8(18), Fraction(18)):
         assert valuation(x, 3) == 2
-        assert unit_part(x, 3) == 2
+        assert _split(x, 3) == (2, 2, 1)
     assert chi(np.int32(2), 3) == chi(2, 3) == -1
     assert hilbert(np.int64(3), Fraction(2), Place(3)) == hilbert(3, 2, Place(3))
 
@@ -59,13 +58,16 @@ def test_residue_mod_prime_powers():
         residue(Fraction(1, 3), 9)
 
 
-def test_unit_part_reconstructs():
+def test_split_reconstructs():
+    # x = p^v * num / den, with p dividing neither num nor den
     rng = random.Random(7)
     for _ in range(200):
         x = Fraction(rng.randint(-80, 80) or 1, rng.randint(1, 80))
         for p in (3, 5, 7):
-            assert x == Fraction(p) ** valuation(x, p) * unit_part(x, p)
-            assert valuation(unit_part(x, p), p) == 0
+            v, num, den = _split(x, p)
+            assert x == Fraction(p) ** v * Fraction(num, den)
+            assert num % p and den % p and den > 0
+            assert v == valuation(x, p)
 
 
 def test_chi_examples():

@@ -37,7 +37,6 @@ from qflab import (
     jordan_diagonalize,
     kitaoka_ternary_poly,
     least_nonsquare,
-    proper_intersection_sum,
     quadform,
     ratio_audit_constant,
     reduced_distinguished_space,
@@ -48,7 +47,6 @@ from qflab import (
     twisted_density,
     twisted_diagonal,
     twisted_space,
-    unit_part,
     valuation,
     verify_ratio_identity,
     whittaker_derivative,
@@ -66,7 +64,6 @@ NO_LINE = {"represents_one": False, "has_radical_line": False}
 # one call per exported callable that takes p, from fresh inputs
 CALLS = {
     "valuation": lambda p: valuation(Fraction(18, 5), p),
-    "unit_part": lambda p: unit_part(Fraction(18, 5), p),
     "chi": lambda p: chi(2, p),
     "Place": lambda p: (Place(p), hilbert(3, 2, Place(p))),
     "least_nonsquare": lambda p: least_nonsquare(p),
@@ -99,7 +96,6 @@ CALLS = {
     "LogPMultiple": lambda p: LogPMultiple(Fraction(2, 3), p) + LogPMultiple(1, p),
     "is_isolated": lambda p: is_isolated(_form(), p),
     "classify_component": lambda p: classify_component(0, 0, NO_LINE, p),
-    "proper_intersection_sum": lambda p: proper_intersection_sum(((_form(), 2),), p),
     "incidence_counts": lambda p: incidence_counts(p),
     "FiniteFieldQuadSpace": lambda p: FiniteFieldQuadSpace.diagonal(p, (1, 2)).values(),
     "reduced_distinguished_space": lambda p: reduced_distinguished_space(p),

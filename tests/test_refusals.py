@@ -21,8 +21,6 @@ from qflab import (
     CountJob,
     FiniteFieldQuadSpace,
     Place,
-    Quaternion,
-    QuaternionAlgebra,
     SymMat,
     assemble_A,
     base_space,
@@ -128,8 +126,6 @@ def test_finite_field_space_refusals(gram, p, error, message):
     assert str(info.value) == message
 
 
-B3, B5 = QuaternionAlgebra(-1, 3), QuaternionAlgebra(-1, 5)
-
 # one call per input check that no other test reaches: (call, error, message)
 CHECKS = {
     "represents_local space rank": (
@@ -169,12 +165,6 @@ CHECKS = {
     "whittaker_value rank-0 target": (
         lambda: whittaker_value(SymMat([]), 3),
         ValueError, "expected a target T of rank >= 1, got rank 0"),
-    "Quaternion length": (
-        lambda: Quaternion((1, 2, 3), B3), ValueError, "quaternion needs four coefficients"),
-    "Quaternion.__add__": (
-        lambda: B3.quaternion(1) + B5.quaternion(1), ValueError, "mismatched quaternion algebras"),
-    "Quaternion.__sub__": (
-        lambda: B3.quaternion(1) - B5.quaternion(1), ValueError, "mismatched quaternion algebras"),
     "FiniteFieldQuadSpace shape": (
         lambda: FiniteFieldQuadSpace(3, ((1, 0), (0,))),
         ValueError, "finite-field form must be square of dimension 1..3"),
