@@ -1,6 +1,7 @@
 """Quaternion algebras, ramification, and the spin generator compatibility checks."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from qflab import (
     QuaternionAlgebra,
     discriminant,
     hasse_invariant,
+    hilbert,
     involution_tensor_type,
     positive_involution_criterion,
     quaternion_with_discriminant,
     ramified_places,
+    SymMat,
     signature,
     check_spin_compatibility,
     vb_space,
@@ -46,6 +49,93 @@ def test_discriminants():
     assert discriminant(QuaternionAlgebra(-1, -1)) == 2
     assert discriminant(QuaternionAlgebra(-1, 3)) == 6
     assert discriminant(QuaternionAlgebra(1, 1)) == 1
+
+
+# (a, b) pairs: split, definite, indefinite and ramified, 2 ramified or not,
+# and non-integral structure constants
+PAIRS = [
+    (1, 1), (-1, 1), (-1, -1), (-1, 3), (2, 3), (-2, -5),
+    (3, 5), (-3, 7), (Fraction(2, 3), -5), (-7, -11), (6, -10), (5, Fraction(-1, 2)),
+]
+
+
+# every place where a pair of PAIRS can ramify, and some where none does
+PLACES = (INFINITE_PLACE, *map(Place, (2, 3, 5, 7, 11, 13)))
+
+
+@pytest.mark.parametrize("a, b", PAIRS)
+def test_isomorphic_presentations_ramify_alike(a, b):
+    # (b, a), (a c^2, b d^2), (a, -ab) (k^2 = -ab) and (a, b N(x + y sqrt a))
+    # all present the same algebra
+    B = QuaternionAlgebra(a, b)
+    same = [(b, a), (4 * a, 9 * b), (Fraction(a, 4), b), (a, -a * b), (a, b * (1 - 4 * a))]
+    if a != 1:
+        same.append((a, b * (1 - a)))
+    for pair in same:
+        C = QuaternionAlgebra(*pair)
+        assert ramified_places(C) == ramified_places(B), pair
+        assert discriminant(C) == discriminant(B), pair
+
+
+@pytest.mark.parametrize("a, b", PAIRS)
+def test_ramified_exactly_where_the_norm_form_is_anisotropic(a, b):
+    # the reduced norm <1, -a, -b, ab> has square determinant, so it is
+    # anisotropic at v exactly when its Hasse invariant differs from (-1, -1)_v
+    B = QuaternionAlgebra(a, b)
+    norm = SymMat.diag(1, -B.a, -B.b, B.a * B.b)
+    ramified = ramified_places(B)
+    for v in PLACES:
+        assert (hilbert(a, b, v) == -1) == (v in ramified), v
+        assert (hasse_invariant(norm, v) != hilbert(-1, -1, v)) == (v in ramified), v
+    # at the real place, anisotropic means definite
+    assert (signature(norm) == (4, 0)) == (INFINITE_PLACE in ramified)
+
+
+@pytest.mark.parametrize("a, b", PAIRS)
+def test_witt_index_of_vb_space_reads_the_algebra(a, b):
+    # 2 for M_2(Q), 0 for a definite algebra, 1 for an indefinite division algebra
+    B = QuaternionAlgebra(a, b)
+    ramified = ramified_places(B)
+    want = 2 if not ramified else 0 if INFINITE_PLACE in ramified else 1
+    assert witt_index_rank5(vb_space(B)) == want
+
+
+@pytest.mark.parametrize("a, b", PAIRS)
+def test_incoherent_collection_of_a_pair(a, b):
+    B = QuaternionAlgebra(a, b)
+    ramified = ramified_places(B)
+    if INFINITE_PLACE in ramified:
+        with pytest.raises(ValueError, match="^incoherent collection requires an indefinite"):
+            IncoherentCollection.from_pair(a, b)
+        return
+    C = IncoherentCollection.from_pair(a, b)
+    assert (C.a, C.b) == (B.a, B.b) and C.space == vb_space(B)
+    assert C.finite_ramified == tuple(sorted(v.prime for v in ramified))
+    assert C.finite_discriminant == discriminant(B)
+
+
+# every d up to 40 that some algebra with |a|, |b| <= 12 has as its discriminant
+FOUND_DISCRIMINANTS = (1, 2, 3, 5, 6, 7, 10, 11, 14, 15, 21, 22, 30, 33, 35)
+
+
+@pytest.mark.parametrize("d", FOUND_DISCRIMINANTS)
+def test_quaternion_with_discriminant_ramifies_at_the_primes_of_d(d):
+    B = quaternion_with_discriminant(d)
+    assert 0 < abs(B.a) <= 12 and 0 < abs(B.b) <= 12
+    primes = {q for q in range(2, d + 1) if d % q == 0 and all(q % r for r in range(2, q))}
+    ramified = ramified_places(B)
+    assert {v.prime for v in ramified if v.is_finite} == primes
+    # reciprocity: an odd number of finite ramified primes needs the real place
+    assert (INFINITE_PLACE in ramified) == (len(primes) % 2 == 1)
+
+
+def test_quaternion_with_discriminant_refuses_the_rest():
+    # a d <= 40 not listed is not squarefree or needs a coefficient beyond 12
+    for d in range(1, 41):
+        if d in FOUND_DISCRIMINANTS:
+            continue
+        with pytest.raises(ValueError, match=f"^no small-coefficient algebra has discriminant {d}$"):
+            quaternion_with_discriminant(d)
 
 
 def test_quaternion_with_discriminant_is_deterministic():

@@ -21,6 +21,7 @@ from qflab import (
     CountJob,
     FiniteFieldQuadSpace,
     Place,
+    QuaternionAlgebra,
     SymMat,
     assemble_A,
     base_space,
@@ -174,6 +175,12 @@ CHECKS = {
     "FiniteFieldQuadSpace symmetry": (
         lambda: FiniteFieldQuadSpace(3, ((1, 1), (0, 1))),
         ValueError, "finite-field form must be symmetric"),
+    "QuaternionAlgebra zero a": (
+        lambda: QuaternionAlgebra(0, 3),
+        ValueError, "quaternion structure constants must be nonzero"),
+    "QuaternionAlgebra zero b": (
+        lambda: QuaternionAlgebra(-1, Fraction(0)),
+        ValueError, "quaternion structure constants must be nonzero"),
     "positive_involution_criterion b_type": (
         lambda: positive_involution_criterion("real", 1),
         ValueError, "algebra type must be 'split' or 'division': 'real'"),
