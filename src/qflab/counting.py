@@ -41,8 +41,12 @@ that fills it on: per target, one small lookup per code group maps a code
 to its partner digits' share of the partner's index, and only the partners
 whose bit is set are ranked and read. Unpaired counts stream the other half
 through the same bit test and rank. A denser table is one uint32 array of
-q^k cells, which paired counts read whole by the mirrored product. The
-state budget bounds the larger half's
+q^k cells, which paired counts read by the mirrored product. With equal
+halves (sign 1) a cell d and its partner T - d give the same product, so
+both reads take each such pair once, at weight 2, over about half the
+table: half of the dense table's first axis, or the sparse cells whose
+top digit-group code lies below their partner's (or above it, whichever
+side has fewer cells). The state budget bounds the larger half's
 q^(n*ceil(m/2)) states and the q^k table cells of a count, and the kept
 arrays by their bytes, 4 to a cell: before a table is filled, the least
 recently used tables and keys are dropped until the resident cells and the
@@ -87,8 +91,10 @@ _LOOKUP_CELLS = 2**14
 # Paired halves always read the table: a sparse one through its nonzero
 # cells (_cells_dot), a dense one by the mirrored product (_mirror_dot).
 # At 81^3 cells, 27% of them nonzero (the m4n2q81 benchmark shape), the
-# mirrored product takes 0.7-1.0 ms and a cell read 1.7-3.0 ms; at 17^6
-# cells, 3.1% nonzero, 120-130 ms and 7-9 ms
+# mirrored product takes 0.5-1.0 ms and a cell read 1.1-2.0 ms; at 17^6
+# cells, 3.1% nonzero, 64-88 ms and 5.4-6.4 ms. A sign-1 read, which takes
+# each pair of cells d and T - d once, takes 0.4-0.7 ms and 0.7-1.0 ms at
+# 81^3 cells, and 48-58 ms and 2.7-4.3 ms at 17^6
 _CELLS_PER_KEY = 6
 
 
@@ -401,7 +407,10 @@ def _mirror_dot(table: np.ndarray, tgt: tuple[int, ...], q: int, k: int, sign: i
     q + t - d when d > t, a slice against a reversed slice; for sign -1 it
     pairs with d - t when d >= t and with q + d - t when d < t, a slice
     against a shifted slice. So the sum is at most 2^k products of views
-    and allocates nothing of the table's size.
+    and allocates nothing of the table's size. For sign 1 each right view
+    is its left view reversed on every axis, so a cell and its partner give
+    the same product: the first half of axis 0 is read at weight 2, and its
+    middle plane, when the axis is odd, at weight 1.
     """
     cube = table.reshape((q,) * k)
     runs = []
@@ -413,11 +422,21 @@ def _mirror_dot(table: np.ndarray, tgt: tuple[int, ...], q: int, k: int, sign: i
             run = [(slice(t, q), slice(0, q - t)), (slice(0, t), slice(q - t, q))]
             runs.append(run if t > 0 else run[:1])
     axes = "abcdefghijklmnopqrstuvwxyz"[:k]
+
+    def dot(left, right):
+        return int(np.einsum(f"{axes},{axes}->", left, right, dtype=np.uint64))
+
     total = 0
     for choice in itertools.product(*runs):
         left = cube[tuple(run[0] for run in choice)]
         right = cube[tuple(run[1] for run in choice)]
-        total += int(np.einsum(f"{axes},{axes}->", left, right, dtype=np.uint64))
+        if sign == 1:
+            half = len(left) // 2
+            total += 2 * dot(left[:half], right[:half])
+            if len(left) % 2:
+                total += dot(left[half:half + 1], right[half:half + 1])
+        else:
+            total += dot(left, right)
     return total
 
 
@@ -517,30 +536,88 @@ def _partner_lookups(tgt: tuple[int, ...], q: int, k: int, sign: int) -> list[np
     return lookups
 
 
+def _involution_runs(tgt: tuple[int, ...], q: int) -> list[tuple[int, int, int]]:
+    """The codes c in [0, q^r) of r radix-q digits as sorted, adjacent runs
+    (lo, hi, order): order is -1 where c < P(c), 0 where c = P(c) and 1
+    where c > P(c), P(c) being the code whose digit j is tgt[j] - d mod q
+    for the digit j of c, d.
+
+    Digits are compared from the most significant one. A digit d <= t is
+    below its partner t - d when d < t / 2, and a digit d > t below its
+    partner q + t - d when d < (q + t) / 2; so each digit gives at most two
+    runs of each order beside its one fixed point, t / 2 mod q, under which
+    the next digit decides."""
+    runs, base = [], 0
+    for j in reversed(range(len(tgt))):
+        t, place = tgt[j], q**j
+        for lo, hi, order in ((0, (t + 1) // 2, -1), (t // 2 + 1, t + 1, 1),
+                              (t + 1, (q + t + 1) // 2, -1), ((q + t) // 2 + 1, q, 1)):
+            if lo < hi:
+                runs.append((base + lo * place, base + hi * place, order))
+        base += (t + t % 2 * q) // 2 * place
+    return sorted(runs + [(base, base + 1, 0)])
+
+
+def _paired_segments(codes: np.ndarray, tgt: tuple[int, ...], q: int, k: int):
+    """(start, end, weight) runs of a sparse table's nonzero cells whose reads
+    at weight sum to that of A[d] * A[tgt - d] over all of them.
+
+    The cells are in order, so their top codes (codes[-1]) are too, and a
+    cell's top code decides its partner's (_involution_runs). Cells below
+    their partner's top code pair with those above it, and the two sides'
+    reads are equal, so the one with fewer cells is read at weight 2; cells
+    whose top code is its own partner's are read once."""
+    top, low = codes[-1], _group_digits(q, k) * (len(codes) - 1)
+    runs = _involution_runs(tgt[low:], q)
+    # queries of the codes' own dtype, so the codes are not cast; each
+    # run's lo is a code, and the last run ends at the last cell
+    starts = np.searchsorted(top, np.array([lo for lo, _, _ in runs], dtype=top.dtype))
+    bounds = starts.tolist() + [len(top)]
+    spans = [(order, start, end) for (_, _, order), start, end in zip(runs, bounds, bounds[1:])
+             if start < end]
+    below, above = (sum(end - start for order, start, end in spans if order == side)
+                    for side in (-1, 1))
+    read = -1 if below <= above else 1
+    segments = []
+    for order, start, end in spans:
+        weight = 1 if order == 0 else 2 if order == read else 0
+        if weight and segments and segments[-1][1:] == (start, weight):
+            segments[-1] = (segments[-1][0], end, weight)
+        elif weight:
+            segments.append((start, end, weight))
+    return segments
+
+
 def _cells_dot(words: np.ndarray, ranks: np.ndarray, values: np.ndarray, codes: np.ndarray,
                tgt: tuple[int, ...], q: int, k: int, sign: int) -> int:
     """Sum of A[d] * A[sign * (tgt - d)] over the nonzero cells d of a sparse
     table A (_sparse_table), in blocks of _CHUNK cells: a cell's partner
     index is one take per code group (_partner_lookups) and their sum, or
     for k = 1, where a lookup would be as long as the table, the digit's
-    partner itself. Only the partners whose bit is set are read (_read)."""
+    partner itself. Only the partners whose bit is set are read (_read).
+    For sign 1 a cell and its partner give the same product, so about half
+    the cells are read, at weight 2 (_paired_segments)."""
     lookups = _partner_lookups(tgt, q, k, sign) if k > 1 else None
+    segments = _paired_segments(codes, tgt, q, k) if sign == 1 else [(0, len(values), 1)]
     total, size = 0, min(_CHUNK, len(values))
     index, spare = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
-    for lo in range(0, len(values), _CHUNK):
-        block = codes[:, lo:lo + _CHUNK]
-        idx, part = index[:block.shape[1]], spare[:block.shape[1]]
-        if lookups is None:  # the code is the digit d
-            np.subtract(tgt[0], block[0], out=idx, dtype=np.int64)
-            idx *= sign
-            idx %= q
-        else:  # "clip" writes out unbuffered
-            lookups[0].take(block[0], out=idx, mode="clip")
-            for lookup, group in zip(lookups[1:], block[1:]):
-                lookup.take(group, out=part, mode="clip")
-                idx += part
-        hit, cells = _read(words, ranks, values, idx)
-        total += int(np.einsum("i,i->", cells, values[lo:lo + _CHUNK].take(hit), dtype=np.uint64))
+    for start, end, weight in segments:
+        for lo in range(start, end, _CHUNK):
+            hi = min(lo + _CHUNK, end)
+            block = codes[:, lo:hi]
+            idx, part = index[:hi - lo], spare[:hi - lo]
+            if lookups is None:  # the code is the digit d
+                np.subtract(tgt[0], block[0], out=idx, dtype=np.int64)
+                idx *= sign
+                idx %= q
+            else:  # "clip" writes out unbuffered
+                lookups[0].take(block[0], out=idx, mode="clip")
+                for lookup, group in zip(lookups[1:], block[1:]):
+                    lookup.take(group, out=part, mode="clip")
+                    idx += part
+            hit, cells = _read(words, ranks, values, idx)
+            read = np.einsum("i,i->", cells, values[lo:hi].take(hit), dtype=np.uint64)
+            total += weight * int(read)
     return total
 
 
@@ -581,9 +658,12 @@ def _split(classes: list, size: dict, neg: dict, cells: int) -> tuple[tuple, tup
     reading it costs the lesser of the other half's key combinations and
     cells / _CELLS_PER_KEY. A sparse table's read takes the first, since
     its nonzero cells are at most its half's combinations (_cells_dot), and
-    a dense one's the second, the mirrored product (_mirror_dot). An
-    unpaired other half (sign 0) is streamed at its own cost. The least
-    work wins, then the cheaper table.
+    a dense one's the second, the mirrored product (_mirror_dot). A sign-1
+    read costs about half that on either side, since it takes each pair of
+    cells d and T - d once; the rank does not count that saving, and prices
+    a read of either sign at its full size. An unpaired other half
+    (sign 0) is streamed at its own cost. The least work wins, then the
+    cheaper table.
     """
     m, kinds = len(classes), sorted(set(classes))
     have = [classes.count(c) for c in kinds]
@@ -695,10 +775,11 @@ def _mitm_count(job: CountJob) -> int:
     nonzero cells (_cells_dot): it builds one lookup per code group from its
     target, takes a cell's partner index as the sum of its groups' lookups,
     and ranks only the partners whose bit is set. With a dense A it sums over
-    all cells (_mirror_dot). With unpaired halves the other half is streamed,
-    against a sparse A through the same bit test and rank: its rows carry
-    the negated keys and start at the target's digits, so each streamed sum
-    is the key it needs. Keys are packed (_digit_lookup) so that a
+    all cells (_mirror_dot). Both take the sum of A[key] * A[T - key] over
+    each pair {key, T - key} once, at weight 2, so over about half of A.
+    With unpaired halves the other half is streamed, against a sparse A
+    through the same bit test and rank: its rows carry the negated keys and
+    start at the target's digits, so each streamed sum is the key it needs. Keys are packed (_digit_lookup) so that a
     combination is one int64 sum and its table index one gather per digit
     group; for every shape a 2^31 budget admits, a packed sum has at most 49
     bits.

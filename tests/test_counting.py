@@ -279,6 +279,16 @@ def _literal_mirror_dot(table, tgt, q, k, sign):
     return total
 
 
+def _twice(cell, q, k):
+    """The target whose sign-1 partner of cell is cell itself: twice its
+    digits mod q."""
+    digits = []
+    for _ in range(k):
+        cell, d = divmod(cell, q)
+        digits.append(2 * d % q)
+    return tuple(digits)
+
+
 @pytest.mark.parametrize("q", [3, 5, 9])
 @pytest.mark.parametrize("k", [1, 3, 6])
 def test_mirror_dot_matches_literal_sum(q, k):
@@ -286,11 +296,18 @@ def test_mirror_dot_matches_literal_sum(q, k):
     # cells up to 2^20: products pass 2^32, sums stay below 2^64 as in a count
     table = np.array([rng.choice((0, 1, rng.randrange(2**20))) for _ in range(q**k)],
                      dtype=np.uint32)
-    if k == 1:
-        targets = [(0,), (q - 1,), (q // 2,)]
-    else:  # targets with both a 0 and a q - 1 digit, and all 0s or all q - 1s
-        targets = [(0, q - 1) + tuple(rng.randrange(q) for _ in range(k - 2))]
-        if q**k <= 729:
+    # for sign 1 the runs of axis 0 (the last digit t) are t + 1 and q - 1 - t
+    # long, one odd and one even, or q long at t = q - 1; a sign-1 read
+    # halves each run, and reads its middle plane, if odd, once
+    nonzero = np.flatnonzero(table).tolist()
+    if k == 1:  # the last target makes a set cell its own sign-1 partner
+        targets = [(0,), (q - 1,), (q // 2,), (1,), _twice(rng.choice(nonzero), q, k)]
+    else:  # twice a set cell whose first digits are 0 and (q - 1) / 2: a target
+        # with both a 0 and a q - 1 digit that makes that cell its own sign-1
+        # partner; and all 0s, every cell its own sign -1 partner, or all q - 1s
+        cell = rng.choice([c for c in nonzero if c % q**2 == q // 2 * q])
+        targets = [_twice(cell, q, k)]
+        if q**k <= 5**6:
             targets += [(0,) * k, (q - 1,) * k]
     for tgt, sign in itertools.product(targets, (1, -1)):  # tgt - key, key - tgt
         want = _literal_mirror_dot(table, tgt, q, k, sign)
@@ -321,6 +338,7 @@ def _check_sparse(kept, table, q, k):
     g = counting._group_digits(q, k)
     assert codes.dtype.kind == "u" and codes.shape == (-(-k // g), len(nonzero))
     assert _decoded(codes, q, k) == nonzero.tolist()
+    assert (np.diff(codes[-1].astype(np.int64)) >= 0).all()  # the top codes are in order
 
 
 # every digit grouping of the codes: one group, equal groups and a short
@@ -350,6 +368,11 @@ def test_partner_dot_matches_literal_sum(monkeypatch, q, k):
     targets = [(0,) * k, (q - 1,) * k, tuple(rng.randrange(q) for _ in range(k))]
     if k > 1:  # a 0 and a q - 1 digit in one target
         targets.append((0, q - 1) + targets[-1][2:])
+    # twice a set cell's digits, so that it is its own sign-1 partner, and
+    # top digits t = 1 and 2, whose fixed point t / 2 mod q lies past t or
+    # below it, so that the runs of cells read at weight 2 end apart from
+    # the self-paired run or next to it
+    targets += [_twice(rng.choice(list(cells)), q, k)] + [(0,) * (k - 1) + (t,) for t in (1, 2)]
     for tgt, sign in itertools.product(targets, (1, -1)):  # tgt - key, key - tgt
         want = _literal_mirror_dot(cells, tgt, q, k, sign)
         assert counting._cells_dot(*kept, tgt, q, k, sign) == want, (tgt, sign)
@@ -357,9 +380,62 @@ def test_partner_dot_matches_literal_sum(monkeypatch, q, k):
         monkeypatch.setattr(counting, "_CHUNK", 7)
         blocked = counting._sparse_table(blocks, q, k)
         assert [a.tolist() for a in blocked] == [a.tolist() for a in kept]
-        for sign in (1, -1):
-            want = _literal_mirror_dot(cells, targets[-1], q, k, sign)
-            assert counting._cells_dot(*kept, targets[-1], q, k, sign) == want
+        for tgt, sign in itertools.product(targets, (1, -1)):
+            want = _literal_mirror_dot(cells, tgt, q, k, sign)
+            assert counting._cells_dot(*kept, tgt, q, k, sign) == want, (tgt, sign)
+
+
+@pytest.mark.parametrize("q, k", [(3, 1), (27, 1), (5, 3), (9, 6)])
+def test_partner_dot_of_empty_and_one_cell_tables(q, k):
+    rng = random.Random(q + k)
+    for cells in ({}, {rng.randrange(q**k): 5}):
+        index = np.array(list(cells), dtype=np.int64)
+        kept = counting._sparse_table(
+            lambda: iter([(index, np.array(list(cells.values()), dtype=np.uint32))]), q, k)
+        table = np.zeros(q**k, dtype=np.uint32)
+        table[index] = list(cells.values())
+        _check_sparse(kept, table, q, k)
+        # the one cell is its own partner under twice its digits (sign 1) and 0 (sign -1)
+        targets = [(0,) * k, (q - 1,) * k] + [_twice(cell, q, k) for cell in cells]
+        for tgt, sign in itertools.product(targets, (1, -1)):
+            want = _literal_mirror_dot(cells, tgt, q, k, sign)
+            assert counting._cells_dot(*kept, tgt, q, k, sign) == want, (cells, tgt, sign)
+
+
+def test_sign_one_cells_dot_reads_half_the_cells(monkeypatch, cold):
+    # split_diagonal(4) at p = 17: both halves have one class, and -1 is a
+    # square, so A[-d] = A[d] and both signs give the same sum; T is
+    # unimodular, with the density (1 - 1/17^2)^2 times 17^(12 - 6)
+    targets = [SymMat([[1, 1, 0], [1, 2, 0], [0, 0, 3]]), SymMat.diag(1, 2, 17),
+               SymMat.diag(3, 0, 5)]
+    want = count_solutions(CountJob(split_diagonal(4), targets[0], 17, 1))
+    assert want == 17**2 * 288**2
+    ((words, ranks, values, codes),) = [a for key, a in counting._RESIDENT.entries.items()
+                                        if key[0] == "table"]
+    read = []
+    real = counting._read
+
+    def spy(words, ranks, values, cells):
+        read.append(len(cells))
+        return real(words, ranks, values, cells)
+
+    monkeypatch.setattr(counting, "_read", spy)
+    g = counting._group_digits(17, 6)
+    low = g * (len(codes) - 1)
+    top = codes[-1].astype(np.int64)
+    for T in targets:
+        tgt = counting._target_digits(T, 17)
+        # cells whose top code equals its partner's, tgt minus it digit by digit
+        partner = sum((tgt[low + j] - top // 17**j % 17) % 17 * 17**j for j in range(6 - low))
+        self_paired = int(np.count_nonzero(partner == top))
+        read.clear()
+        total = counting._cells_dot(words, ranks, values, codes, tgt, 17, 6, -1)
+        assert sum(read) == len(values)
+        read.clear()
+        assert counting._cells_dot(words, ranks, values, codes, tgt, 17, 6, 1) == total
+        assert sum(read) <= -(-len(values) // 2) + self_paired, T
+        if T is targets[0]:
+            assert total == want
 
 
 def test_packed_sums_fit_int64():
