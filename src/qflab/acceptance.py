@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 from functools import partial
 
-from .padic import INFINITE_PLACE, Place
+from .padic import INFINITE_PLACE, Place, _place
 from .quadform import (
     SymMat,
     base_diagonal,
@@ -191,9 +191,9 @@ def check_dichotomy(fast: bool):
         while not T.is_nonsingular:
             T = _symmetric(4, draw)
         for p in (3, 5, 7):
-            in_base = represents_local(base_space(), T, Place(p))
+            in_base = represents_local(base_space(), T, _place(p))
             _expect(failures, f"exactly one twin space represents {T!r} at {p}",
-                    in_base != represents_local(twisted_space(p), T, Place(p)), True)
+                    in_base != represents_local(twisted_space(p), T, _place(p)), True)
             pairs += 1
     return f"{pairs} (T, p) pairs: exactly one twin space represents T", failures
 

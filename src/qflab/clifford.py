@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .padic import (
-    INFINITE_PLACE, Place, Rational, _candidate_primes, _exact, _plain_int, _sign, hilbert,
+    INFINITE_PLACE, Rational, _candidate_primes, _exact, _place, _plain_int, _sign, hilbert,
 )
 from .quadform import SymMat, hasse_invariant, rational_diagonalization, signature
 
@@ -37,7 +37,7 @@ class QuaternionAlgebra:
 
 def ramified_places(B: QuaternionAlgebra) -> frozenset:
     """Places where the algebra is division, computed from Hilbert symbols."""
-    candidates = [Place(q) for q in _candidate_primes(B.a, B.b)]
+    candidates = [_place(q) for q in _candidate_primes(B.a, B.b)]
     candidates.append(INFINITE_PLACE)
     ram = frozenset(v for v in candidates if hilbert(B.a, B.b, v) == -1)
     if len(ram) % 2:
@@ -201,7 +201,7 @@ def witt_index_rank5(space: SymMat) -> int:
     model = SymMat.diag(1, -1, 1, -1, space.det)
     if sig != signature(model):
         return 1
-    for q in _candidate_primes(*rational_diagonalization(space)):
-        if hasse_invariant(space, Place(q)) != hasse_invariant(model, Place(q)):
+    for v in map(_place, _candidate_primes(*rational_diagonalization(space))):
+        if hasse_invariant(space, v) != hasse_invariant(model, v):
             return 1
     return 2

@@ -1,10 +1,19 @@
 """Scalar local arithmetic: valuations, unit square classes, local squares,
 and Hasse invariants of diagonals, with the Hilbert symbol as their
-two-entry case; also the candidate primes of a search over places.
+two-entry case; also the candidate primes of a search over places, and its
+places, one `Place` per prime (`_place`).
 
 The Hasse invariant has one closed form at each place (`hasse_of_diagonal`),
-so the 2-adic unit arithmetic lives only here. This is the one module that
-imports sympy (`isprime`, `factorint`).
+so the 2-adic unit arithmetic lives only here. The same pass over a
+diagonal gives the square class of its product (`_hasse_and_det_class`).
+A square class of Q_v^* is a small int of F_2 coordinates: bit 0 is the
+valuation's parity (at the real place, the sign), bit 1 the unit's
+character (chi = -1 at an odd p, eps at 2) and bit 2 omega at 2. A product
+of classes is their XOR, the square class is 0, and the Hilbert symbol of
+two classes is a bilinear form on the bits (`_class_hilbert`; Serre, A
+Course in Arithmetic, III.1.2), so kept classes decide it by integer
+arithmetic alone. This is the one module that imports sympy (`isprime`,
+`factorint`).
 
 Everything is exact. Inputs are integers (any type with `__index__` but a
 bool) or fractions.Fraction; floats raise TypeError. Every integer parameter
@@ -56,6 +65,20 @@ class Place:
 
 
 INFINITE_PLACE = Place()
+
+
+@lru_cache(maxsize=4096, typed=True)
+def _place(p: int) -> Place:
+    """Place(p), validated once and then shared: a search over candidate
+    primes makes its places here."""
+    return Place(p)
+
+
+def _check_place(v) -> Place:
+    """v itself; TypeError unless it is a Place."""
+    if not isinstance(v, Place):
+        raise TypeError(f"expected a Place, got {v!r}")
+    return v
 
 
 def _plain_int(x, what: str = "an integer prime", least: int | None = None) -> int:
@@ -194,43 +217,69 @@ def hasse_of_diagonal(diag, v: Place) -> int:
       the eps and omega of u mod 8, the exponent is
       E(E - 1)/2 + A W - sum_i a_i w_i, E = sum e_i and W = sum w_i.
     - The real place: (-1)^(N(N - 1)/2), N the number of negative entries.
-    A zero entry is refused at every place.
+    A zero entry is refused at every place, and a v that is not a Place.
     """
+    return _hasse_and_det_class(diag, _check_place(v))[0]
+
+
+def _hasse_and_det_class(diag, v: Place) -> tuple[int, int]:
+    """(hasse_of_diagonal(diag, v), square class of the product of diag at v),
+    from one pass over the entries' classes: the sums A, E and W of
+    hasse_of_diagonal are the product's valuation, eps and omega."""
     if not all(diag) and not all(map(_exact, diag)):  # _exact refuses floats and bools first
         raise ValueError("hilbert symbol requires nonzero arguments")
     if not v.is_finite:
-        diag = [_exact(d) for d in diag]
-        N = sum(d < 0 for d in diag)
-        return -1 if N * (N - 1) // 2 % 2 else 1
+        N = sum(_exact(d) < 0 for d in diag)
+        return (-1 if N * (N - 1) // 2 % 2 else 1), N & 1
     p = v.prime
     if p != 2:
         classes = [_square_class(d, p) for d in diag]
         total = sum(a for a, _ in classes)
         odd = sum(a % 2 for a, _ in classes)
         s = -1 if p % 4 == 3 and odd * (odd - 1) // 2 % 2 else 1
+        unit = 0
         for a, c in classes:
-            if c == -1 and (total - a) % 2:
-                s = -s
-        return s
+            if c == -1:
+                unit ^= 2
+                if (total - a) % 2:
+                    s = -s
+        return s, total & 1 | unit
     E = A = W = AW = 0
     for d in diag:
         a, num, den = _split(d, 2)
         u = num * den % 8  # an odd den is its own inverse mod 8
         e, w = (u - 1) // 2 % 2, (u * u - 1) // 8 % 2
         E, A, W, AW = E + e, A + a, W + w, AW + a * w
-    return -1 if (E * (E - 1) // 2 + A * W - AW) % 2 else 1
+    return (-1 if (E * (E - 1) // 2 + A * W - AW) % 2 else 1), A & 1 | (E & 1) << 1 | (W & 1) << 2
+
+
+def _class_hilbert(x: int, y: int, v: Place) -> int:
+    """(x, y)_v of two square classes at v, as _hasse_and_det_class gives them.
+
+    The exponent is e_x e_y + a_x w_y + a_y w_x at 2; elsewhere it is
+    a_x a_y (p - 1)/2 + a_x c_y + a_y c_x, which at the real place, where
+    only the sign bit a is set, reads a_x a_y.
+    """
+    p = v.prime
+    if p == 2:
+        e = (x & y) >> 1 ^ x & y >> 2 ^ y & x >> 2
+    else:
+        e = x & y & (1 if p is None else p >> 1) ^ x & y >> 1 ^ y & x >> 1
+    return -1 if e & 1 else 1
+
+
+def _minus_one_class(v: Place) -> int:
+    # -1 is negative at the real place, 7 mod 8 at 2, and a square at an odd
+    # p exactly when p = 1 mod 4
+    p = v.prime
+    return 1 if p is None else 2 if p == 2 or p % 4 == 3 else 0
 
 
 def is_local_square(x: Rational, v: Place) -> bool:
-    x = _exact(x)
-    if x == 0:
+    _check_place(v)
+    if _exact(x) == 0:
         raise ValueError("square class of zero undefined")
-    if not v.is_finite:
-        return x > 0
-    a, num, den = _split(x, v.prime)
-    # den and 1/den share a square class; an odd den is its own inverse mod 8
-    u = num * den
-    return a % 2 == 0 and (u % 8 == 1 if v.prime == 2 else _legendre(u, v.prime) == 1)
+    return _hasse_and_det_class((x,), v)[1] == 0
 
 
 def _candidate_primes(*values: Rational) -> list[int]:

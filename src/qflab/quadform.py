@@ -7,10 +7,14 @@ of places where an incoherent collection fails to represent a target form.
 
 One congruence elimination (`_eliminate`) serves every invariant. A SymMat
 keeps its diagonal over Q beside its product, the determinant (the moves
-have determinant +-1), and its Hasse invariant per place, read from that
-diagonal once. It also keeps its Jordan data per prime: the same loop with
-a valuation-first pivot rank. The local tests read the kept invariants of
-both the space and the target, so a finite place costs one Hilbert symbol.
+have determinant +-1), and its signature; its own candidate primes (those
+of det and of the entry denominators) once asked for; and per place its
+Hasse invariant and the square class of its determinant, read from that
+diagonal in one pass (`padic._hasse_and_det_class`). It also keeps its
+Jordan data per prime: the same loop with a valuation-first pivot rank.
+The local tests read the kept invariants of both the space and the target,
+so a finite place they have both seen costs a few integer operations on
+square classes (`padic._class_hilbert`) and no Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -26,18 +30,20 @@ from .padic import (
     Place,
     Rational,
     _candidate_primes,
+    _check_place,
+    _class_hilbert,
     _exact,
+    _hasse_and_det_class,
     _json_field,
     _json_int,
+    _minus_one_class,
+    _place,
     _plain_int,
     _read_exact,
     _sign,
     _square_class,
     check_odd_prime,
     chi,
-    hasse_of_diagonal,
-    hilbert,
-    is_local_square,
     valuation,
 )
 
@@ -62,10 +68,14 @@ class SymMat:
                     raise ValueError("matrix must be symmetric")
         self.entries = rows
         self.n = n
-        self._diagonal = None  # with _det, set by rational_diagonalization
+        self._diagonal = None  # with _det and _signature, set by rational_diagonalization
         self._det = None
+        self._signature = None  # (positive, negative) counts, also for a singular form
+        self._primes = None  # set by _own_primes
         self._jordan = {}  # prime -> JordanDiagonal
-        self._hasse = {}  # Place -> Hasse invariant, set by hasse_invariant
+        # prime, None for the real place -> (Hasse invariant, square class of
+        # det), set by _local_classes
+        self._local = {}
         self._series = {}  # prime -> DensityPolynomial, set by densities.assemble_A
 
     @classmethod
@@ -97,7 +107,9 @@ class SymMat:
 
     @property
     def is_nonsingular(self) -> bool:
-        return 0 not in rational_diagonalization(self)
+        if self._signature is None:
+            rational_diagonalization(self)
+        return sum(self._signature) == self.n
 
     def is_p_integral(self, p: int) -> bool:
         p = _plain_int(p, least=2)
@@ -171,31 +183,46 @@ def rational_diagonalization(T: SymMat) -> tuple[Fraction, ...]:
 
     Pivots on a nonzero diagonal entry if there is one, else on the first
     nonzero off-diagonal entry. Computed once per matrix and kept on it, with
-    its product, the determinant.
+    its product, the determinant, and its signature.
     """
     if T._diagonal is None:
-        T._diagonal = tuple(_eliminate(T.entries, lambda x, i, j: (i != j, i, j)))
-        T._det = math.prod(T._diagonal, start=Fraction(1))
+        diagonal = tuple(_eliminate(T.entries, lambda x, i, j: (i != j, i, j)))
+        T._det = math.prod(diagonal, start=Fraction(1))
+        T._signature = sum(d > 0 for d in diagonal), sum(d < 0 for d in diagonal)
+        T._diagonal = diagonal
     return T._diagonal
+
+
+def _local_classes(T: SymMat, v: Place) -> tuple[int, int]:
+    """(Hasse invariant, square class of det T) of a nonsingular T at v, from
+    its rational diagonal in one pass; computed once per place and kept on T."""
+    local = T._local.get(v.prime)
+    if local is None:
+        if not T.is_nonsingular:
+            raise ValueError("Hasse invariant requires a nonsingular form")
+        local = T._local[v.prime] = _hasse_and_det_class(rational_diagonalization(T), v)
+    return local
 
 
 def hasse_invariant(T: SymMat, v: Place) -> int:
     """Hasse invariant of a nonsingular T at v, from its rational diagonal;
     computed once per place and kept on T."""
-    s = T._hasse.get(v)
-    if s is None:
-        if not T.is_nonsingular:
-            raise ValueError("Hasse invariant requires a nonsingular form")
-        s = T._hasse[v] = hasse_of_diagonal(rational_diagonalization(T), v)
-    return s
+    return _local_classes(T, _check_place(v))[0]
 
 
 def signature(T: SymMat) -> tuple[int, int]:
     """(positive, negative) inertia indices; requires a nonsingular form."""
     if not T.is_nonsingular:
         raise ValueError("signature requires a nonsingular form")
-    d = rational_diagonalization(T)
-    return sum(1 for x in d if x > 0), sum(1 for x in d if x < 0)
+    return T._signature
+
+
+def _own_primes(T: SymMat) -> tuple[int, ...]:
+    """2 and the primes of det T and of T's entry denominators; kept on T."""
+    if T._primes is None:
+        denominators = {x.denominator for row in T.entries for x in row}
+        T._primes = tuple(_candidate_primes(T.det, *denominators))
+    return T._primes
 
 
 @lru_cache(maxsize=1024)
@@ -320,18 +347,19 @@ def _twisted_space(p: int) -> SymMat:
 def _check_space(S: SymMat) -> None:
     if S.n != 5:
         raise ValueError("representation test requires a rank-5 space")
-    if S.det == 0:
+    if not S.is_nonsingular:
         raise ValueError("representation test requires a nonsingular space")
 
 
 def represents_local(S: SymMat, T: SymMat, v: Place) -> bool:
     """Whether the nonsingular rank-5 space S represents the form T over the
-    completion at v. Both forms are read through their kept determinant,
-    signature and Hasse invariant at v, so a finite place costs one Hilbert
-    symbol (`_represents_at`).
+    completion at v. Both forms are read through their kept signature, and
+    their Hasse invariant and determinant's square class at v, so a finite
+    place both have seen is decided by integer arithmetic (`_represents_at`).
 
     At the real place: signature containment.
     """
+    _check_place(v)
     _check_space(S)
     if not (1 <= T.n <= 4):
         raise ValueError("target rank must be between 1 and 4")
@@ -354,14 +382,19 @@ def _represents_at(S: SymMat, T: SymMat, v: Place) -> bool:
     while R's forced Hasse, hasse(S) hasse(T + <det R>), is -1; corank >= 3
     always represents. By bilinearity hasse(T + <e>) = hasse(T) (det T, e),
     and (det T, det T det S) = (det T, -det S), so both cases read
-    hasse(T) (det T, -det S)_v.
+    hasse(T) (det T, -det S)_v. The symbol and the rank-3 clause (det R ~ -1
+    exactly when det T ~ -det S) are read from the square classes kept on T
+    and S, so a place both have seen does no Fraction arithmetic.
     """
     if T.n <= 2:
         return True
-    forced = hasse_invariant(T, v) * hilbert(T.det, -S.det, v)
+    hasse_t, det_t = _local_classes(T, v)
+    hasse_s, det_s = _local_classes(S, v)
+    minus_det_s = det_s ^ _minus_one_class(v)
+    forced = hasse_t * _class_hilbert(det_t, minus_det_s, v)
     if T.n == 4:
-        return forced == hasse_invariant(S, v)
-    return not (is_local_square(-S.det * T.det, v) and forced * hasse_invariant(S, v) == -1)
+        return forced == hasse_s
+    return not (det_t == minus_det_s and forced != hasse_s)
 
 
 def represents_one_over_Zp(T: SymMat, p: int) -> bool:
@@ -378,22 +411,22 @@ def represents_one_over_Zp(T: SymMat, p: int) -> bool:
 def diff_set(T: SymMat, C) -> set[Place]:
     """Places where the incoherent collection C fails to represent T.
 
-    Only C.space, a nonsingular rank-5 SymMat, and C.finite_discriminant are
-    read (see clifford.IncoherentCollection). The finite search runs over 2
-    and the primes dividing D(B), det T or a denominator of an entry of T;
+    Only C.space, a nonsingular rank-5 SymMat, and C.finite_ramified, the
+    primes dividing D(B), are read (see clifford.IncoherentCollection). The
+    finite search runs over 2, the primes dividing D(B), and T's own primes,
+    those dividing det T or a denominator of an entry of T, kept on T;
     everywhere else both sides are unimodular of rank 5 at odd primes and the
     comparison passes. S and T are checked once, and each candidate prime is
-    one `_represents_at` test on their kept invariants. The real place joins
-    exactly for signatures (3,1) and (1,3); other indefinite signatures never
-    contribute it.
+    one `_represents_at` test, on the kept invariants of S and T, at its
+    shared `Place`. The real place joins exactly for signatures (3,1) and
+    (1,3); other indefinite signatures never contribute it.
     """
     if T.n != 4 or not T.is_nonsingular:
         raise ValueError("Diff requires a nonsingular rank-4 form")
     S = C.space
     _check_space(S)
-    denominators = {x.denominator for row in T.entries for x in row}
-    places = map(Place, _candidate_primes(C.finite_discriminant, T.det, *denominators))
+    places = map(_place, {*_own_primes(T), *C.finite_ramified})
     out = {v for v in places if not _represents_at(S, T, v)}
-    if signature(T)[0] in (1, 3):  # signature (3, 1) or (1, 3)
+    if T._signature[0] in (1, 3):  # signature (3, 1) or (1, 3)
         out.add(INFINITE_PLACE)
     return out

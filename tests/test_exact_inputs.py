@@ -10,7 +10,8 @@ TypeError naming the parameter; a bool is neither an integer nor a
 rational. An integer parameter with a lower bound refuses a value below it,
 and a +-1 sign anything else, with ValueError naming the parameter. The repr
 is compared as well as the value, so a numpy scalar that leaks into an
-output shows up. The JSON readers still parse text such as "1/3".
+output shows up. The JSON readers still parse text such as "1/3". A place
+parameter refuses anything but a Place with TypeError.
 """
 
 from fractions import Fraction
@@ -22,24 +23,31 @@ from qflab import (
     CountJob,
     DensityPolynomial,
     LogPMultiple,
+    Place,
     QuaternionAlgebra,
     GKTriple,
     JordanDiagonal,
     SymMat,
     base_diagonal,
+    base_space,
     classify_component,
     density_oracle,
     e_p,
     frac_str,
     gk_table_csv,
+    hasse_invariant,
+    hilbert,
+    is_local_square,
     normalization_exponent,
     positive_involution_criterion,
     quaternion_with_discriminant,
     ramified_places,
+    represents_local,
     split_diagonal,
     valuation,
     whittaker_value,
 )
+from qflab.padic import hasse_of_diagonal
 
 # one call per constructor or method that takes the rational x, from fresh inputs
 CALLS = {
@@ -151,6 +159,26 @@ def test_sign_parameter_refuses_anything_but_plus_or_minus_one(name, x):
     with pytest.raises(ValueError) as info:
         call(x)
     assert str(info.value) == f"expected an integer {what} of +1 or -1, got {x}"
+
+
+# one call per place parameter; before, each read v.is_finite or v.prime
+# and raised AttributeError on anything but a Place
+PLACE_CALLS = {
+    "hilbert": lambda v: hilbert(2, 3, v),
+    "hasse_of_diagonal": lambda v: hasse_of_diagonal((2, 3, 5), v),
+    "is_local_square": lambda v: is_local_square(2, v),
+    "hasse_invariant": lambda v: hasse_invariant(SymMat.diag(2, 3, 5), v),
+    "represents_local": lambda v: represents_local(base_space(), SymMat.diag(1, 1, 1, 3), v),
+}
+
+
+@pytest.mark.parametrize("x", [3, "3", None], ids=["int", "str", "None"])
+@pytest.mark.parametrize("name", sorted(PLACE_CALLS))
+def test_place_parameter_refuses_anything_but_a_place(name, x):
+    PLACE_CALLS[name](Place(3))
+    with pytest.raises(TypeError) as info:
+        PLACE_CALLS[name](x)
+    assert str(info.value) == f"expected a Place, got {x!r}"
 
 
 def _job_json(**fields):

@@ -26,7 +26,8 @@ from qflab import (
     ramified_places,
     witt_index_rank5,
 )
-from qflab.quadform import hasse_of_diagonal, rational_diagonalization
+from qflab.padic import _class_hilbert, hasse_of_diagonal, is_local_square
+from qflab.quadform import _local_classes, rational_diagonalization
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -196,6 +197,16 @@ kernel_place = st.sampled_from(
 @given(nonzero_rational, nonzero_rational, kernel_place)
 def test_hilbert_matches_definition(a, b, v):
     assert hilbert(a, b, v) == _reference_hilbert(a, b, v)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(nonzero_rational, nonzero_rational, kernel_place)
+def test_hilbert_of_kept_square_classes_matches_definition(a, b, v):
+    # the classes the local tests read: each is kept on a SymMat as the
+    # square class of its determinant, and is 0 exactly for a local square
+    x, y = (_local_classes(SymMat.diag(d), v)[1] for d in (a, b))
+    assert (x == 0) == is_local_square(a, v) and (y == 0) == is_local_square(b, v)
+    assert _class_hilbert(x, y, v) == hilbert(a, b, v) == _reference_hilbert(a, b, v)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

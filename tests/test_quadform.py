@@ -25,6 +25,7 @@ from qflab import (
     is_local_square,
     jordan_diagonalize,
     least_nonsquare,
+    quaternion_with_discriminant,
     rational_diagonalization,
     represents_local,
     represents_one_over_Zp,
@@ -34,7 +35,7 @@ from qflab import (
     vb_space,
     witt_index_rank5,
 )
-from qflab.quadform import hasse_of_diagonal
+from qflab.padic import _candidate_primes, hasse_of_diagonal
 
 
 def _random_symmetric(rng, n, bound=9):
@@ -270,7 +271,9 @@ def test_hasse_independent_of_diagonalization():
 
 
 def test_kept_hasse_invariant_is_hasse_of_diagonal():
-    # at 2, an odd p and the real place; computed once per place, then read
+    # at 2, an odd p and the real place; computed once per place, then read:
+    # the kept record is the Hasse invariant and the class of det T, the one
+    # that is trivial exactly when det T is a local square
     rng = random.Random(34)
     places = (Place(2), Place(3), INFINITE_PLACE)
     for _ in range(50):
@@ -278,8 +281,10 @@ def test_kept_hasse_invariant_is_hasse_of_diagonal():
         for v in places:
             want = hasse_of_diagonal(rational_diagonalization(T), v)
             assert hasse_invariant(T, v) == want
-            assert T._hasse[v] == want and hasse_invariant(T, v) == want
-        assert set(T._hasse) == set(places)
+            hasse, det_class = T._local[v.prime]
+            assert hasse == want and hasse_invariant(T, v) == want
+            assert (det_class == 0) == is_local_square(T.det, v)
+        assert set(T._local) == {v.prime for v in places}
 
 
 SINGULAR_RANK5 = SymMat([[1, 1, 0, 0, 0], [1, 1, 0, 0, 0], [0, 0, 1, 0, 0],
@@ -519,19 +524,88 @@ def test_local_tests_read_kept_invariants_in_a_class_invariant_way():
                 assert diff_set(kept, C) == want and diff_set(moved, C) == want
 
 
+def _hilbert_rule(S, T, v):
+    # represents_local written out from Fractions: signature containment at
+    # the real place; at a finite one hasse(T) (det T, -det S)_v against
+    # hasse(S), with the rank-3 clause on -det S det T being a local square
+    if not v.is_finite:
+        (tp, tn), (sp, sn) = signature(T), signature(S)
+        return tp <= sp and tn <= sn
+    if T.n <= 2:
+        return True
+    forced = hasse_invariant(T, v) * hilbert(T.det, -S.det, v)
+    if T.n == 4:
+        return forced == hasse_invariant(S, v)
+    return not (is_local_square(-S.det * T.det, v) and forced * hasse_invariant(S, v) == -1)
+
+
+def _diff_rule(T, C):
+    # diff_set written out: every prime of D(B), of det T or of an entry's
+    # denominator, and 2, fails _hilbert_rule; the real place by signature
+    denominators = {x.denominator for row in T.entries for x in row}
+    primes = _candidate_primes(C.finite_discriminant, T.det, *denominators)
+    out = {Place(p) for p in primes if not _hilbert_rule(C.space, T, Place(p))}
+    return out | ({INFINITE_PLACE} if signature(T)[0] in (1, 3) else set())
+
+
+def _rational_target(rng, n, p):
+    # non-diagonal, entries divisible by p or with small denominators
+    while True:
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                num = rng.choice((1, p, p * p)) * rng.randint(-4, 4)
+                rows[i][j] = rows[j][i] = Fraction(num, rng.choice((1, 1, 2, 3, 4, p)))
+        if any(rows[i][j] for i in range(n) for j in range(i)) and SymMat(rows).is_nonsingular:
+            return rows
+
+
+def test_local_tests_from_kept_classes_match_the_hilbert_rule():
+    # each T is read fresh, then again after another space has read it, so
+    # the kept square classes cannot depend on which space came first
+    rng = random.Random(3101)
+    disc6 = IncoherentCollection(quaternion_with_discriminant(6))
+    collections = [IncoherentCollection.split(), disc6]
+    spaces = [base_space(), twisted_space(3), twisted_space(5), twisted_space(7), disc6.space]
+    seen = set()
+    for _ in range(80):
+        p = rng.choice((3, 5, 7))
+        n = rng.choice((3, 4))
+        rows = _rational_target(rng, n, p)
+        reference = SymMat(rows)
+        denominators = {x.denominator for row in rows for x in row}
+        primes = set(_candidate_primes(reference.det, *denominators)) | {3, 5, 7}
+        places = [Place(q) for q in sorted(primes)] + [INFINITE_PLACE]
+        for S, other in zip(spaces, spaces[1:] + spaces[:1]):
+            want = [_hilbert_rule(S, reference, v) for v in places]
+            T = SymMat(rows)
+            assert [represents_local(S, T, v) for v in places] == want
+            for v in places:
+                represents_local(other, T, v)
+            assert [represents_local(S, T, v) for v in places] == want
+            seen.update(want)
+        if n == 4:
+            for C, other in (collections, collections[::-1]):
+                want = _diff_rule(reference, C)
+                T = SymMat(rows)
+                assert diff_set(T, C) == want
+                diff_set(T, other)
+                assert diff_set(T, C) == want
+    assert seen == {True, False}
+
+
 def test_local_tests_read_the_target_diagonal_once_per_place(monkeypatch):
     import qflab.padic
     import qflab.quadform
 
     calls = []
-    real = qflab.padic.hasse_of_diagonal
+    real = qflab.padic._hasse_and_det_class
 
     def spy(diag, v):
         calls.append((tuple(diag), v))
         return real(diag, v)
 
-    monkeypatch.setattr(qflab.padic, "hasse_of_diagonal", spy)
-    monkeypatch.setattr(qflab.quadform, "hasse_of_diagonal", spy)
+    monkeypatch.setattr(qflab.quadform, "_hasse_and_det_class", spy)
     disc6 = IncoherentCollection.from_pair(-1, 3)
     T = SymMat([[2, 1, 0, 0], [1, 4, 1, 0], [0, 1, 6, 3], [0, 0, 3, 12]])
     diagonal = rational_diagonalization(T)
