@@ -1,12 +1,12 @@
 """The eleven acceptance criteria, one check each, in criterion order.
 
-`qflab sweep` prints them and `tests/test_acceptance.py` runs them at full
-size. A check takes `fast` (reduced sizes, no deep moduli) and returns
-(detail, failures): the detail says what a pass established, and failures
-names every case or assertion that failed, so the check passes exactly when
-failures is empty. Targets are the literal diagonals diag(u_i p^a_i), u_i = 1
-or the least nonsquare by sign, not the class-canonical representative a
-Jordan splitting would give, and every random draw has a fixed seed.
+`qflab sweep` prints them and `tests/test_acceptance.py` runs them. A check
+takes no argument and returns (detail, failures): the detail says what a
+pass established, and failures names every case or assertion that failed, so
+the check passes exactly when failures is empty. Targets are the literal
+diagonals diag(u_i p^a_i), u_i = 1 or the least nonsquare by sign, not the
+class-canonical representative a Jordan splitting would give, and every
+random draw has a fixed seed.
 """
 
 from __future__ import annotations
@@ -79,10 +79,10 @@ def _triples(p: int, a_max: int, signs=_SIGNS):
             yield GKTriple(*a, *eps, p)
 
 
-def _vanishing(fast: bool):
+def _vanishing():
     """The triples with chi_tilde = -1, where the quaternary series vanishes at 1."""
-    for p in (3,) if fast else (3, 5):
-        yield from (t for t in _triples(p, 2 if fast else 3) if chi_tilde(t) == -1)
+    for p in (3, 5):
+        yield from (t for t in _triples(p, 3) if chi_tilde(t) == -1)
 
 
 def _diag(t: GKTriple, *lead: int) -> SymMat:
@@ -108,7 +108,7 @@ def _symmetric(n: int, draw, upper: bool = False) -> SymMat:
     return SymMat(ent)
 
 
-def check_unary(fast: bool):
+def check_unary():
     failures = []
     for p in (3, 5):
         for r in (0, 1):
@@ -119,26 +119,24 @@ def check_unary(fast: bool):
     return "8/8 oracle densities match the closed unit factor", failures
 
 
-def check_kitaoka(fast: bool):
+def check_kitaoka():
     # the grid a3 <= 1 at t = 2, then one deep spot check at t = 3
     p, s4, failures = 3, split_diagonal(4), []
-    cases = list(_triples(p, 1, ((1, 1, 1), (-1, -1, -1)) if fast else _SIGNS))
+    cases = list(_triples(p, 1))
     for t in cases:
         _expect(failures, f"count at t=2 for {_name(t)}", _count(s4, _diag(t), p, 2),
                 kitaoka_ternary_poly(t).evaluate(1))
-    detail = f"{len(cases)} exponent/unit-class grid cases at modulus exponent 2"
-    if not fast:
-        spot = GKTriple(0, 1, 2, 1, 1, -1, p)
-        got = _count(s4, _diag(spot), p, 3)
-        _expect(failures, "depth-3 spot count", got, F(128, 81))
-        _expect(failures, "closed value at the depth-3 spot",
-                kitaoka_ternary_poly(spot).evaluate(1), got)
-        detail += " plus the depth-3 spot check"
-    return detail, failures
+    spot = GKTriple(0, 1, 2, 1, 1, -1, p)
+    got = _count(s4, _diag(spot), p, 3)
+    _expect(failures, "depth-3 spot count", got, F(128, 81))
+    _expect(failures, "closed value at the depth-3 spot",
+            kitaoka_ternary_poly(spot).evaluate(1), got)
+    return (f"{len(cases)} exponent/unit-class grid cases at modulus exponent 2 "
+            "plus the depth-3 spot check"), failures
 
 
-def check_central(fast: bool):
-    failures, cases = [], list(_vanishing(fast))
+def check_central():
+    failures, cases = [], list(_vanishing())
     for t in cases:
         _expect(failures, f"ratio identity for {_name(t)}",
                 verify_ratio_identity(_diag(t, 1), t.p).equal, True)
@@ -158,14 +156,10 @@ def check_central(fast: bool):
             "represented target rejected"), failures
 
 
-def check_twisted(fast: bool):
+def check_twisted():
     p, failures = 3, []
-    if fast:
-        unary = _count(twisted_diagonal(p), SymMat.diag(1), p, 2)
-        comp = _count(twisted_complement_diagonal(p), SymMat.diag(1, 1, 3), p, 2)
-    else:
-        unary = density_oracle(twisted_diagonal(p), SymMat.diag(1), p).value
-        comp = density_oracle(twisted_complement_diagonal(p), SymMat.diag(1, 1, 3), p).value
+    unary = density_oracle(twisted_diagonal(p), SymMat.diag(1), p).value
+    comp = density_oracle(twisted_complement_diagonal(p), SymMat.diag(1, 1, 3), p).value
     product = unary * comp
     # the rejected reading drops the character from the unary factor
     doubled = (1 + F(1, p)) * comp
@@ -183,10 +177,10 @@ def check_twisted(fast: bool):
             "and rejects the doubled variant"), failures
 
 
-def check_dichotomy(fast: bool):
+def check_dichotomy():
     failures, pairs = [], 0
     draw = partial(random.Random(90210).randint, -50, 50)
-    for _ in range(30 if fast else 200):
+    for _ in range(200):
         T = _symmetric(4, draw)
         while not T.is_nonsingular:
             T = _symmetric(4, draw)
@@ -198,11 +192,11 @@ def check_dichotomy(fast: bool):
     return f"{pairs} (T, p) pairs: exactly one twin space represents T", failures
 
 
-def check_diff_parity(fast: bool):
+def check_diff_parity():
     rng, failures, checked = random.Random(8128), [], 0
     collections = (IncoherentCollection.split(),
                    IncoherentCollection(quaternion_with_discriminant(6)))
-    for _ in range(20 if fast else 100):
+    for _ in range(100):
         A = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)]
         T = SymMat([[sum(A[k][i] * A[k][j] for k in range(4)) + (3 if i == j else 0)
                      for j in range(4)] for i in range(4)])
@@ -213,7 +207,7 @@ def check_diff_parity(fast: bool):
     return f"{checked} diff sets all of odd size", failures
 
 
-def check_gk(fast: bool):
+def check_gk():
     failures, anchors = [], {(0, 0, 1): 1, (0, 1, 1): 2, (0, 0, 3): 2}
     for p in (3, 5, 7):
         for a in itertools.combinations_with_replacement(range(5), 3):
@@ -230,8 +224,8 @@ def check_gk(fast: bool):
             "and form-level transversality all agree"), failures
 
 
-def check_bridge(fast: bool):
-    failures, cases = [], list(_vanishing(fast))
+def check_bridge():
+    failures, cases = [], list(_vanishing())
     for t in cases:
         T, p = _diag(t, 1), t.p
         want = (1 - F(1, p**2)) * (1 - F(1, p**4)) * e_p(*t.exponents, p)
@@ -242,11 +236,11 @@ def check_bridge(fast: bool):
             "the closed multiple of the multiplicity"), failures
 
 
-def check_appendix(fast: bool):
+def check_appendix():
     rng = random.Random(4104)
     words = [(g,) for g in GENERATOR_ORDER] + list(itertools.product(GENERATOR_ORDER, repeat=2))
     words += [tuple(rng.choice(GENERATOR_ORDER) for _ in range(rng.randint(1, 6)))
-              for _ in range(20 if fast else 100)]
+              for _ in range(100)]
     split, definite = QuaternionAlgebra(1, 1), QuaternionAlgebra(-1, -1)
     disc6 = QuaternionAlgebra(-1, 3)
     failures = []
@@ -273,7 +267,7 @@ def check_appendix(fast: bool):
             "ramification, and the involution calculus"), failures
 
 
-def check_components(fast: bool):
+def check_components():
     no = {"represents_one": False, "has_radical_line": False}
     rad = {"represents_one": False, "has_radical_line": True}
     yes = {"represents_one": True, "has_radical_line": False}
@@ -289,7 +283,7 @@ def check_components(fast: bool):
                 all(sup.represents(c) for c in range(1, p)), True)
         _expect(failures, f"distinguished form represents 1 at {p}",
                 reduced_distinguished_space(p).represents(1), False)
-    primes = (3, 5, 7, 11) if fast else (3, 5, 7, 11, 13, 17, 19, 23)
+    primes = (3, 5, 7, 11, 13, 17, 19, 23)
     for p in primes:
         _expect(failures, f"incidence counts at {p}", tuple(incidence_counts(p)),
                 (p + 1, p * p + 1))
@@ -314,9 +308,8 @@ def _oracle_draw(jobs: int, limit: int, wide: bool):
         done += 1
 
 
-def check_oracle(fast: bool):
-    jobs, limit = (10, 10**5) if fast else (50, 10**6)
-    failures, done = [], 0
+def check_oracle():
+    jobs, limit, failures, done = 50, 10**6, [], 0
     for s, T, p, t in itertools.chain(_oracle_draw(jobs, limit, False),
                                       _oracle_draw(jobs, limit, True)):
         _expect(failures, f"MITM count of s={s}, T={T!r}, p={p}, t={t}",

@@ -173,7 +173,7 @@ def _cmd_sweep(args) -> int:
     all_ok = True
     for name in names:
         try:
-            detail, failures = SUITES[name](args.fast)
+            detail, failures = SUITES[name]()
         except Exception as exc:
             failures = [f"raised {type(exc).__name__}: {exc}"]
         all_ok = all_ok and not failures
@@ -252,7 +252,6 @@ def _build_parser():
 
     sp = sub("sweep", _cmd_sweep, help="named verification suites")
     sp.add_argument("--suite", required=True, choices=sorted(SUITES) + ["all"])
-    sp.add_argument("--fast", action="store_true", help="reduced sizes, no deep moduli")
 
     return parser, registry
 

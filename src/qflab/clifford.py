@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .padic import (
-    INFINITE_PLACE, Rational, _candidate_primes, _exact, _place, _plain_int, _sign, hilbert,
+    INFINITE_PLACE, _candidate_primes, _exact, _place, _plain_int, _sign, hilbert,
 )
 from .quadform import SymMat, hasse_invariant, rational_diagonalization, signature
 
@@ -82,21 +82,14 @@ class IncoherentCollection:
         ramified = ramified_places(B)
         if INFINITE_PLACE in ramified:
             raise ValueError("incoherent collection requires an indefinite quaternion algebra")
-        self.a = B.a
-        self.b = B.b
         self.space = vb_space(B)
         self.finite_ramified = tuple(sorted(v.prime for v in ramified))
-        self.finite_discriminant = math.prod(self.finite_ramified)
 
     @classmethod
     @lru_cache(maxsize=None)
     def split(cls) -> "IncoherentCollection":
         """The collection of M_2(Q); one shared instance, as base_space() is."""
-        return cls.from_pair(1, 1)
-
-    @classmethod
-    def from_pair(cls, a: Rational, b: Rational) -> "IncoherentCollection":
-        return cls(QuaternionAlgebra(a, b))
+        return cls(QuaternionAlgebra(1, 1))
 
 
 GENERATOR_ORDER = ("e0", "e1", "v0", "f0", "f1")

@@ -176,7 +176,6 @@ class DensityResult:
     raw_count: int
     t_used: int
     value: Fraction
-    stabilized: bool
     norm_exponent: int
 
 
@@ -878,37 +877,27 @@ def density_value(job: CountJob, raw: int) -> Fraction:
     return Fraction(raw, job.p ** normalization_exponent(job.m, job.n, job.t))
 
 
-def density_oracle(
-    s_diag,
-    T: SymMat,
-    p: int,
-    t_start: int | None = None,
-    t_max: int | None = None,
-) -> DensityResult:
+def density_oracle(s_diag, T: SymMat, p: int) -> DensityResult:
     """Stabilized representation density of T by diag(s) over Z_p.
 
-    Runs consecutive moduli from t_start (default: one past the largest
-    Jordan exponent of T) and stops when two consecutive normalized values
-    agree. Refuses to return unstabilized values.
+    Counts at up to three consecutive moduli p^t, from t one past the largest
+    Jordan exponent of T, and stops when two consecutive normalized values
+    agree. Refuses to return unstabilized values: OracleError carries the
+    table of (t, raw count, value) it tried.
     """
     if not T.is_nonsingular:
         raise ValueError("density oracle requires a nonsingular target")
-    if t_start is None:
-        t_start = max(jordan_diagonalize(T, p).exponents, default=0) + 1  # CountJob refuses rank 0
-    t_start = _plain_int(t_start, "an integer t_start", 1)
-    t_max = t_start + 2 if t_max is None else _plain_int(t_max, "an integer t_max", t_start)
+    t_start = max(jordan_diagonalize(T, p).exponents, default=0) + 1  # CountJob refuses rank 0
     table = []
-    prev = None
-    for t in range(t_start, t_max + 1):
+    for t in range(t_start, t_start + 3):
         job = CountJob(s_diag, T, p, t)
         raw = count_solutions(job)
         value = density_value(job, raw)
+        if table and table[-1][2] == value:
+            return DensityResult(raw, t, value, normalization_exponent(job.m, job.n, t))
         table.append((t, raw, value))
-        if prev is not None and prev == value:
-            return DensityResult(raw, t, value, True, normalization_exponent(job.m, job.n, t))
-        prev = value
     raise OracleError(
-        f"density did not stabilize for t in [{t_start}, {t_max}]: "
+        f"density did not stabilize for t in [{t_start}, {t}]: "
         + ", ".join(f"t={t}: {frac_str(v)}" for t, _, v in table),
         table,
     )

@@ -68,6 +68,8 @@ def classify_component(
         raise ValueError(
             "inconsistent case: the rank of the reduction cannot exceed its dimension"
         )
+    if not isinstance(m_data, dict):
+        raise TypeError(f"m_data must be a dict of flags, got {m_data!r}")
     for key, flag in m_data.items():
         if key not in ("represents_one", "has_radical_line"):
             raise ValueError(f"unknown m_data flag {key!r}")

@@ -134,46 +134,37 @@ class SymMat:
         return m
 
 
-def _sym_swap(m, i, j):
-    m[i], m[j] = m[j], m[i]
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _sym_add(m, i, j, c=Fraction(1)):
-    # basis move x_i -> x_i + c*x_j (congruence: row then column)
-    n = len(m)
-    for t in range(n):
-        if m[j][t]:
-            m[i][t] += c * m[j][t]
-    for t in range(n):
-        if m[t][j]:
-            m[t][i] += c * m[t][j]
-
-
 def _eliminate(entries, rank) -> list[Fraction]:
     """Diagonal of a congruent form, by symmetric elimination; zeros for the radical.
 
-    Each step pivots on the nonzero entry (i, j), i <= j, of the trailing
-    block with the least rank(value, i, j). An off-diagonal pivot is pulled
-    onto the diagonal with x_i -> x_i + x_j first.
+    m is the trailing block still to diagonalize. Each step pivots on its
+    nonzero entry (i, j), i <= j, with the least rank(value, i, j), indices
+    counted within the block. An off-diagonal pivot is pulled onto the
+    diagonal with x_i -> x_i + x_j first. The pivot is swapped into the
+    block's first place, and the block becomes the Schur complement of the
+    pivot in the rest.
     """
     n = len(entries)
     m = [list(row) for row in entries]
     diag = []
-    for k in range(n):
-        pivots = [(rank(m[i][j], i, j), i, j) for i in range(k, n) for j in range(i, n) if m[i][j]]
+    while m:
+        size = len(m)
+        pivots = [(rank(m[i][j], i, j), i, j)
+                  for i in range(size) for j in range(i, size) if m[i][j]]
         if not pivots:
-            return diag + [Fraction(0)] * (n - k)
+            return diag + [Fraction(0)] * (n - len(diag))
         _, i, j = min(pivots)
         if i != j:
-            _sym_add(m, i, j)
-        if i != k:
-            _sym_swap(m, k, i)
-        d = m[k][k]
-        for r in range(k + 1, n):
-            if m[r][k]:
-                _sym_add(m, r, k, -m[r][k] / d)
+            m[i] = [a + b for a, b in zip(m[i], m[j])]
+            for row in m:
+                row[i] += row[j]
+        rest = list(range(1, size))
+        if i:
+            rest[i - 1] = 0  # the swap puts the first row where the pivot's was
+        pivot = m[i]
+        d = pivot[i]
+        m = [[row[t] - c * pivot[t] if c and pivot[t] else row[t] for t in rest]
+             for row, c in ((m[r], m[r][i] / d) for r in rest)]
         diag.append(d)
     return diag
 

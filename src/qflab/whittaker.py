@@ -22,7 +22,7 @@ from .clifford import IncoherentCollection
 
 @dataclass(frozen=True)
 class LogPMultiple:
-    """An exact rational multiple of log p; arithmetic stays symbolic."""
+    """An exact rational multiple of log p, kept symbolic; it divides by an exact rational."""
 
     coeff: Fraction
     p: int
@@ -30,22 +30,6 @@ class LogPMultiple:
     def __post_init__(self):
         object.__setattr__(self, "coeff", _exact(self.coeff))
         object.__setattr__(self, "p", check_odd_prime(self.p))
-
-    def _check(self, other: "LogPMultiple"):
-        if self.p != other.p:
-            raise ValueError("mismatched primes in log-p arithmetic")
-
-    def __add__(self, other: "LogPMultiple") -> "LogPMultiple":
-        self._check(other)
-        return LogPMultiple(self.coeff + other.coeff, self.p)
-
-    def __neg__(self) -> "LogPMultiple":
-        return LogPMultiple(-self.coeff, self.p)
-
-    def __mul__(self, scalar: Rational) -> "LogPMultiple":
-        return LogPMultiple(self.coeff * _exact(scalar), self.p)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, scalar: Rational) -> "LogPMultiple":
         scalar = _exact(scalar)

@@ -1,4 +1,4 @@
-"""Acceptance gate: eleven criteria, each one check of `qflab.acceptance` at full size.
+"""Acceptance gate: eleven criteria, each one check of `qflab.acceptance`.
 
 `qflab sweep` runs the same checks; a check passes when it names no
 failure, and each test shows every failure it names. Heavy jobs (dense
@@ -10,7 +10,7 @@ from qflab import acceptance
 
 
 def _passes(check):
-    _, failures = check(fast=False)
+    _, failures = check()
     assert failures == [], "\n".join(failures)
 
 

@@ -227,11 +227,19 @@ def test_output_is_deterministic(capsys):
 # ---------------------------------------------------------------- sweeps
 
 
-def test_fast_sweeps_pass(capsys):
-    for suite in SUITES:
-        code, out, _ = run(capsys, "sweep", "--suite", suite, "--fast")
-        assert code == 0, (suite, out)
-        assert out.startswith(f"PASS {suite}: ")
+def test_sweep_all_passes(capsys):
+    code, out, err = run(capsys, "sweep", "--suite", "all")
+    assert (code, err) == (0, ""), out
+    assert [line.split(":")[0] for line in out.splitlines()] == [f"PASS {s}" for s in SUITES]
+
+
+def test_sweep_has_no_fast_mode(tmp_path, capsys):
+    code, out, _ = run(capsys, "sweep", "--suite", "unary", "--fast")
+    assert (code, out) == (2, "")
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("suite=unary\nfast=1\n")
+    assert run(capsys, "sweep", "--config", str(cfg)) == (
+        2, "", "error: config key 'fast' is not a flag of sweep\n")
 
 
 # ---------------------------------------------------------------- config file
@@ -262,23 +270,26 @@ def test_config_unknown_key_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("value", ["maybe", "on", "2", ""])
 def test_config_bad_switch_value_exits_2(tmp_path, capsys, value):
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(f"suite=unary\nfast={value}\n")
-    code, out, err = run(capsys, "sweep", "--config", str(cfg))
+    cfg = tmp_path / "gk.cfg"
+    cfg.write_text(f"p=3\ntable={value}\n")
+    code, out, err = run(capsys, "gk", "--config", str(cfg))
     assert (code, out) == (2, "")
-    assert err == (f"error: config key 'fast' has value {value!r}; "
+    assert err == (f"error: config key 'table' has value {value!r}; "
                    "expected one of 1, true, yes, 0, false, no\n")
 
 
-@pytest.mark.parametrize("value, fast", [("yes", True), ("TRUE", True), ("1", True),
-                                         ("no", False), ("False", False), ("0", False)])
-def test_config_switch_values(tmp_path, monkeypatch, capsys, value, fast):
+@pytest.mark.parametrize("value, table", [("yes", True), ("TRUE", True), ("1", True),
+                                          ("no", False), ("False", False), ("0", False)])
+def test_config_switch_values(tmp_path, monkeypatch, capsys, value, table):
+    import qflab.cli
+
     seen = []
-    monkeypatch.setitem(SUITES, "unary", lambda f: seen.append(f) or ("ok", []))
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(f"suite=unary\nfast={value}\n")
-    assert run(capsys, "sweep", "--config", str(cfg)) == (0, "PASS unary: ok\n", "")
-    assert seen == [fast]
+    monkeypatch.setattr(qflab.cli, "gk_table_csv", lambda p, a: seen.append((p, a)) or "csv\n")
+    cfg = tmp_path / "gk.cfg"
+    cfg.write_text(f"p=3\na=0,0,1\ntable={value}\n")
+    out = "csv\n" if table else "1\n"
+    assert run(capsys, "gk", "--config", str(cfg)) == (0, out, "")
+    assert seen == ([(3, 4)] if table else [])
 
 
 # ---------------------------------------------------------------- failure paths
@@ -418,7 +429,7 @@ def test_appendix_sweep_checks_discriminant(capsys, monkeypatch):
     import qflab.acceptance
 
     monkeypatch.setattr(qflab.acceptance, "discriminant", lambda B: 5)
-    code, out, _ = run(capsys, "sweep", "--suite", "appendix", "--fast")
+    code, out, _ = run(capsys, "sweep", "--suite", "appendix")
     assert code == 1
     assert out.startswith("FAIL appendix:")
     assert "ramification" in out
@@ -428,7 +439,7 @@ def test_failed_sweep_names_every_failed_assertion(capsys, monkeypatch):
     import qflab.acceptance
 
     monkeypatch.setattr(qflab.acceptance, "twisted_density", lambda T, p: Fraction(128, 9))
-    code, out, _ = run(capsys, "sweep", "--suite", "twisted", "--fast")
+    code, out, _ = run(capsys, "sweep", "--suite", "twisted")
     assert code == 1
     assert out == ("FAIL twisted: "
                    "twisted_density(SymMat.diag(1,1,1,3)): got 128/9, expected 64/9; "

@@ -1006,7 +1006,8 @@ def test_normalization_exponent():
 def test_density_oracle_unary_examples():
     res = density_oracle(base_diagonal(), SymMat.diag(1), 3)
     assert res.value == Fraction(10, 9)
-    assert res.stabilized
+    assert (res.t_used, res.norm_exponent) == (2, 8)
+    assert res.value == Fraction(res.raw_count, 3**res.norm_exponent)
     u = least_nonsquare(3)
     assert density_oracle(base_diagonal(), SymMat.diag(u), 3).value == Fraction(8, 9)
 
@@ -1021,14 +1022,11 @@ def test_density_oracle_rejects_singular():
         density_oracle(base_diagonal(), SymMat.diag(0), 3)
 
 
-def test_density_oracle_reports_non_stabilization():
-    with pytest.raises(OracleError, match="did not stabilize") as exc:
-        density_oracle(base_diagonal(), SymMat.diag(1), 3, t_start=1, t_max=1)
-    table = exc.value.partial_table
-    assert len(table) == 1
-    assert table[0][0] == 1
-
-
-def test_density_oracle_refuses_empty_range():
-    with pytest.raises(ValueError, match=r"^expected an integer t_max >= 3, got 1$"):
-        density_oracle(base_diagonal(), SymMat.diag(1), 3, t_start=3, t_max=1)
+def test_density_oracle_reports_non_stabilization(monkeypatch):
+    # a count that never settles: raw = t * 3^(4t) normalizes to the value t
+    # at t = 2, 3, 4, from one past the Jordan exponent 1 of diag(3)
+    monkeypatch.setattr(counting, "count_solutions", lambda job: job.t * 3 ** (4 * job.t))
+    with pytest.raises(OracleError, match=r"^density did not stabilize for t in \[2, 4\]: "
+                       r"t=2: 2/1, t=3: 3/1, t=4: 4/1$") as exc:
+        density_oracle(base_diagonal(), SymMat.diag(3), 3)
+    assert exc.value.partial_table == ((2, 2 * 3**8, 2), (3, 3 * 3**12, 3), (4, 4 * 3**16, 4))

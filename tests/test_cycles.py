@@ -94,6 +94,10 @@ def test_classification_inconsistencies():
     ({"represents_one": "no"}, TypeError, "m_data flag 'represents_one' must be a bool, got 'no'"),
     ({"has_radical_line": 1}, TypeError, "m_data flag 'has_radical_line' must be a bool, got 1"),
     ({"has_radical": True}, ValueError, "unknown m_data flag 'has_radical'"),
+    (None, TypeError, "m_data must be a dict of flags, got None"),
+    ([("represents_one", True)], TypeError,
+     "m_data must be a dict of flags, got [('represents_one', True)]"),
+    ("represents_one", TypeError, "m_data must be a dict of flags, got 'represents_one'"),
 ])
 def test_classification_flags_are_bools_under_known_keys(m_data, error, message):
     # before, "no" read as True (so "isolated") and an unknown key was ignored

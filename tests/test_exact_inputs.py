@@ -54,7 +54,6 @@ CALLS = {
     "CountJob": lambda x: CountJob((x, 1, -1), SymMat.diag(1), 3, 1).s_diag,
     "density_oracle": lambda x: density_oracle((x, 1, -1, 1, -1), SymMat.diag(1), 3),
     "LogPMultiple": lambda x: LogPMultiple(x, 3),
-    "LogPMultiple.__mul__": lambda x: LogPMultiple(Fraction(1, 3), 3) * x,
     "LogPMultiple.__truediv__": lambda x: LogPMultiple(Fraction(1, 3), 3) / x,
     "DensityPolynomial": lambda x: DensityPolynomial((1, x)),
     "DensityPolynomial.evaluate": lambda x: DensityPolynomial((1, Fraction(1, 3))).evaluate(x),
@@ -111,11 +110,6 @@ INTEGER_CALLS = {
     "base_diagonal r": ("r", 1, base_diagonal, 0),
     "split_diagonal rank": ("split form rank", 2, split_diagonal, 0),
     "whittaker_value r": ("r", 1, lambda n: whittaker_value(SymMat.diag(1, 1, 1, 3), 3, n), 0),
-    "density_oracle t_start": (
-        "t_start", 1, lambda n: density_oracle(base_diagonal(), SymMat.diag(1), 3, t_start=n), 1),
-    "density_oracle t_max": (
-        "t_max", 2,
-        lambda n: density_oracle(base_diagonal(), SymMat.diag(1), 3, t_start=1, t_max=n), 1),
     "gk_table_csv a_max": ("a_max", 1, lambda n: gk_table_csv(3, n), 0),
     "positive_involution_criterion conj_sign": (
         "conj_sign", -1, lambda n: positive_involution_criterion("split", n, -1), SIGN),

@@ -36,7 +36,7 @@ scale = st.builds(Fraction, st.sampled_from((1, 2, 3, 5, 7, 9)), st.sampled_from
 rational = st.builds(Fraction, small_int, st.integers(1, 12))
 entry = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3, 5, 7)))
 incoherent = st.sampled_from(
-    (IncoherentCollection.split(), IncoherentCollection.from_pair(-1, 3))
+    (IncoherentCollection.split(), IncoherentCollection(QuaternionAlgebra(-1, 3)))
 )
 
 
@@ -113,11 +113,11 @@ def test_jordan_data_ignores_entry_order():
 @SETTINGS
 @given(rational, rational, scale, scale)
 def test_ramified_places_invariant_under_square_scaling(a, b, x, y):
-    ram = ramified_places(QuaternionAlgebra(a, b))
-    assert ramified_places(QuaternionAlgebra(a * x * x, b * y * y)) == ram
+    B, scaled = QuaternionAlgebra(a, b), QuaternionAlgebra(a * x * x, b * y * y)
+    ram = ramified_places(B)
+    assert ramified_places(scaled) == ram
     if INFINITE_PLACE not in ram:
-        before = IncoherentCollection.from_pair(a, b).finite_ramified
-        assert IncoherentCollection.from_pair(a * x * x, b * y * y).finite_ramified == before
+        assert IncoherentCollection(scaled).finite_ramified == IncoherentCollection(B).finite_ramified
 
 
 # about one diagonal in 200 of this shape has primes that cancel out of its

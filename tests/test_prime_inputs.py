@@ -93,7 +93,7 @@ CALLS = {
     "whittaker_twisted_value": lambda p: whittaker_twisted_value(SymMat.diag(1, 1, 1, 3), p),
     "ratio_audit_constant": lambda p: ratio_audit_constant(p),
     "verify_ratio_identity": lambda p: verify_ratio_identity(SymMat.diag(1, 1, 1, 3), p),
-    "LogPMultiple": lambda p: LogPMultiple(Fraction(2, 3), p) + LogPMultiple(1, p),
+    "LogPMultiple": lambda p: LogPMultiple(Fraction(2, 3), p),
     "is_isolated": lambda p: is_isolated(_form(), p),
     "classify_component": lambda p: classify_component(0, 0, NO_LINE, p),
     "incidence_counts": lambda p: incidence_counts(p),

@@ -167,6 +167,10 @@ def test_hasse_of_a_diagonal_with_a_zero_entry_is_refused(v):
     ([[1, 1], [1, 1]], (1, 0)),
     ([[0, 0], [0, 0]], (0, 0)),
     ([[0, 1, 0], [1, 0, 0], [0, 0, 0]], (2, Fraction(-1, 2), 0)),
+    # an off-diagonal pivot, then a diagonal one swapped to the front
+    ([[0, 0, 3], [0, 0, 0], [3, 0, 0]], (6, Fraction(-3, 2), 0)),
+    # an off-diagonal pivot off the first row, swapped to the front
+    ([[0, 0, 0], [0, 0, 1], [0, 1, 0]], (2, Fraction(-1, 2), 0)),
 ])
 def test_rational_diagonalization_radical(entries, diagonal):
     T = SymMat(entries)
@@ -174,6 +178,85 @@ def test_rational_diagonalization_radical(entries, diagonal):
     assert T.det == 0 and not T.is_nonsingular
     with pytest.raises(ValueError, match="signature requires a nonsingular form"):
         signature(T)
+
+
+def _principal_minor(T, rows):
+    return _leibniz_det(SymMat([[T[i, j] for j in rows] for i in rows]))
+
+
+def test_rational_diagonalization_is_the_ratio_of_leading_minors():
+    # with every leading principal minor D_k nonzero, each pivot is the first
+    # entry of its block, no swap occurs, and the k-th entry is D_k / D_(k-1)
+    rng = random.Random(34)
+    checked = 0
+    while checked < 200:
+        n = rng.randint(1, 5)
+        entries = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                x = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 9)))
+                entries[i][j] = entries[j][i] = x
+        T = SymMat(entries)
+        minors = [Fraction(1)] + [_principal_minor(T, range(k)) for k in range(1, n + 1)]
+        if 0 in minors:
+            continue
+        assert rational_diagonalization(T) == tuple(b / a for a, b in zip(minors, minors[1:]))
+        checked += 1
+
+
+@pytest.mark.parametrize("entries, diagonal", [
+    ([[0, 1], [1, 0]], (2, Fraction(-1, 2))),
+    ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], (2, Fraction(-1, 2), -2)),
+    ([[1, 0, 1], [0, 0, 2], [1, 2, 1]], (1, 4, -1)),
+])
+def test_rational_diagonalization_off_diagonal_pivot(entries, diagonal):
+    # worked by hand: x_i -> x_i + x_j on the first nonzero off-diagonal
+    # entry once the block's diagonal is zero
+    assert rational_diagonalization(SymMat(entries)) == diagonal
+
+
+def test_rational_diagonalization_with_zero_diagonal_or_radical():
+    # Sylvester's law, against rules that share nothing with the elimination:
+    # zeros = n - rank, where the rank is the largest order of a nonzero
+    # principal minor; the signs are the eigenvalue signs; and the nonzero
+    # entries' product lies in the square class of any nonzero principal
+    # minor of that order. Entries are integers of size at most 5, so a
+    # nonzero eigenvalue (at most 25 in size, its product with the others a
+    # nonzero integer) is at least 25^-4 in size, far above float error.
+    import numpy as np
+
+    rng = random.Random(35)
+    zero_diagonal = radical = 0
+    for trial in range(300):
+        n = rng.randint(2, 5)
+        entries = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i):
+                entries[i][j] = entries[j][i] = rng.randint(-5, 5)
+        if trial % 2:  # a radical: the last coordinate repeats a combination
+            a, b = rng.sample(range(n - 1), 2) if n > 2 else (0, 0)
+            for i in range(n):
+                entries[i][i] = rng.randint(-5, 5) if i < n - 1 else 0
+            combo = [entries[a][t] + entries[b][t] for t in range(n)]
+            for t in range(n):
+                entries[n - 1][t] = entries[t][n - 1] = combo[t]
+            entries[n - 1][n - 1] = sum(entries[s][t] for s in (a, b) for t in (a, b))
+        T = SymMat(entries)
+        d = rational_diagonalization(T)
+        rank = max(k for k in range(n + 1)
+                   if any(_principal_minor(T, rows) for rows in itertools.combinations(range(n), k)))
+        eig = np.linalg.eigvalsh(np.array(entries, dtype=float))
+        assert d.count(0) == n - rank
+        assert sum(x > 0 for x in d) == int(np.sum(eig > 1e-9))
+        assert sum(x < 0 for x in d) == int(np.sum(eig < -1e-9))
+        nonzero = math.prod((x for x in d if x), start=Fraction(1))
+        minor = next(m for rows in itertools.combinations(range(n), rank)
+                     if (m := _principal_minor(T, rows)))
+        ratio = nonzero / minor
+        assert ratio > 0 and all(math.isqrt(x) ** 2 == x for x in (ratio.numerator, ratio.denominator))
+        zero_diagonal += all(entries[i][i] == 0 for i in range(n))
+        radical += rank < n
+    assert zero_diagonal >= 100 and radical >= 150
 
 
 def test_least_nonsquare():
@@ -462,7 +545,7 @@ def test_diff_examples():
 
 def test_diff_parity_sample():
     rng = random.Random(8128)
-    collections = [IncoherentCollection.split(), IncoherentCollection.from_pair(-1, 3)]
+    collections = [IncoherentCollection.split(), IncoherentCollection(QuaternionAlgebra(-1, 3))]
     for _ in range(25):
         A = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
         M = [
@@ -501,7 +584,7 @@ def test_local_tests_read_kept_invariants_in_a_class_invariant_way():
     rng = random.Random(2604)
     places = [Place(2), Place(3), Place(5), Place(7), INFINITE_PLACE]
     spaces = [base_space(), twisted_space(3), twisted_space(5), twisted_space(7)]
-    collections = [IncoherentCollection.split(), IncoherentCollection.from_pair(-1, 3)]
+    collections = [IncoherentCollection.split(), IncoherentCollection(QuaternionAlgebra(-1, 3))]
     for _ in range(60):
         n = rng.choice((3, 4, 4))
         T = _random_nonsingular(rng, n, 12)
@@ -543,7 +626,7 @@ def _diff_rule(T, C):
     # diff_set written out: every prime of D(B), of det T or of an entry's
     # denominator, and 2, fails _hilbert_rule; the real place by signature
     denominators = {x.denominator for row in T.entries for x in row}
-    primes = _candidate_primes(C.finite_discriminant, T.det, *denominators)
+    primes = _candidate_primes(*C.finite_ramified, T.det, *denominators)
     out = {Place(p) for p in primes if not _hilbert_rule(C.space, T, Place(p))}
     return out | ({INFINITE_PLACE} if signature(T)[0] in (1, 3) else set())
 
@@ -606,7 +689,7 @@ def test_local_tests_read_the_target_diagonal_once_per_place(monkeypatch):
         return real(diag, v)
 
     monkeypatch.setattr(qflab.quadform, "_hasse_and_det_class", spy)
-    disc6 = IncoherentCollection.from_pair(-1, 3)
+    disc6 = IncoherentCollection(QuaternionAlgebra(-1, 3))
     T = SymMat([[2, 1, 0, 0], [1, 4, 1, 0], [0, 1, 6, 3], [0, 0, 3, 12]])
     diagonal = rational_diagonalization(T)
     for p in (3, 5, 7):
@@ -620,15 +703,13 @@ def test_local_tests_read_the_target_diagonal_once_per_place(monkeypatch):
 def test_incoherent_collection_structure():
     C = IncoherentCollection.split()
     assert C.finite_ramified == ()
-    assert C.finite_discriminant == 1
-    D = IncoherentCollection.from_pair(-1, 3)
+    D = IncoherentCollection(QuaternionAlgebra(-1, 3))
     assert D.finite_ramified == (2, 3)
-    assert D.finite_discriminant == 6
     assert signature(D.space) == (3, 2)
 
 
 def test_incoherent_collection_rejects_definite():
     with pytest.raises(ValueError, match="indefinite"):
-        IncoherentCollection.from_pair(-1, -1)
+        IncoherentCollection(QuaternionAlgebra(-1, -1))
     with pytest.raises(ValueError, match="nonzero"):
-        IncoherentCollection.from_pair(0, 3)
+        IncoherentCollection(QuaternionAlgebra(0, 3))

@@ -109,21 +109,13 @@ def test_twisted_value_of_a_numpy_prime_is_plain():
 
 def test_log_multiple_arithmetic():
     a = LogPMultiple(F(3, 2), 3)
-    b = LogPMultiple(F(1, 2), 3)
-    assert (a + b).coeff == 2
-    assert (2 * a).coeff == 3
-    assert (a * 2).coeff == 3
-    assert (a / 2).coeff == F(3, 4)
-    assert (-a).coeff == F(-3, 2)
-    assert "log(3)" in repr(a)
+    assert a / 2 == LogPMultiple(F(3, 4), 3)
+    assert repr(a) == "(3/2)*log(3)"
 
 
 def test_log_multiple_guards():
-    a = LogPMultiple(F(1), 3)
-    with pytest.raises(ValueError, match="mismatched primes in log-p arithmetic"):
-        a + LogPMultiple(F(1), 5)
     with pytest.raises(ZeroDivisionError):
-        a / 0
+        LogPMultiple(F(1), 3) / 0
 
 
 # ---------------------------------------------------------------- ratio identity
