@@ -86,10 +86,13 @@ SIGN = "+1 or -1"
 # sign in words of its own
 INTEGER_CALLS = {
     "GKTriple a1": ("a1", 0, lambda n: GKTriple(n, 1, 1, 1, 1, 1, 3), 0),
+    "GKTriple a2": ("a2", 1, lambda n: GKTriple(0, n, 2, 1, 1, 1, 3), None),
+    "GKTriple a3": ("a3", 2, lambda n: GKTriple(0, 1, n, 1, 1, 1, 3), None),
     "GKTriple eps1": ("eps1", -1, lambda n: GKTriple(0, 1, 1, n, 1, 1, 3), SIGN),
     "GKTriple eps2": ("eps2", 1, lambda n: GKTriple(0, 1, 1, 1, n, 1, 3), SIGN),
     "GKTriple eps3": ("eps3", 1, lambda n: GKTriple(0, 1, 1, 1, 1, n, 3), SIGN),
     "e_p a1": ("a1", 1, lambda n: e_p(n, 1, 1, 3), 0),
+    "e_p a2": ("a2", 1, lambda n: e_p(1, n, 2, 3), None),
     "e_p a3": ("a3", 2, lambda n: e_p(1, 1, n, 3), None),
     "quaternion_with_discriminant": ("discriminant d", 6, quaternion_with_discriminant, 1),
     "classify_component rank_t_mod_p": (
